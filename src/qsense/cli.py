@@ -2,7 +2,7 @@
 
 Subcommands: simulate, fit, verify-normality, rate-sweep, check-assumptions,
 certificate, invariance-audit.  Exit codes: 0 success, 1 usage/validation
-error, 2 numerical abort.
+error, 2 numerical abort or a crashed worker process.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (CapabilityError, ConfigurationError, DegenerateFactorError,
                      DegenerateHessianError, DivergenceError, HarnessAbort,
                      InitializationError, OutOfInjectivityError)
 from .estimator import FitConfig, fit
-from .model import Dataset, DataGeneratingProcess, ProblemConstants, simulate
+from .model import Dataset, ProblemConstants, simulate
 
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
                      OutOfInjectivityError, InitializationError,
@@ -80,11 +81,7 @@ def _cmd_simulate(args):
     if config.n is None:
         raise ConfigurationError("simulate requires config.n")
     theta_star = harness.make_truth(config)
-    dgp = DataGeneratingProcess(theta_star=theta_star, design=config.design,
-                                noise=config.resolved_noise(),
-                                sigma=config.resolved_noise_sigma(),
-                                seed=(config.seed, harness._RUN_TAG, 0))
-    data = simulate(dgp, config.n)
+    data = simulate(config.make_dgp(theta_star, harness._RUN_TAG, 0), config.n)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "dataset.json")
     with open(path, "w") as fh:
@@ -133,12 +130,9 @@ def _cmd_rate_sweep(args):
 def _cmd_check_assumptions(args):
     config = _experiment_config(args)
     theta_star = harness.make_truth(config)
-    dgp = DataGeneratingProcess(theta_star=theta_star, design=config.design,
-                                noise=config.resolved_noise(),
-                                sigma=config.resolved_noise_sigma(),
-                                seed=(config.seed, 0xA55))
-    report = diagnostics.assumption_report(dgp, theta_star,
-                                           config.make_loss(), config.n_mc)
+    report = diagnostics.assumption_report(config.make_dgp(theta_star, 0xA55),
+                                           theta_star, config.make_loss(),
+                                           config.n_mc)
     _emit(args, config, report.to_json_dict(), name="report.json")
     return 0
 
@@ -167,11 +161,7 @@ def _cmd_invariance_audit(args):
     config = _experiment_config(args)
     theta_star = harness.make_truth(config)
     loss = config.make_loss()
-    dgp = DataGeneratingProcess(theta_star=theta_star, design=config.design,
-                                noise=config.resolved_noise(),
-                                sigma=config.resolved_noise_sigma(),
-                                seed=(config.seed, 0xAD1))
-    data = simulate(dgp, 1)
+    data = simulate(config.make_dgp(theta_star, 0xAD1), 1)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xAD2)))
     basis = geometry.horizontal_basis(theta_star, order=config.basis_order)
     worst = 0.0
@@ -239,6 +229,9 @@ def cli_main(argv=None):
         return 1
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"qsense: numerical abort: {exc}\n")
+        return 2
+    except BrokenProcessPool as exc:
+        sys.stderr.write(f"qsense: worker process crashed: {exc}\n")
         return 2
 
 

@@ -12,14 +12,16 @@ moment assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry, inference
 from .errors import CapabilityError
-from .model import (euclidean_gradient, hessian_operator, predictions,
-                    sample_design, symmetrized, third_derivative_operator)
+from .jsonable import JsonFields
+from .model import (ISOTROPIC_DESIGNS, design_adjoint, euclidean_gradient,
+                    hessian_operator, pair_products, predictions,
+                    sample_design, third_derivative_operator)
 
 # Guard on the d^2 x d^2 design-form materialization.
 MAX_FORM_DIM = 12
@@ -35,8 +37,8 @@ FD_STEP = 1e-5
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EmpiricalAggregates:
-    xbar: np.ndarray
+class EmpiricalAggregates(JsonFields):
+    xbar: np.ndarray = field(repr=False)
     xbar_norm: float
     eps_bar: float
     eps1_bar: float
@@ -46,19 +48,6 @@ class EmpiricalAggregates:
     xbar_bound: float
     eps_bound: float
     mbar_bound: float
-
-    def to_json_dict(self):
-        return {
-            "xbar_norm": self.xbar_norm,
-            "eps_bar": self.eps_bar,
-            "eps1_bar": self.eps1_bar,
-            "eps2_bar": self.eps2_bar,
-            "mbar_opnorm": self.mbar_opnorm,
-            "delta": self.delta,
-            "xbar_bound": self.xbar_bound,
-            "eps_bound": self.eps_bound,
-            "mbar_bound": self.mbar_bound,
-        }
 
 
 def xbar_envelope(d, k, sigma_eps, x_max, delta, n):
@@ -94,11 +83,10 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
     eps2 = loss.d3(z, dataset.y)
     n = dataset.n
     d, k = theta_star.shape
-    xbar = np.einsum("n,nij->ij", eps, dataset.X) / n
+    xbar = design_adjoint(dataset.X, eps) / n
     mu1 = loss.conditional_moments(z)[1]
     w = eps1 - mu1
-    B = np.einsum("nij,jk->nik", symmetrized(dataset), theta_star)
-    Bf = B.reshape(n, d * k)
+    Bf = pair_products(dataset.F, theta_star).reshape(n, d * k)
     Mmat = (Bf * w[:, None]).T @ Bf / n
     mbar_opnorm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (Mmat + Mmat.T)))))
 
@@ -148,7 +136,7 @@ def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
         raise CapabilityError(
             f"d = {d} exceeds the materialization guard ({MAX_FORM_DIM})")
     if population:
-        if design in ("gaussian", "bounded"):
+        if design in ISOTROPIC_DESIGNS:
             # iid unit-variance entries: E[vec vec^T] is the identity
             return 1.0
         if design == "symmetric":
@@ -192,7 +180,7 @@ def lambda_min_restricted(dataset, theta_star, basis, loss):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TheoryCertificate:
+class TheoryCertificate(JsonFields):
     """Closed-form constants of the convergence guarantee, evaluated verbatim.
 
     ``lambda_min_population`` is mu0 lambda0 sigma_min^2 (the proof-side
@@ -223,19 +211,6 @@ class TheoryCertificate:
                         * c.sigma_eps**2
                         * math.log(6.0 * c.d**2 * c.k**2 / self.delta) / n)
         return self.lambda_min_population - dev
-
-    def to_json_dict(self):
-        return {
-            "constants": self.constants.to_json_dict(),
-            "delta": self.delta,
-            "K": self.K,
-            "n_required": self.n_required,
-            "radius_required": self.radius_required,
-            "lambda_min_population": self.lambda_min_population,
-            "lambda_min_population_isotropic":
-                self.lambda_min_population_isotropic,
-            "lambda_min_restricted": self.lambda_min_restricted,
-        }
 
 
 def theory_constants(constants, delta):
@@ -271,23 +246,13 @@ def theory_constants(constants, delta):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TaylorResidualReport:
+class TaylorResidualReport(JsonFields):
     distance: float
     lhs: float
     remainder: float
     ratio: float | None
     certificate_rhs: float | None
     grad_at_estimate_norm: float
-
-    def to_json_dict(self):
-        return {
-            "distance": self.distance,
-            "lhs": self.lhs,
-            "remainder": self.remainder,
-            "ratio": self.ratio,
-            "certificate_rhs": self.certificate_rhs,
-            "grad_at_estimate_norm": self.grad_at_estimate_norm,
-        }
 
 
 def taylor_residual_check(dataset, theta_star, theta0, basis, loss,
@@ -372,7 +337,7 @@ def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AssumptionReport:
+class AssumptionReport(JsonFields):
     score_mean: float
     score_mean_se: float
     score_mean_pass: bool
@@ -386,17 +351,7 @@ class AssumptionReport:
         return self.score_mean_pass and self.curvature_pass and self.bartlett_pass
 
     def to_json_dict(self):
-        return {
-            "score_mean": self.score_mean,
-            "score_mean_se": self.score_mean_se,
-            "score_mean_pass": self.score_mean_pass,
-            "min_conditional_curvature": self.min_conditional_curvature,
-            "curvature_pass": self.curvature_pass,
-            "bartlett_gap": self.bartlett_gap,
-            "bartlett_ratio": self.bartlett_ratio,
-            "bartlett_pass": self.bartlett_pass,
-            "all_pass": self.all_pass(),
-        }
+        return {**super().to_json_dict(), "all_pass": self.all_pass()}
 
 
 def assumption_report(dgp, theta_star, loss, n_mc, bartlett_tol=0.1,

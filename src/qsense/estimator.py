@@ -14,7 +14,8 @@ import numpy as np
 
 from . import geometry, inference
 from .errors import DivergenceError, InitializationError
-from .model import euclidean_gradient, symmetrized
+from .jsonable import JsonFields
+from .model import design_adjoint, design_forward, euclidean_gradient
 
 # Line-search floor: a step this far below its initial value means the search
 # direction is numerically useless, so the run stops unconverged.
@@ -53,7 +54,7 @@ class FitConfig:
 
 
 @dataclass
-class FitResult:
+class FitResult(JsonFields):
     theta0: np.ndarray
     grad_norm: float
     iterations: int
@@ -66,15 +67,7 @@ class FitResult:
         return float(self.loss_trace[-1])
 
     def to_json_dict(self):
-        return {
-            "theta0": self.theta0.tolist(),
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-            "loss_trace": [float(v) for v in self.loss_trace],
-            "converged": self.converged,
-            "neighborhood_radius": self.neighborhood_radius,
-            "final_loss": self.final_loss,
-        }
+        return {**super().to_json_dict(), "final_loss": self.final_loss}
 
 
 def spectral_init(dataset, k, loss, calibration=1.0):
@@ -88,8 +81,7 @@ def spectral_init(dataset, k, loss, calibration=1.0):
     """
     if k < 1 or k > dataset.d:
         raise ValueError("k must lie in [1, d]")
-    F = symmetrized(dataset)
-    S = calibration * np.einsum("n,nij->ij", dataset.y, F) / (2.0 * dataset.n)
+    S = calibration * design_adjoint(dataset.F, dataset.y) / (2.0 * dataset.n)
     lam, V = np.linalg.eigh(S)
     top = np.argsort(lam)[::-1][:k]
     lam_top = lam[top]
@@ -101,14 +93,14 @@ def spectral_init(dataset, k, loss, calibration=1.0):
     return V[:, top] * np.sqrt(lam_top)[None, :]
 
 
-def _run_descent(Fflat, y, d, loss, theta, config):
+def _run_descent(dataset, loss, theta, config):
     """Backtracking gradient descent from one start.  Returns a FitResult."""
-    n = y.shape[0]
+    X, F, y, n = dataset.X, dataset.F, dataset.y, dataset.n
 
     def loss_at(th):
         # non-finite values are handled by the divergence/backtracking logic
         with np.errstate(over="ignore", invalid="ignore"):
-            z = 0.5 * (Fflat @ (th @ th.T).ravel())
+            z = design_forward(X, th @ th.T)
             return float(np.mean(loss.value(z, y))), z
 
     f, z = loss_at(theta)
@@ -122,8 +114,7 @@ def _run_descent(Fflat, y, d, loss, theta, config):
     iterations = 0
     null_steps = 0
     for _ in range(config.max_iters):
-        w = loss.d1(z, y)
-        G = (Fflat.T @ w).reshape(d, d) @ theta / n
+        G = design_adjoint(F, loss.d1(z, y)) @ theta / n
         gsq = float(np.sum(G * G))
         grad_norm = np.sqrt(gsq)
         if grad_norm <= config.grad_tol:
@@ -168,8 +159,6 @@ def fit(dataset, loss, config=None, truth=None):
     config.validate()
     loss.validate_targets(dataset.y)
     d = dataset.d
-    F = symmetrized(dataset)
-    Fflat = np.ascontiguousarray(F.reshape(dataset.n, d * d))
 
     if isinstance(config.init, str):
         if config.init != "spectral":
@@ -197,7 +186,7 @@ def fit(dataset, loss, config=None, truth=None):
 
     best = None
     for theta_init in starts:
-        result = _run_descent(Fflat, dataset.y, d, loss, theta_init, config)
+        result = _run_descent(dataset, loss, theta_init, config)
         if best is None or result.final_loss < best.final_loss:
             best = result
     if truth is not None:
@@ -206,17 +195,10 @@ def fit(dataset, loss, config=None, truth=None):
 
 
 @dataclass
-class MinimizerCertificate:
+class MinimizerCertificate(JsonFields):
     grad_norm: float
     restricted_min_eigenvalue: float
     distance_to_truth: float | None = None
-
-    def to_json_dict(self):
-        return {
-            "grad_norm": self.grad_norm,
-            "restricted_min_eigenvalue": self.restricted_min_eigenvalue,
-            "distance_to_truth": self.distance_to_truth,
-        }
 
 
 def minimizer_certificate(dataset, theta0, loss, basis, truth=None):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFactorError, OutOfInjectivityError
+from .jsonable import JsonFields
 
 # Relative singular-value cutoff below which a factor is treated as rank
 # deficient by the projection solvers.
@@ -39,7 +40,7 @@ class SkewBasis:
 
 
 @dataclass(frozen=True, eq=False)
-class HorizontalBasis:
+class HorizontalBasis(JsonFields):
     """Orthonormal basis of the horizontal space at ``anchor``.
 
     ``elements`` is (m, d, k) with m = d k - k (k - 1) / 2; each element is
@@ -54,13 +55,6 @@ class HorizontalBasis:
     @property
     def m(self):
         return self.elements.shape[0]
-
-    def to_json_dict(self):
-        return {
-            "tag": self.tag,
-            "anchor": self.anchor.tolist(),
-            "elements": self.elements.tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,22 +7,25 @@ them.  Aggregation walks records in index order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import stats
-from scipy.special import ndtri
 
 from . import __version__, diagnostics, geometry, inference
 from .errors import (ConfigurationError, DivergenceError, HarnessAbort,
                      InitializationError)
 from .estimator import FitConfig, fit
+from .jsonable import JsonFields
 from .model import (BOUNDED_XMAX, DataGeneratingProcess, GaussianNLL,
-                    ISOTROPIC_DESIGNS, Logistic, ProblemConstants, simulate)
+                    Logistic, ProblemConstants, has_closed_form, simulate)
 
 VERSION_STRING = f"qsense-{__version__}"
 
@@ -89,13 +92,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        """Build a validated config from JSON values.
+
+        Each value is checked against its field's declared type.  Integral
+        floats and numeric strings are converted where that loses nothing;
+        anything else raises ConfigurationError.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigurationError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(obj) - set(types)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         if "d" not in obj or "k" not in obj:
             raise ConfigurationError("config requires d and k")
-        return cls(**obj).validate()
+        return cls(**{key: _coerce(key, types[key], value)
+                      for key, value in obj.items()}).validate()
 
     def to_dict(self):
         # threads is an execution parameter, not part of the experiment
@@ -115,6 +127,50 @@ class ExperimentConfig:
 
     def make_loss(self):
         return GaussianNLL(self.sigma) if self.loss == "gaussian" else Logistic()
+
+    def make_dgp(self, theta_star, *tags):
+        """The configured process around theta_star, on stream (seed, *tags)."""
+        return DataGeneratingProcess(
+            theta_star=theta_star, design=self.design,
+            noise=self.resolved_noise(), sigma=self.resolved_noise_sigma(),
+            seed=(self.seed, *tags))
+
+
+def _convert(kind, value):
+    """``value`` as ``kind`` where that loses nothing; raises otherwise.
+
+    Numbers may come as numeric strings, and integers as integral floats;
+    booleans are never numbers.
+    """
+    if isinstance(value, bool) != (kind is bool):
+        raise TypeError
+    if kind in (int, float):
+        converted = kind(value)
+        if (not isinstance(value, str) and converted != value) \
+                or not math.isfinite(converted):
+            raise ValueError
+        return converted
+    if not isinstance(value, kind):
+        raise TypeError
+    return value
+
+
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool, "list": list}
+
+
+def _coerce(key, declared, value):
+    """Value of config field ``key`` converted to its declared type."""
+    base, _, optional = declared.partition(" | ")
+    if value is None and optional == "None":
+        return None
+    try:
+        value = _convert(_KINDS[base], value)
+        if key == "n_grid":
+            value = [_convert(int, v) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"config key {key!r} must be {declared}, got {value!r}") from None
+    return value
 
 
 def make_truth(config):
@@ -193,16 +249,9 @@ class RunContext:
     half_width: np.ndarray
     hstar_source: str
 
-    def make_dgp(self, r):
-        return DataGeneratingProcess(
-            theta_star=self.theta_star, design=self.config.design,
-            noise=self.config.resolved_noise(),
-            sigma=self.config.resolved_noise_sigma(),
-            seed=(self.config.seed, self.stream_tag, r))
-
 
 @dataclass
-class ReplicationRecord:
+class ReplicationRecord(JsonFields):
     index: int
     diverged: bool = False
     message: str = ""
@@ -218,29 +267,10 @@ class ReplicationRecord:
     taylor_remainder: float = float("nan")
     taylor_ratio: float = float("nan")
 
-    def to_json_dict(self):
-        return {
-            "index": self.index,
-            "diverged": self.diverged,
-            "message": self.message,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "final_loss": self.final_loss,
-            "distance": self.distance,
-            "phi0": None if self.phi0 is None else self.phi0.tolist(),
-            "z": None if self.z is None else self.z.tolist(),
-            "ci_hits": None if self.ci_hits is None
-                       else [bool(b) for b in self.ci_hits],
-            "taylor_lhs": self.taylor_lhs,
-            "taylor_remainder": self.taylor_remainder,
-            "taylor_ratio": self.taylor_ratio,
-        }
-
 
 def _replicate(ctx, r):
     loss = ctx.config.make_loss()
-    dgp = ctx.make_dgp(r)
+    dgp = ctx.config.make_dgp(ctx.theta_star, ctx.stream_tag, r)
     data = simulate(dgp, ctx.n)
     cfg = FitConfig(grad_tol=ctx.config.grad_tol,
                     max_iters=ctx.config.max_iters,
@@ -305,39 +335,85 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     if config.debug_include_vertical:
         basis = _with_debug_vertical(basis)
     loss = config.make_loss()
-    closed_form_ok = (config.design in ISOTROPIC_DESIGNS
-                      and isinstance(loss, GaussianNLL))
+    closed_form_ok = has_closed_form(config.design, loss)
     source = config.hstar_source
     if source == "auto":
         source = "closed-form" if closed_form_ok else "monte-carlo"
     if source == "closed-form" and not closed_form_ok:
         raise ConfigurationError(
             "closed-form covariance unavailable for this design/loss")
-    dgp = DataGeneratingProcess(
-        theta_star=theta_star, design=config.design,
-        noise=config.resolved_noise(), sigma=config.resolved_noise_sigma(),
-        seed=(config.seed, _HSTAR_TAG))
-    if source == "closed-form":
-        hstar = inference.restricted_population_hessian(dgp, theta_star,
-                                                        basis, loss)
-    else:
-        hstar = inference.restricted_population_hessian(
-            dgp, theta_star, basis, loss, n_mc=config.hstar_mc_factor * n)
-    cov = inference.asymptotic_covariance(hstar)  # raises if degenerate
-    z_crit = float(ndtri(1.0 - config.alpha / 2.0))
-    half = z_crit * np.sqrt(np.diag(cov.inverse_hessian) / n)
+    hstar = inference.restricted_population_hessian(
+        config.make_dgp(theta_star, _HSTAR_TAG), theta_star, basis, loss,
+        n_mc=None if source == "closed-form" else config.hstar_mc_factor * n)
+    phi_star = inference.represent(theta_star, basis)
+    # raises DegenerateHessianError if a vertical direction leaked in
+    intervals = inference.wald_intervals(phi_star, hstar, n, config.alpha)
     return RunContext(config=config, n=n, stream_tag=stream_tag,
-                      theta_star=theta_star, basis=basis,
-                      phi_star=inference.represent(theta_star, basis),
+                      theta_star=theta_star, basis=basis, phi_star=phi_star,
                       hstar=hstar, hstar_sqrt=inference.sqrtm_spd(hstar),
-                      half_width=half, hstar_source=source)
+                      half_width=intervals.half_width, hstar_source=source)
+
+
+# Thread-count entry points of OpenBLAS, "%s" standing for set or get: the
+# symbol-prefixed builds numpy and scipy bundle (64- and 32-bit integer
+# interfaces), then system builds.
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_%s_num_threads64_",
+                        "scipy_openblas_%s_num_threads",
+                        "openblas_%s_num_threads64_",
+                        "openblas_%s_num_threads")
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(set, get) thread-count functions of every OpenBLAS already loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, name % "set") and hasattr(lib, name % "get"):
+                set_threads, get_threads = lib[name % "set"], lib[name % "get"]
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block with one BLAS thread, then restore the previous count.
+
+    Replicates run many small BLAS calls; forked workers inherit the
+    setting, so a pool of them does not oversubscribe the CPUs, and serial
+    and pooled runs sum in the same order.  Does nothing where no OpenBLAS
+    entry point is found.
+    """
+    controls = _blas_thread_controls()
+    saved = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
 
 
 def run_replications(config, n=None, stream_tag=_RUN_TAG, context=None):
     """Fit ``config.replications`` simulated datasets and record each result.
 
-    Records are bit-identical across thread counts for a fixed seed.  More
-    than 20% divergent replicates aborts the run.
+    Records are bit-identical across thread counts for a fixed seed: the
+    replicates run with single-threaded BLAS, serial or pooled.  More than
+    20% divergent replicates aborts the run.
     """
     if context is None:
         if n is None:
@@ -346,14 +422,15 @@ def run_replications(config, n=None, stream_tag=_RUN_TAG, context=None):
             n = config.n
         context = build_context(config, n, stream_tag)
     R = config.replications
-    if config.threads > 1 and R > 1:
-        chunk = max(1, R // (config.threads * 4))
-        with ProcessPoolExecutor(max_workers=config.threads,
-                                 initializer=_init_worker,
-                                 initargs=(context,)) as ex:
-            records = list(ex.map(_worker, range(R), chunksize=chunk))
-    else:
-        records = [_replicate(context, r) for r in range(R)]
+    with single_threaded_blas():
+        if config.threads > 1 and R > 1:
+            chunk = max(1, R // (config.threads * 4))
+            with ProcessPoolExecutor(max_workers=config.threads,
+                                     initializer=_init_worker,
+                                     initargs=(context,)) as ex:
+                records = list(ex.map(_worker, range(R), chunksize=chunk))
+        else:
+            records = [_replicate(context, r) for r in range(R)]
     records.sort(key=lambda rec: rec.index)
     n_div = sum(rec.diverged for rec in records)
     if n_div > 0.2 * R:
@@ -368,7 +445,7 @@ def run_replications(config, n=None, stream_tag=_RUN_TAG, context=None):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NormalityReport:
+class NormalityReport(JsonFields):
     n: int
     replications: int
     excluded: int
@@ -384,24 +461,6 @@ class NormalityReport:
     median_distance: float
     max_distance: float
     z_matrix: np.ndarray = field(repr=False, default=None)
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "replications": self.replications,
-            "excluded": self.excluded,
-            "hstar_source": self.hstar_source,
-            "coordinate_means": self.coordinate_means.tolist(),
-            "coordinate_variances": self.coordinate_variances.tolist(),
-            "covariance": self.covariance.tolist(),
-            "covariance_rel_error": self.covariance_rel_error,
-            "coverage_per_coordinate": self.coverage_per_coordinate.tolist(),
-            "coverage_rate": self.coverage_rate,
-            "ks_distances": self.ks_distances.tolist(),
-            "max_ks_distance": self.max_ks_distance,
-            "median_distance": self.median_distance,
-            "max_distance": self.max_distance,
-        }
 
 
 def normality_experiment(config):
@@ -439,7 +498,7 @@ def normality_experiment(config):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RateReport:
+class RateReport(JsonFields):
     n_grid: list
     medians: np.ndarray
     q25: np.ndarray
@@ -449,19 +508,6 @@ class RateReport:
     bound_values: np.ndarray
     floor_limited: bool
     excluded: list
-
-    def to_json_dict(self):
-        return {
-            "n_grid": [int(n) for n in self.n_grid],
-            "medians": self.medians.tolist(),
-            "q25": self.q25.tolist(),
-            "q75": self.q75.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "bound_values": self.bound_values.tolist(),
-            "floor_limited": self.floor_limited,
-            "excluded": [int(e) for e in self.excluded],
-        }
 
 
 def rate_experiment(config):

@@ -8,15 +8,17 @@ sqrt(n) times the coordinate error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import geometry
-from .errors import ConfigurationError, DegenerateHessianError
-from .model import (GaussianNLL, ISOTROPIC_DESIGNS, euclidean_gradient,
-                    predictions, sample_design, symmetrized)
+from .errors import DegenerateHessianError
+from .jsonable import JsonFields
+from .model import (Dataset, design_adjoint, euclidean_gradient,
+                    pair_coordinates, population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
 # singular (the vertical-direction pathology).
@@ -42,35 +44,28 @@ def restricted_score(dataset, theta_star, basis, loss):
     return represent(euclidean_gradient(dataset, theta_star, loss), basis)
 
 
-def _design_weights(dataset, theta_star, basis, loss):
-    """Shared pieces: per-sample pair inner products and loss derivatives."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    F = symmetrized(dataset)
-    B = np.einsum("nij,jk->nik", F, theta_star)
-    A = np.einsum("nik,mik->nm", B, basis.elements)
-    z = predictions(dataset, theta_star)
-    return F, A, z
-
-
 def restricted_hessian(dataset, theta_star, basis, loss):
     """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    F, A, z = _design_weights(dataset, theta_star, basis, loss)
+    theta_star = np.asarray(theta_star, dtype=float)
+    z = predictions(dataset, theta_star)
     d1 = loss.d1(z, dataset.y)
     d2 = loss.d2(z, dataset.y)
     n = dataset.n
+    E = basis.elements
+    A = pair_coordinates(dataset.F, theta_star, E)
     term1 = (A * d2[:, None]).T @ A / n
-    Sbar = np.einsum("n,nij->ij", d1, F) / n
-    SE = np.einsum("ij,mjk->mik", Sbar, basis.elements)
-    term2 = np.einsum("mik,lik->ml", basis.elements, SE)
+    Sbar = design_adjoint(dataset.F, d1) / n
+    term2 = E.reshape(basis.m, -1) @ (Sbar @ E).reshape(basis.m, -1).T
     H = term1 + term2
     return 0.5 * (H + H.T)
 
 
 def per_sample_scores(dataset, theta_star, basis, loss):
     """(n, d') matrix whose rows represent each sample's loss gradient."""
-    _, A, z = _design_weights(dataset, theta_star, basis, loss)
-    d1 = loss.d1(z, dataset.y)
-    return A * d1[:, None]
+    theta_star = np.asarray(theta_star, dtype=float)
+    z = predictions(dataset, theta_star)
+    A = pair_coordinates(dataset.F, theta_star, basis.elements)
+    return A * loss.d1(z, dataset.y)[:, None]
 
 
 def restricted_population_hessian(dgp, theta_star, basis, loss,
@@ -82,39 +77,12 @@ def restricted_population_hessian(dgp, theta_star, basis, loss,
     average of mu'(z*) a a^T over n_mc fresh design draws.  Passing n_mc
     forces the Monte Carlo route even when the closed form exists.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    E = basis.elements
-    closed = dgp.design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)
-    if closed and n_mc is None:
-        C = np.einsum("ij,mkj->mik", theta_star, E) \
-            + np.einsum("mij,kj->mik", E, theta_star)
-        H = np.einsum("mik,lik->ml", C, C) / loss.sigma**2
-        return 0.5 * (H + H.T)
-    if n_mc is None:
-        raise ConfigurationError(
-            "no closed form for this design/loss; supply a Monte Carlo "
-            "budget n_mc")
-    rng = dgp.rng(0x9E5)
-    m = E.shape[0]
-    H = np.zeros((m, m))
-    M = theta_star @ theta_star.T
-    remaining = int(n_mc)
-    while remaining > 0:
-        nb = min(batch, remaining)
-        X = sample_design(dgp.design, rng, nb, dgp.d)
-        F = X + X.transpose(0, 2, 1)
-        z = np.einsum("nij,ij->n", X, M)
-        mu1 = loss.conditional_moments(z)[1]
-        B = np.einsum("nij,jk->nik", F, theta_star)
-        A = np.einsum("nik,mik->nm", B, E)
-        H += (A * mu1[:, None]).T @ A
-        remaining -= nb
-    H /= n_mc
-    return 0.5 * (H + H.T)
+    return population_curvature(dgp, theta_star, basis.elements, loss,
+                                n_mc=n_mc, batch=batch)
 
 
 @dataclass
-class RestrictedRepresentation:
+class RestrictedRepresentation(JsonFields):
     """Everything inference needs, in one basis: coordinates and curvature.
 
     ``phi0`` represents the estimate after aligning it onto the basis anchor
@@ -123,7 +91,7 @@ class RestrictedRepresentation:
     optimizer happened to return.
     """
 
-    basis: object
+    basis: object = field(repr=False)
     phi_star: np.ndarray
     phi0: np.ndarray
     score: np.ndarray
@@ -131,19 +99,13 @@ class RestrictedRepresentation:
     population_hessian: np.ndarray | None = None
 
     def to_json_dict(self):
-        anchor = self.basis.anchor
-        digest = hash(anchor.tobytes())
-        return {
-            "basis_tag": self.basis.tag,
-            "basis_anchor_hash": f"{digest & 0xFFFFFFFFFFFFFFFF:016x}",
-            "phi_star": self.phi_star.tolist(),
-            "phi0": self.phi0.tolist(),
-            "score": self.score.tolist(),
-            "hessian": self.hessian.tolist(),
-            "population_hessian":
-                None if self.population_hessian is None
-                else self.population_hessian.tolist(),
-        }
+        # the basis is identified by its tag and a digest of the anchor's
+        # little-endian float64 bytes, stable across processes and machines
+        anchor = np.ascontiguousarray(self.basis.anchor, dtype="<f8")
+        digest = hashlib.sha256(repr(anchor.shape).encode() + anchor.tobytes())
+        return {"basis_tag": self.basis.tag,
+                "basis_anchor_hash": digest.hexdigest()[:16],
+                **super().to_json_dict()}
 
 
 def restricted_representation(dataset, theta_star, theta0, basis, loss,
@@ -217,7 +179,7 @@ def standardize(phi0, phi_star, hstar, n):
 
 
 @dataclass
-class ConfidenceReport:
+class ConfidenceReport(JsonFields):
     level: float
     z_crit: float
     lower: np.ndarray
@@ -227,18 +189,9 @@ class ConfidenceReport:
     covers: np.ndarray | None = None
 
     def to_json_dict(self):
-        out = {
-            "level": self.level,
-            "z_crit": self.z_crit,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "half_width": self.half_width.tolist(),
-        }
-        if self.standardized is not None:
-            out["standardized"] = self.standardized.tolist()
-        if self.covers is not None:
-            out["covers"] = [bool(b) for b in self.covers]
-        return out
+        # standardized and covers exist only when the truth was supplied
+        return {k: v for k, v in super().to_json_dict().items()
+                if v is not None}
 
 
 def wald_intervals(phi0, hstar, n, alpha, phi_star=None):
@@ -267,34 +220,20 @@ def wald_intervals(phi0, hstar, n, alpha, phi_star=None):
 # Rotation invariance audit
 # ---------------------------------------------------------------------------
 
-def _single_sample_objects(theta, basis, X, y, loss):
-    """phi-style representations of one sample's gradient and curvatures."""
-    theta = np.asarray(theta, dtype=float)
-    F = X + X.T
-    B = F @ theta
-    a = np.einsum("mik,ik->m", basis.elements, B)
-    z = float(np.sum(X * (theta @ theta.T)))
-    d1 = float(loss.d1(z, y))
-    d2 = float(loss.d2(z, y))
-    mu1 = float(loss.conditional_moments(z)[1])
-    score = d1 * a
-    E = basis.elements
-    FE = np.einsum("ij,mjk->mik", F, E)
-    pair = np.einsum("mik,lik->ml", E, FE)
-    hess = d2 * np.outer(a, a) + d1 * pair
-    # population single-sample curvature: conditional mean kills the score term
-    hess_pop = mu1 * np.outer(a, a)
-    return score, hess, hess_pop
+def _single_sample_objects(data, theta, basis, loss):
+    """Score, curvature and population curvature of a 1-sample dataset."""
+    a = pair_coordinates(data.F, theta, basis.elements)[0]
+    mu1 = loss.conditional_moments(predictions(data, theta))[1][0]
+    # the conditional mean kills the score term of the population curvature
+    return (restricted_score(data, theta, basis, loss),
+            restricted_hessian(data, theta, basis, loss),
+            mu1 * np.outer(a, a))
 
 
 @dataclass
-class InvarianceAudit:
+class InvarianceAudit(JsonFields):
     discrepancies: dict
     max_discrepancy: float
-
-    def to_json_dict(self):
-        return {"discrepancies": self.discrepancies,
-                "max_discrepancy": self.max_discrepancy}
 
 
 def invariance_audit(theta_star, U, sample, loss, theta0=None, basis=None):
@@ -308,7 +247,7 @@ def invariance_audit(theta_star, U, sample, loss, theta0=None, basis=None):
     theta_star = np.asarray(theta_star, dtype=float)
     U = np.asarray(U, dtype=float)
     X, y = sample
-    X = np.asarray(X, dtype=float)
+    data = Dataset(X=np.asarray(X, dtype=float)[None], y=[y])
     if theta0 is None:
         probe = np.ones_like(theta_star)
         probe[0, 0] += 1.0
@@ -321,12 +260,13 @@ def invariance_audit(theta_star, U, sample, loss, theta0=None, basis=None):
 
     phi_star = represent(theta_star, basis)
     phi0 = represent(theta0, basis)
-    score, hess, hess_pop = _single_sample_objects(theta_star, basis, X, y, loss)
+    score, hess, hess_pop = _single_sample_objects(data, theta_star, basis,
+                                                   loss)
 
     phi_star_r = represent(theta_star @ U, rotated)
     phi0_r = represent(theta0 @ U, rotated)
     score_r, hess_r, hess_pop_r = _single_sample_objects(
-        theta_star @ U, rotated, X, y, loss)
+        data, theta_star @ U, rotated, loss)
 
     disc = {
         "phi_star": float(np.max(np.abs(phi_star - phi_star_r))),

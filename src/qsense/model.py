@@ -10,6 +10,7 @@ first argument.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError
+from .jsonable import JsonFields
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +157,7 @@ def evaluate_loss(loss, z, y):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProblemConstants:
+class ProblemConstants(JsonFields):
     """Bounds describing one sensing problem, used by the theory certificates.
 
     Conventions: X_max, sigma_eps, sigma_max, mu_max, K_ell are all >= 1 and
@@ -187,14 +189,6 @@ class ProblemConstants:
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1]")
         return self
-
-    def to_json_dict(self):
-        return {
-            "d": self.d, "k": self.k, "X_max": self.X_max,
-            "sigma_min": self.sigma_min, "sigma_max": self.sigma_max,
-            "sigma_eps": self.sigma_eps, "mu_max": self.mu_max,
-            "K_ell": self.K_ell, "mu0": self.mu0, "lambda0": self.lambda0,
-        }
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -243,6 +237,11 @@ class Dataset:
     def d(self):
         return self.X.shape[1]
 
+    @functools.cached_property
+    def F(self):
+        """Symmetrized design X_i + X_i^T, computed on first use."""
+        return self.X + self.X.transpose(0, 2, 1)
+
     def to_json(self):
         return json.dumps({
             "d": self.d,
@@ -264,6 +263,44 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
+# Design maps
+# ---------------------------------------------------------------------------
+# Every derivative, curvature and the fit are built from three maps of a
+# stack of d x d matrices, each one BLAS call on the stack viewed as 2-D.
+
+def design_forward(X, M):
+    """Vector of <X_i, M> for every matrix of the (n, d, d) stack X."""
+    return X.reshape(X.shape[0], -1) @ np.ravel(M)
+
+
+def design_adjoint(F, w):
+    """Matrix sum_i w_i F_i: the adjoint of the forward map on the stack F."""
+    n, d, _ = F.shape
+    return (F.reshape(n, d * d).T @ w).reshape(d, d)
+
+
+def pair_products(F, theta):
+    """(n, d, k) stack of F_i theta."""
+    n, d, _ = F.shape
+    return (F.reshape(n * d, d) @ theta).reshape(n, d, -1)
+
+
+def pair_coordinates(F, theta, directions):
+    """(n, m) matrix of <F_i theta, D_j> for a (m, d, k) stack of directions.
+
+    With F_i = X_i + X_i^T this is <X_i, theta D_j^T + D_j theta^T>, the
+    first-order change of the prediction z_i along D_j.
+    """
+    B = pair_products(F, theta)
+    return B.reshape(B.shape[0], -1) @ directions.reshape(len(directions), -1).T
+
+
+def _pair(A, B):
+    """A B^T + B A^T, so that <X, _pair(A, B)> = <(X + X^T) A, B>."""
+    return A @ B.T + B @ A.T
+
+
+# ---------------------------------------------------------------------------
 # Core predictions and derivatives
 # ---------------------------------------------------------------------------
 
@@ -274,7 +311,7 @@ def predict(X, theta):
     if X.shape != (theta.shape[0], theta.shape[0]):
         raise ValueError(
             f"shape mismatch: X is {X.shape}, theta is {theta.shape}")
-    return float(np.sum(X * (theta @ theta.T)))
+    return float(design_forward(X[None], theta @ theta.T)[0])
 
 
 def predictions(dataset, theta):
@@ -282,23 +319,7 @@ def predictions(dataset, theta):
     theta = np.asarray(theta, dtype=float)
     if dataset.d != theta.shape[0]:
         raise ValueError("dataset and factor dimensions disagree")
-    M = theta @ theta.T
-    return np.einsum("nij,ij->n", dataset.X, M)
-
-
-def symmetrized(dataset):
-    """X_i + X_i^T for every sample.  Cached on the dataset object."""
-    cache = getattr(dataset, "_sym_cache", None)
-    if cache is None:
-        cache = dataset.X + dataset.X.transpose(0, 2, 1)
-        object.__setattr__(dataset, "_sym_cache", cache)
-    return cache
-
-
-def pair_inner(dataset, theta, Z):
-    """Vector of <X_i, theta Z^T + Z theta^T> = <(X_i + X_i^T) theta, Z>."""
-    B = np.einsum("nij,jk->nik", symmetrized(dataset), theta)
-    return np.einsum("nik,ik->n", B, Z)
+    return design_forward(dataset.X, theta @ theta.T)
 
 
 def empirical_loss(dataset, theta, loss):
@@ -317,27 +338,15 @@ def euclidean_gradient(dataset, theta, loss):
     theta = np.asarray(theta, dtype=float)
     z = predictions(dataset, theta)
     w = loss.d1(z, dataset.y)
-    S = np.einsum("n,nij->ij", w, symmetrized(dataset)) / dataset.n
-    return S @ theta
+    return design_adjoint(dataset.F, w) @ theta / dataset.n
 
 
 def hessian_bilinear(dataset, theta, Z, W, loss):
     """Second derivative of the empirical loss as a bilinear form on (Z, W)."""
-    theta = np.asarray(theta, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     W = np.asarray(W, dtype=float)
-    if Z.shape != theta.shape or W.shape != theta.shape:
+    if W.shape != np.shape(theta):
         raise ValueError("Z and W must match the factor shape")
-    F = symmetrized(dataset)
-    B = np.einsum("nij,jk->nik", F, theta)
-    aZ = np.einsum("nik,ik->n", B, Z)
-    aW = np.einsum("nik,ik->n", B, W)
-    z = predictions(dataset, theta)
-    d1 = loss.d1(z, dataset.y)
-    d2 = loss.d2(z, dataset.y)
-    # <X, W Z^T + Z W^T> = <(X + X^T) W, Z>
-    cross = np.einsum("nij,jk,ik->n", F, W, Z)
-    return float(np.mean(d2 * aZ * aW + d1 * cross))
+    return float(np.sum(hessian_operator(dataset, theta, Z, loss) * W))
 
 
 def hessian_operator(dataset, theta, Z, loss):
@@ -346,37 +355,21 @@ def hessian_operator(dataset, theta, Z, loss):
     Z = np.asarray(Z, dtype=float)
     if Z.shape != theta.shape:
         raise ValueError("Z must match the factor shape")
-    F = symmetrized(dataset)
-    B = np.einsum("nij,jk->nik", F, theta)
-    aZ = np.einsum("nik,ik->n", B, Z)
     z = predictions(dataset, theta)
     d1 = loss.d1(z, dataset.y)
     d2 = loss.d2(z, dataset.y)
-    term1 = np.einsum("n,nik->ik", d2 * aZ, B)
-    term2 = np.einsum("n,nij,jk->ik", d1, F, Z)
-    return (term1 + term2) / dataset.n
+    aZ = design_forward(dataset.X, _pair(theta, Z))
+    F = dataset.F
+    return (design_adjoint(F, d2 * aZ) @ theta
+            + design_adjoint(F, d1) @ Z) / dataset.n
 
 
 def third_derivative(dataset, theta, Z, W, V, loss):
     """Third derivative of the empirical loss, a symmetric trilinear form."""
-    theta = np.asarray(theta, dtype=float)
-    for M in (Z, W, V):
-        if np.asarray(M).shape != theta.shape:
-            raise ValueError("all directions must match the factor shape")
-    F = symmetrized(dataset)
-    B = np.einsum("nij,jk->nik", F, theta)
-    aZ = np.einsum("nik,ik->n", B, Z)
-    aW = np.einsum("nik,ik->n", B, W)
-    aV = np.einsum("nik,ik->n", B, V)
-    z = predictions(dataset, theta)
-    d2 = loss.d2(z, dataset.y)
-    d3 = loss.d3(z, dataset.y)
-    # <X, W Z^T + Z W^T> style pair terms for each of the three pairings
-    cZW = np.einsum("nij,jk,ik->n", F, Z, W)
-    cZV = np.einsum("nij,jk,ik->n", F, Z, V)
-    cWV = np.einsum("nij,jk,ik->n", F, W, V)
-    total = d3 * aZ * aW * aV + d2 * (cZW * aV + cZV * aW + cWV * aZ)
-    return float(np.mean(total))
+    if np.shape(W) != np.shape(theta):
+        raise ValueError("all directions must match the factor shape")
+    R = third_derivative_operator(dataset, theta, Z, V, loss)
+    return float(np.sum(R * W))
 
 
 def third_derivative_operator(dataset, theta, V, W, loss):
@@ -388,19 +381,18 @@ def third_derivative_operator(dataset, theta, V, W, loss):
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
-    F = symmetrized(dataset)
-    B = np.einsum("nij,jk->nik", F, theta)
-    aV = np.einsum("nik,ik->n", B, V)
-    aW = np.einsum("nik,ik->n", B, W)
+    if V.shape != theta.shape or W.shape != theta.shape:
+        raise ValueError("all directions must match the factor shape")
     z = predictions(dataset, theta)
     d2 = loss.d2(z, dataset.y)
     d3 = loss.d3(z, dataset.y)
-    FV = np.einsum("nij,jk->nik", F, V)
-    FW = np.einsum("nij,jk->nik", F, W)
-    cVW = np.einsum("nik,ik->n", FV, W)
-    R = (np.einsum("n,nik->ik", d3 * aV * aW + d2 * cVW, B)
-         + np.einsum("n,nik->ik", d2 * aW, FV)
-         + np.einsum("n,nik->ik", d2 * aV, FW))
+    X, F = dataset.X, dataset.F
+    aV = design_forward(X, _pair(theta, V))
+    aW = design_forward(X, _pair(theta, W))
+    cVW = design_forward(X, _pair(V, W))
+    R = (design_adjoint(F, d3 * aV * aW + d2 * cVW) @ theta
+         + design_adjoint(F, d2 * aW) @ V
+         + design_adjoint(F, d2 * aV) @ W)
     return R / dataset.n
 
 
@@ -483,8 +475,7 @@ def simulate(dgp, n):
         raise ValueError("n must be at least 1")
     rng = dgp.rng()
     X = sample_design(dgp.design, rng, n, dgp.d)
-    M = dgp.theta_star @ dgp.theta_star.T
-    z = np.einsum("nij,ij->n", X, M)
+    z = design_forward(X, dgp.theta_star @ dgp.theta_star.T)
     if dgp.noise == "gaussian":
         y = z + dgp.sigma * rng.standard_normal(n)
     else:
@@ -499,37 +490,69 @@ def matched_loss(dgp, sigma=None):
     return Logistic()
 
 
+def has_closed_form(design, loss):
+    """Whether the population curvature has a closed form for this pair.
+
+    It does for isotropic entrywise-iid designs with a constant conditional
+    curvature (GaussianNLL).
+    """
+    return design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)
+
+
+def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
+                         batch=65536, return_se=False):
+    """Population curvature E[mu'(z*) a_i a_j] on a (m, d, k) direction stack.
+
+    a_i = <X, theta D_i^T + D_i theta^T> and mu' is the conditional mean of
+    ell'' given z*.  When ``has_closed_form`` holds and ``n_mc`` is None
+    this is ``<C_i, C_j> / sigma^2`` with C_i = theta D_i^T + D_i theta^T;
+    otherwise it is a Monte Carlo average over ``n_mc`` fresh design draws,
+    taken ``batch`` draws at a time.  With ``return_se`` the entrywise
+    Monte Carlo standard errors (zero for the closed form) come back too.
+    """
+    theta_star = np.asarray(theta_star, dtype=float)
+    D = np.asarray(directions, dtype=float)
+    m = D.shape[0]
+    se = np.zeros((m, m))
+    if has_closed_form(dgp.design, loss) and n_mc is None:
+        C = (theta_star @ D.transpose(0, 2, 1) + D @ theta_star.T).reshape(m, -1)
+        H = C @ C.T / loss.sigma**2
+    elif n_mc is None:
+        raise ConfigurationError(
+            "no closed form for this design/loss; supply a Monte Carlo "
+            "budget n_mc")
+    else:
+        rng = dgp.rng(0x9E5)
+        M = theta_star @ theta_star.T
+        H = np.zeros((m, m))
+        H2 = np.zeros((m, m))
+        remaining = int(n_mc)
+        while remaining > 0:
+            nb = min(batch, remaining)
+            X = sample_design(dgp.design, rng, nb, dgp.d)
+            mu1 = loss.conditional_moments(design_forward(X, M))[1]
+            A = pair_coordinates(X + X.transpose(0, 2, 1), theta_star, D)
+            H += (A * mu1[:, None]).T @ A
+            if return_se:
+                A2 = A * A
+                H2 += (A2 * (mu1 * mu1)[:, None]).T @ A2
+            remaining -= nb
+        H /= n_mc
+        if return_se:
+            var = np.maximum(H2 / n_mc - H * H, 0.0) * n_mc / (n_mc - 1)
+            se = np.sqrt(var / n_mc)
+    H = 0.5 * (H + H.T)
+    return (H, se) if return_se else H
+
+
 def population_hessian_bilinear(dgp, theta_star, Z, W, loss,
                                 n_mc=None, return_se=False):
     """Population curvature form E[ell''(z*, y) a(Z) a(W)] at the truth.
 
-    For isotropic entrywise-iid designs with a constant conditional curvature
-    (GaussianNLL) this has the closed form
-    ``mu' * <theta Z^T + Z theta^T, theta W^T + W theta^T>``; otherwise a
-    Monte Carlo estimate over ``n_mc`` fresh design draws is returned.
+    The (Z, W) entry of ``population_curvature``: closed form where it
+    exists, otherwise a Monte Carlo estimate over ``n_mc`` design draws.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    W = np.asarray(W, dtype=float)
-    closed = dgp.design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)
-    if closed and n_mc is None:
-        CZ = theta_star @ Z.T + Z @ theta_star.T
-        CW = theta_star @ W.T + W @ theta_star.T
-        value = float(np.sum(CZ * CW)) / loss.sigma**2
-        return (value, 0.0) if return_se else value
-    if n_mc is None:
-        raise ConfigurationError(
-            "no closed form for this design/loss; supply a Monte Carlo "
-            "budget n_mc")
-    rng = dgp.rng(0x9E5)
-    X = sample_design(dgp.design, rng, n_mc, dgp.d)
-    F = X + X.transpose(0, 2, 1)
-    z = np.einsum("nij,ij->n", X, theta_star @ theta_star.T)
-    mu1 = loss.conditional_moments(z)[1]
-    B = np.einsum("nij,jk->nik", F, theta_star)
-    aZ = np.einsum("nik,ik->n", B, Z)
-    aW = np.einsum("nik,ik->n", B, W)
-    vals = mu1 * aZ * aW
-    value = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_mc))
-    return (value, se) if return_se else value
+    H, se = population_curvature(dgp, theta_star, np.stack([Z, W]), loss,
+                                 n_mc=n_mc, return_se=True)
+    value = float(H[0, 1])
+    return (value, float(se[0, 1])) if return_se else value

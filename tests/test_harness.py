@@ -363,3 +363,57 @@ def test_fit_falls_back_to_random_init_when_spectrum_flat():
     data = q.Dataset(X=X, y=np.zeros(40), k=1)
     res = q.fit(data, q.GaussianNLL(1.0), q.FitConfig(grad_tol=1e-8))
     assert np.all(np.isfinite(res.theta0))
+
+
+def test_config_values_are_type_checked():
+    cfg = ExperimentConfig.from_dict({"d": "6", "k": 2.0, "sigma": 1,
+                                      "n_grid": [512.0, "1024"]})
+    assert (cfg.d, cfg.k, cfg.sigma, cfg.n_grid) == (6, 2, 1.0, [512, 1024])
+    assert type(cfg.d) is int and type(cfg.sigma) is float
+    for bad in ({"replications": 2.5}, {"d": "six"}, {"seed": True},
+                {"sigma": "nan"}, {"loss": 3}, {"n_grid": 512},
+                {"debug_include_vertical": 1}):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_dict({"d": 4, "k": 2, **bad})
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict([4, 2])
+
+
+def test_cli_rejects_mistyped_config_in_one_line(tmp_path, capsys):
+    cfg = _write_config(str(tmp_path), {"d": 4, "k": 2, "n": 100,
+                                        "replications": 2.5})
+    rc = cli_main(["verify-normality", "--config", cfg,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "replications" in err
+    assert "Traceback" not in err
+
+
+def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys):
+    import qsense.harness as h
+
+    # forked workers inherit the patched module attribute
+    monkeypatch.setattr(h, "_replicate", lambda ctx, r: os._exit(3))
+    cfg = _write_config(str(tmp_path), {"d": 3, "k": 1, "n": 50,
+                                        "replications": 4, "seed": 1})
+    rc = cli_main(["verify-normality", "--config", cfg, "--threads", "2",
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "worker" in err
+
+
+def test_large_n_reports_identical_across_thread_counts():
+    # n = 16000 is large enough for multi-threaded BLAS to split its sums,
+    # which would change the rounding unless every replicate, serial or
+    # pooled, runs with one BLAS thread
+    outputs = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=16000,
+                               replications=4, seed=2024, hstar_mc_factor=2,
+                               threads=threads)
+        rep = normality_experiment(cfg)
+        outputs.append((json.dumps(rep.to_json_dict(), sort_keys=True),
+                        rep.z_matrix.tobytes()))
+    assert outputs[0] == outputs[1]

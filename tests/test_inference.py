@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import qsense as q
 from qsense.errors import DegenerateHessianError
 from qsense.inference import (per_sample_scores, reconstruct, sqrtm_spd)
-from qsense.model import predictions, symmetrized
+from qsense.model import predictions
 
 from helpers import random_orthogonal, random_theta, rel_err
 
@@ -69,7 +72,7 @@ def test_restricted_score_single_sample_linearity():
     g = q.restricted_score(data, theta, basis, loss)
     z = predictions(data, theta)[0]
     ell1 = float(loss.d1(z, data.y[0]))
-    manual = ell1 * q.represent(symmetrized(data)[0] @ theta, basis)
+    manual = ell1 * q.represent(data.F[0] @ theta, basis)
     assert np.allclose(g, manual, atol=1e-12)
 
 
@@ -398,3 +401,40 @@ def test_invariance_audit_sign_flip_k1():
     audit = q.invariance_audit(theta, np.array([[-1.0]]), (data.X[0], data.y[0]),
                                q.GaussianNLL(1.0))
     assert audit.max_discrepancy <= 1e-12
+
+
+def test_basis_anchor_hash_is_stable_across_processes():
+    script = (
+        "import numpy as np, qsense as q\n"
+        "theta = np.arange(8.0).reshape(4, 2) / 7.0 + np.eye(4, 2)\n"
+        "data = q.simulate(q.DataGeneratingProcess(theta_star=theta), 20)\n"
+        "rep = q.restricted_representation(data, theta, theta,\n"
+        "    q.horizontal_basis(theta), q.GaussianNLL(1.0))\n"
+        "print(rep.to_json_dict()['basis_anchor_hash'])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(q.__file__)))
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+    assert len(digests.pop()) == 16
+
+
+@pytest.mark.parametrize("n_mc", [None, 20_000])
+def test_population_curvature_wrappers_agree(n_mc):
+    rng = np.random.default_rng(70)
+    theta = random_theta(rng, 4, 2)
+    basis = q.horizontal_basis(theta)
+    loss = q.GaussianNLL(1.0)
+    dgp = _dgp(theta, seed=71)
+    H = q.restricted_population_hessian(dgp, theta, basis, loss, n_mc=n_mc)
+    E = basis.elements
+    for i, j in ((0, 0), (0, 3), (5, 2)):
+        value, se = q.population_hessian_bilinear(dgp, theta, E[i], E[j], loss,
+                                                  n_mc=n_mc, return_se=True)
+        assert value == pytest.approx(H[i, j], rel=1e-12, abs=1e-12)
+        assert se > 0.0 if n_mc else se == 0.0

@@ -19,7 +19,7 @@ from . import diagnostics, geometry, harness, inference
 from .errors import (CapabilityError, ConfigurationError, DegenerateFactorError,
                      DegenerateHessianError, DivergenceError, HarnessAbort,
                      InitializationError, OutOfInjectivityError)
-from .estimator import FitConfig, fit
+from .estimator import fit
 from .model import Dataset, ProblemConstants, simulate
 
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
@@ -36,16 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p, needs_config=True):
-    p.add_argument("--config", required=needs_config,
+def _add_common(p):
+    p.add_argument("--config", required=True,
                    help="path to a JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--out-dir", default=None,
                    help="output directory (overrides the config; default .)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (falls back to QSENSE_THREADS)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="report format (csv only where a table exists)")
 
 
 def _load_json(path):
@@ -95,10 +93,7 @@ def _cmd_fit(args):
     with open(args.dataset) as fh:
         data = Dataset.from_json(fh.read())
     loss = config.make_loss()
-    result = fit(data, loss, FitConfig(grad_tol=config.grad_tol,
-                                       max_iters=config.max_iters,
-                                       restarts=config.restarts,
-                                       seed=config.seed))
+    result = fit(data, loss, config.fit_config(config.seed))
     _emit(args, config, result.to_json_dict(), name="fit.json")
     return 0
 
@@ -141,12 +136,18 @@ def _cmd_certificate(args):
     if args.out_dir is None:
         args.out_dir = "."
     obj = _load_json(args.config)
-    constants = ProblemConstants.from_json_dict(obj["constants"])
-    delta = float(obj.get("delta", 0.05))
+    if not isinstance(obj, dict):
+        raise ConfigurationError("certificate config must be a JSON object")
+    constants = ProblemConstants(**harness.checked_fields(
+        ProblemConstants, obj.get("constants"), "constants"))
+    delta = harness.coerce_field("delta", "float", obj.get("delta", 0.05),
+                                 "certificate config")
     cert = diagnostics.theory_constants(constants, delta)
     report = cert.to_json_dict()
     if "n" in obj:
-        n = int(obj["n"])
+        n = harness.coerce_field("n", "int", obj["n"], "certificate config")
+        if n < 1:
+            raise ConfigurationError("certificate config key 'n' must be >= 1")
         report["rate_bound_at_n"] = cert.rate_bound(n)
         report["lambda_min_lower_bound_at_n"] = cert.lambda_min_lower_bound(n)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -180,9 +181,6 @@ def _cmd_invariance_audit(args):
     return 0
 
 
-_CSV_CAPABLE = {"verify-normality", "rate-sweep"}
-
-
 def cli_main(argv=None):
     parser = _Parser(prog="qsense",
                      description="low-rank sensing estimation and inference")
@@ -208,7 +206,7 @@ def cli_main(argv=None):
         if name == "fit":
             p.add_argument("--dataset", required=True,
                            help="path to a dataset JSON file")
-        p.set_defaults(func=func, command_name=name)
+        p.set_defaults(func=func)
 
     try:
         args = parser.parse_args(argv)
@@ -216,11 +214,6 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
-        return 1
-    if args.format == "csv" and args.command_name not in _CSV_CAPABLE:
-        sys.stderr.write(
-            f"qsense: error: --format csv is not supported for "
-            f"{args.command_name}\n")
         return 1
     try:
         return args.func(args)

@@ -19,9 +19,9 @@ import numpy as np
 from . import geometry, inference
 from .errors import CapabilityError
 from .jsonable import JsonFields
-from .model import (ISOTROPIC_DESIGNS, design_adjoint, euclidean_gradient,
-                    hessian_operator, pair_products, predictions,
-                    sample_design, third_derivative_operator)
+from .model import (ISOTROPIC_DESIGNS, design_adjoint, design_moment,
+                    euclidean_gradient, hessian_operator, pair_coordinates,
+                    predictions, sample_design, third_derivative_operator)
 
 # Guard on the d^2 x d^2 design-form materialization.
 MAX_FORM_DIM = 12
@@ -86,7 +86,9 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
     xbar = design_adjoint(dataset.X, eps) / n
     mu1 = loss.conditional_moments(z)[1]
     w = eps1 - mu1
-    Bf = pair_products(dataset.F, theta_star).reshape(n, d * k)
+    # coordinates of (X_i + X_i^T) theta along the d k unit directions
+    Bf = pair_coordinates(dataset.X, theta_star,
+                          np.eye(d * k).reshape(d * k, d, k))
     Mmat = (Bf * w[:, None]).T @ Bf / n
     mbar_opnorm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (Mmat + Mmat.T)))))
 
@@ -160,9 +162,7 @@ def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
             raise ValueError("empirical estimate needs a sample budget n_mc")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE51)))
         X = sample_design(design, rng, n_mc, d)
-    V = X.reshape(X.shape[0], d * d)
-    form = V.T @ V / X.shape[0]
-    return float(np.linalg.eigvalsh(form)[0])
+    return float(np.linalg.eigvalsh(design_moment(X))[0])
 
 
 def lambda_min_restricted(dataset, theta_star, basis, loss):
@@ -300,8 +300,7 @@ def projection_derivative(theta, w, v, fd_step=FD_STEP):
     return (plus - minus) / (2.0 * fd_step)
 
 
-def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0,
-                            fd_step=FD_STEP):
+def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0):
     """Empirical lower bound for the curvature-Lipschitz constant.
 
     For random unit direction pairs (w, v), assembles the derivative of the
@@ -322,10 +321,10 @@ def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0,
         v = rng.standard_normal(theta.shape)
         v /= np.linalg.norm(v)
         Hv = hessian_operator(dataset, theta, v, loss)
-        term1 = projection_derivative(theta, w, Hv, fd_step)
+        term1 = projection_derivative(theta, w, Hv)
         term2 = third_derivative_operator(dataset, theta, v, w, loss)
         term3 = hessian_operator(dataset, theta,
-                                 projection_derivative(theta, w, v, fd_step),
+                                 projection_derivative(theta, w, v),
                                  loss)
         probe = geometry.horizontal_project(theta, term1 + term2 + term3)
         best = max(best, float(np.linalg.norm(probe)))

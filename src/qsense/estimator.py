@@ -15,7 +15,7 @@ import numpy as np
 from . import geometry, inference
 from .errors import DivergenceError, InitializationError
 from .jsonable import JsonFields
-from .model import design_adjoint, design_forward, euclidean_gradient
+from .model import design_forward, euclidean_gradient, pair_adjoint
 
 # Line-search floor: a step this far below its initial value means the search
 # direction is numerically useless, so the run stops unconverged.
@@ -70,18 +70,18 @@ class FitResult(JsonFields):
         return {**super().to_json_dict(), "final_loss": self.final_loss}
 
 
-def spectral_init(dataset, k, loss, calibration=1.0):
+def spectral_init(dataset, k, loss):
     """Top-k eigenspace of the symmetrized response-weighted design mean.
 
-    S = (1/n) sum_i c y_i (X_i + X_i^T) / 2 is an unbiased estimate of
-    theta* theta*^T for the Gaussian loss under an isotropic design with
-    c = 1.  Negative leading eigenvalues are clamped to a small floor; if
-    no eigenvalue clears the floor the initializer fails and the caller
-    should fall back to a random start.
+    S = (1/n) sum_i y_i (X_i + X_i^T) / 2 is an unbiased estimate of
+    theta* theta*^T for the Gaussian loss under an isotropic design.
+    Negative leading eigenvalues are clamped to a small floor; if no
+    eigenvalue clears the floor the initializer fails and the caller should
+    fall back to a random start.
     """
     if k < 1 or k > dataset.d:
         raise ValueError("k must lie in [1, d]")
-    S = calibration * design_adjoint(dataset.F, dataset.y) / (2.0 * dataset.n)
+    S = pair_adjoint(dataset.X, dataset.y) / (2.0 * dataset.n)
     lam, V = np.linalg.eigh(S)
     top = np.argsort(lam)[::-1][:k]
     lam_top = lam[top]
@@ -95,7 +95,7 @@ def spectral_init(dataset, k, loss, calibration=1.0):
 
 def _run_descent(dataset, loss, theta, config):
     """Backtracking gradient descent from one start.  Returns a FitResult."""
-    X, F, y, n = dataset.X, dataset.F, dataset.y, dataset.n
+    X, y, n = dataset.X, dataset.y, dataset.n
 
     def loss_at(th):
         # non-finite values are handled by the divergence/backtracking logic
@@ -114,7 +114,7 @@ def _run_descent(dataset, loss, theta, config):
     iterations = 0
     null_steps = 0
     for _ in range(config.max_iters):
-        G = design_adjoint(F, loss.d1(z, y)) @ theta / n
+        G = pair_adjoint(X, loss.d1(z, y)) @ theta / n
         gsq = float(np.sum(G * G))
         grad_norm = np.sqrt(gsq)
         if grad_norm <= config.grad_tol:

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import stats
@@ -84,6 +84,13 @@ class ExperimentConfig:
             grid = list(self.n_grid)
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigurationError("n_grid must be strictly increasing")
+        # below the quotient's dimension theta theta^T is not identified
+        dim = geometry.horizontal_dim(self.d, self.k)
+        for n in [self.n, *(self.n_grid or ())]:
+            if n is not None and n < dim:
+                raise ConfigurationError(
+                    f"sample size {n} is below the quotient dimension {dim} "
+                    f"of d={self.d}, k={self.k}")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         if self.hstar_source not in ("auto", "closed-form", "monte-carlo"):
@@ -98,16 +105,7 @@ class ExperimentConfig:
         floats and numeric strings are converted where that loses nothing;
         anything else raises ConfigurationError.
         """
-        if not isinstance(obj, dict):
-            raise ConfigurationError("config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(obj) - set(types)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if "d" not in obj or "k" not in obj:
-            raise ConfigurationError("config requires d and k")
-        return cls(**{key: _coerce(key, types[key], value)
-                      for key, value in obj.items()}).validate()
+        return cls(**checked_fields(cls, obj, "config")).validate()
 
     def to_dict(self):
         # threads is an execution parameter, not part of the experiment
@@ -135,6 +133,11 @@ class ExperimentConfig:
             noise=self.resolved_noise(), sigma=self.resolved_noise_sigma(),
             seed=(self.seed, *tags))
 
+    def fit_config(self, seed):
+        """The configured optimizer settings, with restarts seeded by ``seed``."""
+        return FitConfig(grad_tol=self.grad_tol, max_iters=self.max_iters,
+                         restarts=self.restarts, seed=seed)
+
 
 def _convert(kind, value):
     """``value`` as ``kind`` where that loses nothing; raises otherwise.
@@ -158,8 +161,8 @@ def _convert(kind, value):
 _KINDS = {"int": int, "float": float, "str": str, "bool": bool, "list": list}
 
 
-def _coerce(key, declared, value):
-    """Value of config field ``key`` converted to its declared type."""
+def coerce_field(key, declared, value, what):
+    """Value of field ``key`` converted to its declared type."""
     base, _, optional = declared.partition(" | ")
     if value is None and optional == "None":
         return None
@@ -169,8 +172,28 @@ def _coerce(key, declared, value):
             value = [_convert(int, v) for v in value]
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
-            f"config key {key!r} must be {declared}, got {value!r}") from None
+            f"{what} key {key!r} must be {declared}, got {value!r}") from None
     return value
+
+
+def checked_fields(cls, obj, what):
+    """Keyword arguments of dataclass ``cls`` from the JSON object ``obj``.
+
+    Every key must be a field and every field without a default present;
+    each value is converted to its field's declared type.  Any mismatch
+    raises a ConfigurationError that names the key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in obj:
+            raise ConfigurationError(f"{what} requires key {f.name!r}")
+    return {key: coerce_field(key, types[key], value, what)
+            for key, value in obj.items()}
 
 
 def make_truth(config):
@@ -272,12 +295,9 @@ def _replicate(ctx, r):
     loss = ctx.config.make_loss()
     dgp = ctx.config.make_dgp(ctx.theta_star, ctx.stream_tag, r)
     data = simulate(dgp, ctx.n)
-    cfg = FitConfig(grad_tol=ctx.config.grad_tol,
-                    max_iters=ctx.config.max_iters,
-                    restarts=ctx.config.restarts,
-                    seed=ctx.config.seed * 1_000_003 + r)
     try:
-        res = fit(data, loss, cfg)
+        res = fit(data, loss,
+                  ctx.config.fit_config(ctx.config.seed * 1_000_003 + r))
     except (DivergenceError, InitializationError) as exc:
         return ReplicationRecord(index=r, diverged=True, message=str(exc))
     al = geometry.align(res.theta0, ctx.theta_star)

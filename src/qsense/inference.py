@@ -17,7 +17,7 @@ from scipy.special import ndtri
 from . import geometry
 from .errors import DegenerateHessianError
 from .jsonable import JsonFields
-from .model import (Dataset, design_adjoint, euclidean_gradient,
+from .model import (Dataset, euclidean_gradient, pair_adjoint,
                     pair_coordinates, population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
@@ -52,9 +52,9 @@ def restricted_hessian(dataset, theta_star, basis, loss):
     d2 = loss.d2(z, dataset.y)
     n = dataset.n
     E = basis.elements
-    A = pair_coordinates(dataset.F, theta_star, E)
+    A = pair_coordinates(dataset.X, theta_star, E)
     term1 = (A * d2[:, None]).T @ A / n
-    Sbar = design_adjoint(dataset.F, d1) / n
+    Sbar = pair_adjoint(dataset.X, d1) / n
     term2 = E.reshape(basis.m, -1) @ (Sbar @ E).reshape(basis.m, -1).T
     H = term1 + term2
     return 0.5 * (H + H.T)
@@ -64,12 +64,11 @@ def per_sample_scores(dataset, theta_star, basis, loss):
     """(n, d') matrix whose rows represent each sample's loss gradient."""
     theta_star = np.asarray(theta_star, dtype=float)
     z = predictions(dataset, theta_star)
-    A = pair_coordinates(dataset.F, theta_star, basis.elements)
+    A = pair_coordinates(dataset.X, theta_star, basis.elements)
     return A * loss.d1(z, dataset.y)[:, None]
 
 
-def restricted_population_hessian(dgp, theta_star, basis, loss,
-                                  n_mc=None, batch=65536):
+def restricted_population_hessian(dgp, theta_star, basis, loss, n_mc=None):
     """Population curvature in the basis coordinates.
 
     Closed form for isotropic entrywise-iid designs with the Gaussian loss
@@ -77,8 +76,7 @@ def restricted_population_hessian(dgp, theta_star, basis, loss,
     average of mu'(z*) a a^T over n_mc fresh design draws.  Passing n_mc
     forces the Monte Carlo route even when the closed form exists.
     """
-    return population_curvature(dgp, theta_star, basis.elements, loss,
-                                n_mc=n_mc, batch=batch)
+    return population_curvature(dgp, theta_star, basis.elements, loss, n_mc)
 
 
 @dataclass
@@ -161,11 +159,11 @@ def asymptotic_covariance(hstar, scores=None):
                               sandwich=sandwich)
 
 
-def sqrtm_spd(H, floor=EIG_FLOOR):
+def sqrtm_spd(H):
     """Symmetric square root of an SPD matrix via eigendecomposition."""
     H = np.asarray(H, dtype=float)
     lam, V = np.linalg.eigh(0.5 * (H + H.T))
-    if lam[0] <= floor:
+    if lam[0] <= EIG_FLOOR:
         raise DegenerateHessianError(
             f"matrix is not positive definite (min eigenvalue {lam[0]:.3e})")
     return (V * np.sqrt(lam)[None, :]) @ V.T
@@ -222,7 +220,7 @@ def wald_intervals(phi0, hstar, n, alpha, phi_star=None):
 
 def _single_sample_objects(data, theta, basis, loss):
     """Score, curvature and population curvature of a 1-sample dataset."""
-    a = pair_coordinates(data.F, theta, basis.elements)[0]
+    a = pair_coordinates(data.X, theta, basis.elements)[0]
     mu1 = loss.conditional_moments(predictions(data, theta))[1][0]
     # the conditional mean kills the score term of the population curvature
     return (restricted_score(data, theta, basis, loss),

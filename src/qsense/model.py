@@ -10,7 +10,6 @@ first argument.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -29,15 +28,8 @@ class LossModel:
     """Scalar loss ell(z, y) with analytic derivatives in z.
 
     Subclasses implement ``value``, ``d1``, ``d2``, ``d3`` (all vectorized
-    over z and y) and expose two floats used by the theory certificates:
-
-    - ``k_lipschitz``: Lipschitz constant of ell' and ell'' in z,
-    - ``mu0``: lower bound on the conditional mean of ell'' at well-specified
-      data (strong-convexity floor).
+    over z and y).
     """
-
-    k_lipschitz: float = 1.0
-    mu0: float = 1.0
 
     def value(self, z, y):
         raise NotImplementedError
@@ -79,8 +71,6 @@ class GaussianNLL(LossModel):
             raise ValueError("sigma must be positive")
         self.sigma = float(sigma)
         self._inv_var = 1.0 / self.sigma**2
-        self.k_lipschitz = max(1.0, self._inv_var)
-        self.mu0 = min(1.0, self._inv_var)
 
     def value(self, z, y):
         r = np.asarray(z, dtype=float) - y
@@ -107,11 +97,6 @@ class GaussianNLL(LossModel):
 
 class Logistic(LossModel):
     """Logistic loss ell(z, y) = log(1 + e^z) - y z for binary targets."""
-
-    # ell' is 1/4-Lipschitz and ell'' is 1/(6 sqrt 3)-Lipschitz; clamp to the
-    # >= 1 convention used by the certificates.
-    k_lipschitz = 1.0
-    mu0 = 1e-6  # no global curvature floor; refine per problem via constants
 
     def value(self, z, y):
         z = np.asarray(z, dtype=float)
@@ -190,18 +175,6 @@ class ProblemConstants(JsonFields):
                 raise ValueError(f"{name} must lie in (0, 1]")
         return self
 
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(d=int(obj["d"]), k=int(obj["k"]),
-                   X_max=float(obj["X_max"]),
-                   sigma_min=float(obj["sigma_min"]),
-                   sigma_max=float(obj["sigma_max"]),
-                   sigma_eps=float(obj["sigma_eps"]),
-                   mu_max=float(obj["mu_max"]),
-                   K_ell=float(obj["K_ell"]),
-                   mu0=float(obj["mu0"]),
-                   lambda0=float(obj["lambda0"]))
-
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -237,11 +210,6 @@ class Dataset:
     def d(self):
         return self.X.shape[1]
 
-    @functools.cached_property
-    def F(self):
-        """Symmetrized design X_i + X_i^T, computed on first use."""
-        return self.X + self.X.transpose(0, 2, 1)
-
     def to_json(self):
         return json.dumps({
             "d": self.d,
@@ -265,39 +233,55 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Design maps
 # ---------------------------------------------------------------------------
-# Every derivative, curvature and the fit are built from three maps of a
-# stack of d x d matrices, each one BLAS call on the stack viewed as 2-D.
+# The (n, d, d) stack X is the only representation of the design.  Every
+# derivative, curvature and the fit are built from the maps below, each one
+# BLAS call on the stack viewed as 2-D.
 
 def design_forward(X, M):
-    """Vector of <X_i, M> for every matrix of the (n, d, d) stack X."""
-    return X.reshape(X.shape[0], -1) @ np.ravel(M)
+    """<X_i, M> for every matrix of the (n, d, d) stack X.
 
-
-def design_adjoint(F, w):
-    """Matrix sum_i w_i F_i: the adjoint of the forward map on the stack F."""
-    n, d, _ = F.shape
-    return (F.reshape(n, d * d).T @ w).reshape(d, d)
-
-
-def pair_products(F, theta):
-    """(n, d, k) stack of F_i theta."""
-    n, d, _ = F.shape
-    return (F.reshape(n * d, d) @ theta).reshape(n, d, -1)
-
-
-def pair_coordinates(F, theta, directions):
-    """(n, m) matrix of <F_i theta, D_j> for a (m, d, k) stack of directions.
-
-    With F_i = X_i + X_i^T this is <X_i, theta D_j^T + D_j theta^T>, the
-    first-order change of the prediction z_i along D_j.
+    M is one d x d matrix (result (n,)) or an (m, d, d) stack (result (n, m)).
     """
-    B = pair_products(F, theta)
-    return B.reshape(B.shape[0], -1) @ directions.reshape(len(directions), -1).T
+    Xf = X.reshape(X.shape[0], -1)
+    if M.ndim == 2:
+        return Xf @ M.ravel()
+    return Xf @ M.reshape(M.shape[0], -1).T
+
+
+def design_adjoint(X, w):
+    """Matrix sum_i w_i X_i: the adjoint of the forward map."""
+    n, d, _ = X.shape
+    return (X.reshape(n, d * d).T @ w).reshape(d, d)
+
+
+def design_moment(X):
+    """(d^2, d^2) second-moment form (1/n) sum_i vec(X_i) vec(X_i)^T."""
+    V = X.reshape(X.shape[0], -1)
+    return V.T @ V / X.shape[0]
 
 
 def _pair(A, B):
-    """A B^T + B A^T, so that <X, _pair(A, B)> = <(X + X^T) A, B>."""
-    return A @ B.T + B @ A.T
+    """A B^T + B A^T, batched over a leading axis of either argument.
+
+    <X, _pair(A, B)> = <(X + X^T) A, B>, the tangent coordinate of X along B
+    at the factor A.
+    """
+    AB = A @ np.swapaxes(B, -1, -2)
+    return AB + np.swapaxes(AB, -1, -2)
+
+
+def pair_adjoint(X, w):
+    """Matrix sum_i w_i (X_i + X_i^T), the adjoint of the tangent coordinates."""
+    S = design_adjoint(X, w)
+    return S + S.T
+
+
+def pair_coordinates(X, theta, directions):
+    """(n, m) matrix of <X_i, theta D_j^T + D_j theta^T> for a (m, d, k) stack.
+
+    Entry (i, j) is the first-order change of the prediction z_i along D_j.
+    """
+    return design_forward(X, _pair(theta, directions))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +322,7 @@ def euclidean_gradient(dataset, theta, loss):
     theta = np.asarray(theta, dtype=float)
     z = predictions(dataset, theta)
     w = loss.d1(z, dataset.y)
-    return design_adjoint(dataset.F, w) @ theta / dataset.n
+    return pair_adjoint(dataset.X, w) @ theta / dataset.n
 
 
 def hessian_bilinear(dataset, theta, Z, W, loss):
@@ -358,10 +342,10 @@ def hessian_operator(dataset, theta, Z, loss):
     z = predictions(dataset, theta)
     d1 = loss.d1(z, dataset.y)
     d2 = loss.d2(z, dataset.y)
-    aZ = design_forward(dataset.X, _pair(theta, Z))
-    F = dataset.F
-    return (design_adjoint(F, d2 * aZ) @ theta
-            + design_adjoint(F, d1) @ Z) / dataset.n
+    X = dataset.X
+    aZ = design_forward(X, _pair(theta, Z))
+    return (pair_adjoint(X, d2 * aZ) @ theta
+            + pair_adjoint(X, d1) @ Z) / dataset.n
 
 
 def third_derivative(dataset, theta, Z, W, V, loss):
@@ -386,13 +370,13 @@ def third_derivative_operator(dataset, theta, V, W, loss):
     z = predictions(dataset, theta)
     d2 = loss.d2(z, dataset.y)
     d3 = loss.d3(z, dataset.y)
-    X, F = dataset.X, dataset.F
+    X = dataset.X
     aV = design_forward(X, _pair(theta, V))
     aW = design_forward(X, _pair(theta, W))
     cVW = design_forward(X, _pair(V, W))
-    R = (design_adjoint(F, d3 * aV * aW + d2 * cVW) @ theta
-         + design_adjoint(F, d2 * aW) @ V
-         + design_adjoint(F, d2 * aV) @ W)
+    R = (pair_adjoint(X, d3 * aV * aW + d2 * cVW) @ theta
+         + pair_adjoint(X, d2 * aW) @ V
+         + pair_adjoint(X, d2 * aV) @ W)
     return R / dataset.n
 
 
@@ -411,6 +395,9 @@ NOISES = ("gaussian", "bernoulli")
 # Bounded design draws entries uniform on [-sqrt(3), sqrt(3)]: unit variance,
 # hard entry bound sqrt(3).
 BOUNDED_XMAX = float(np.sqrt(3.0))
+
+# Design draws per batch of the population-curvature Monte Carlo.
+MC_BATCH = 65536
 
 
 def sample_design(design, rng, n, d):
@@ -483,13 +470,6 @@ def simulate(dgp, n):
     return Dataset(X=X, y=y, k=dgp.k)
 
 
-def matched_loss(dgp, sigma=None):
-    """The loss whose score has zero conditional mean under this process."""
-    if dgp.noise == "gaussian":
-        return GaussianNLL(sigma=dgp.sigma if sigma is None else sigma)
-    return Logistic()
-
-
 def has_closed_form(design, loss):
     """Whether the population curvature has a closed form for this pair.
 
@@ -500,22 +480,22 @@ def has_closed_form(design, loss):
 
 
 def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
-                         batch=65536, return_se=False):
+                         return_se=False):
     """Population curvature E[mu'(z*) a_i a_j] on a (m, d, k) direction stack.
 
-    a_i = <X, theta D_i^T + D_i theta^T> and mu' is the conditional mean of
-    ell'' given z*.  When ``has_closed_form`` holds and ``n_mc`` is None
-    this is ``<C_i, C_j> / sigma^2`` with C_i = theta D_i^T + D_i theta^T;
-    otherwise it is a Monte Carlo average over ``n_mc`` fresh design draws,
-    taken ``batch`` draws at a time.  With ``return_se`` the entrywise
-    Monte Carlo standard errors (zero for the closed form) come back too.
+    a_i = <X, C_i> with C_i = theta D_i^T + D_i theta^T, and mu' is the
+    conditional mean of ell'' given z*.  When ``has_closed_form`` holds and
+    ``n_mc`` is None this is ``<C_i, C_j> / sigma^2``; otherwise it is a
+    Monte Carlo average over ``n_mc`` fresh design draws, taken
+    ``MC_BATCH`` draws at a time.  With ``return_se`` the entrywise Monte
+    Carlo standard errors (zero for the closed form) come back too.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    D = np.asarray(directions, dtype=float)
-    m = D.shape[0]
+    C = _pair(theta_star, np.asarray(directions, dtype=float))
+    m = C.shape[0]
     se = np.zeros((m, m))
     if has_closed_form(dgp.design, loss) and n_mc is None:
-        C = (theta_star @ D.transpose(0, 2, 1) + D @ theta_star.T).reshape(m, -1)
+        C = C.reshape(m, -1)
         H = C @ C.T / loss.sigma**2
     elif n_mc is None:
         raise ConfigurationError(
@@ -528,10 +508,10 @@ def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
         H2 = np.zeros((m, m))
         remaining = int(n_mc)
         while remaining > 0:
-            nb = min(batch, remaining)
+            nb = min(MC_BATCH, remaining)
             X = sample_design(dgp.design, rng, nb, dgp.d)
             mu1 = loss.conditional_moments(design_forward(X, M))[1]
-            A = pair_coordinates(X + X.transpose(0, 2, 1), theta_star, D)
+            A = design_forward(X, C)
             H += (A * mu1[:, None]).T @ A
             if return_se:
                 A2 = A * A

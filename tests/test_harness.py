@@ -263,7 +263,7 @@ def test_cli_exit_codes(tmp_path):
     bad = _write_config(str(tmp_path), {"d": 1, "k": 2}, name="bad.json")
     assert cli_main(["simulate", "--config", bad,
                      "--out-dir", str(tmp_path)]) == 1
-    # csv format only exists for tabular outputs
+    # there is no --format flag: every command writes fixed formats
     assert cli_main(["simulate", "--config", cfg, "--format", "csv",
                      "--out-dir", str(tmp_path)]) == 1
 
@@ -290,8 +290,7 @@ def test_cli_rate_sweep_outputs(tmp_path):
     cfg = _write_config(str(tmp_path), {
         "d": 3, "k": 1, "n_grid": [64, 128, 256, 512, 1024],
         "replications": 6, "seed": 4})
-    rc = cli_main(["rate-sweep", "--config", cfg, "--out-dir", str(tmp_path),
-                   "--format", "csv"])
+    rc = cli_main(["rate-sweep", "--config", cfg, "--out-dir", str(tmp_path)])
     assert rc == 0
     with open(os.path.join(str(tmp_path), "rate.csv")) as fh:
         lines = fh.read().strip().split("\n")
@@ -347,6 +346,45 @@ def test_certificate_json_echoes_constants(tmp_path):
     assert rep["constants"]["X_max"] == 1.5
     assert rep["constants"]["mu0"] == 0.5
     assert rep["delta"] == 0.1
+
+
+_ALL_ONES = {"d": 1, "k": 1, "X_max": 1, "sigma_min": 1, "sigma_max": 1,
+             "sigma_eps": 1, "mu_max": 1, "K_ell": 1, "mu0": 1, "lambda0": 1}
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"constants": 5}, "constants must be a JSON object"),
+    ([1, 2], "certificate config must be a JSON object"),
+    ({"constants": {"d": 1}}, "requires key 'k'"),
+    ({"constants": {**_ALL_ONES, "mu0": "high"}}, "'mu0'"),
+    ({"constants": {**_ALL_ONES, "d": 1.5}}, "'d'"),
+    ({"constants": _ALL_ONES, "delta": [0.1]}, "'delta'"),
+    ({"constants": _ALL_ONES, "n": True}, "'n'"),
+    ({"constants": _ALL_ONES, "n": 0}, "'n'"),
+])
+def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
+                                                        cfg, named):
+    path = _write_config(str(tmp_path), cfg)
+    rc = cli_main(["certificate", "--config", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_sample_size_below_quotient_dimension(tmp_path, capsys):
+    # horizontal_dim(4, 2) = 7: three samples cannot identify theta theta^T
+    cfg = _write_config(str(tmp_path), {"d": 4, "k": 2, "n": 3,
+                                        "loss": "logistic", "replications": 3})
+    rc = cli_main(["verify-normality", "--config", cfg,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "quotient dimension 7" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict({"d": 4, "k": 2, "n_grid": [6, 64, 128, 512]})
+    assert ExperimentConfig.from_dict({"d": 4, "k": 2, "n": 7}).n == 7
 
 
 def test_full_rank_square_problem_end_to_end():

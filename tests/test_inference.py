@@ -72,7 +72,7 @@ def test_restricted_score_single_sample_linearity():
     g = q.restricted_score(data, theta, basis, loss)
     z = predictions(data, theta)[0]
     ell1 = float(loss.d1(z, data.y[0]))
-    manual = ell1 * q.represent(data.F[0] @ theta, basis)
+    manual = ell1 * q.represent((data.X[0] + data.X[0].T) @ theta, basis)
     assert np.allclose(g, manual, atol=1e-12)
 
 

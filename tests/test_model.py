@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import ConfigurationError
-from qsense.model import Dataset, predictions, third_derivative_operator
+from qsense.model import (Dataset, design_forward, pair_adjoint,
+                          pair_coordinates, predictions,
+                          third_derivative_operator)
 
 from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
                      random_instance, random_orthogonal, random_theta, rel_err)
@@ -259,6 +261,35 @@ def test_third_derivative_operator_contracts():
     R = third_derivative_operator(data, theta, V, W, loss)
     assert float(np.sum(R * U)) == pytest.approx(
         q.third_derivative(data, theta, V, U, W, loss), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# design maps
+# ---------------------------------------------------------------------------
+
+def test_design_maps_agree_with_hand_built_sums():
+    rng = np.random.default_rng(19)
+    n, d, k, m = 7, 4, 2, 5
+    X = rng.standard_normal((n, d, d))
+    theta = rng.standard_normal((d, k))
+    D = rng.standard_normal((m, d, k))
+    Z = rng.standard_normal((d, k))
+    w = rng.standard_normal(n)
+    A = pair_coordinates(X, theta, D)
+    hand = np.array([[np.sum((Xi + Xi.T) @ theta * Dj) for Dj in D]
+                     for Xi in X])
+    assert np.allclose(A, hand, rtol=1e-12, atol=1e-12)
+    # the pair adjoint is the adjoint of the tangent coordinates
+    lhs = np.sum(pair_adjoint(X, w) @ theta * Z)
+    assert lhs == pytest.approx(w @ pair_coordinates(X, theta, Z[None])[:, 0],
+                                rel=1e-12)
+    # a stack of matrices maps like a loop over them
+    M = rng.standard_normal((m, d, d))
+    stacked = design_forward(X, M)
+    assert stacked.shape == (n, m)
+    for j in range(m):
+        assert np.allclose(stacked[:, j], design_forward(X, M[j]),
+                           rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

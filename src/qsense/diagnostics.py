@@ -269,8 +269,8 @@ def taylor_residual_check(dataset, theta_star, theta0, basis, loss,
     theta_star = np.asarray(theta_star, dtype=float)
     v = geometry.log_map(theta_star, theta0)  # raises beyond the radius
     distance = float(np.linalg.norm(v))
-    g0 = inference.restricted_score(dataset, theta_star, basis, loss)
-    H0 = inference.restricted_hessian(dataset, theta_star, basis, loss)
+    g0, H0 = inference._restricted_terms(dataset, theta_star, basis.elements,
+                                         loss)
     first_order = g0 + H0 @ inference.represent(v, basis)
     grad_at = inference.represent(
         euclidean_gradient(dataset, theta_star + v, loss), basis)

@@ -1,9 +1,14 @@
 """Empirical-loss minimization over the factor matrix.
 
-Plain gradient descent on theta with a backtracking (Armijo) line search.
-The loss is rotation invariant, so no attempt is made to steer the iterates
-within an orbit; the quotient machinery only enters through reporting
-(distance to a supplied truth) and through the certificate helpers.
+Guarded Newton iteration in horizontal coordinates.  At each iterate the
+loss's gradient and curvature are represented in an orthonormal basis of
+the horizontal space of R^(d x k) / O(k), where the curvature is invertible
+at a nondegenerate minimizer, and the Newton step -H^(-1) g is taken back
+to a d x k direction.  Newton steps alone are drawn to saddle points as
+well as minimizers, so the step is used only when H is positive definite
+(its Cholesky factorization succeeds); otherwise, or at a rank-deficient
+iterate with no horizontal basis, the direction is the negative gradient.
+Either direction is searched by Armijo backtracking from unit length.
 """
 
 from __future__ import annotations
@@ -13,13 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, inference
-from .errors import DivergenceError, InitializationError
+from .errors import DegenerateFactorError, DivergenceError, InitializationError
 from .jsonable import JsonFields
 from .model import design_forward, euclidean_gradient, pair_adjoint
 
-# Line-search floor: a step this far below its initial value means the search
-# direction is numerically useless, so the run stops unconverged.
-_STEP_FLOOR_FACTOR = 1e-20
+# Backtracking line search: every search starts at unit length (the natural
+# length of a Newton step), shrinks by _SHRINK until the Armijo sufficient
+# decrease with constant _ARMIJO holds, and gives up below _STEP_FLOOR,
+# where the search direction is numerically useless and the run stops
+# unconverged.
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+_STEP_FLOOR = 1e-20
 
 # Eigenvalue floor for the spectral initializer.
 _EIG_FLOOR = 1e-12
@@ -35,20 +45,14 @@ class FitConfig:
     """
 
     init: object = "spectral"
-    step0: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
     grad_tol: float = 1e-9
     max_iters: int = 100_000
     restarts: int = 0
     seed: int = 0
 
     def validate(self):
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
-        for name in ("step0", "armijo", "grad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1 or self.restarts < 0:
             raise ValueError("max_iters must be >= 1 and restarts >= 0")
 
@@ -93,8 +97,26 @@ def spectral_init(dataset, k, loss):
     return V[:, top] * np.sqrt(lam_top)[None, :]
 
 
+def _search_direction(dataset, loss, theta, z, G):
+    """Newton direction and its decrease rate -<G, D>, or the gradient's.
+
+    The Newton direction sum_j s_j E_j solves H s = -g in a horizontal
+    basis E at theta.  It is used only when H is positive definite, so that
+    it is a descent direction; a saddle's indefinite H, or a rank-deficient
+    theta without a horizontal basis, gives the negative gradient instead.
+    """
+    try:
+        E = geometry.horizontal_basis(theta).elements
+        g, H = inference._restricted_terms(dataset, theta, E, loss, z)
+        L = np.linalg.cholesky(H)
+    except (DegenerateFactorError, np.linalg.LinAlgError):
+        return -G, float(np.sum(G * G))
+    s = -np.linalg.solve(L.T, np.linalg.solve(L, g))
+    return np.tensordot(s, E, axes=1), -float(g @ s)
+
+
 def _run_descent(dataset, loss, theta, config):
-    """Backtracking gradient descent from one start.  Returns a FitResult."""
+    """Guarded Newton descent from one start.  Returns a FitResult."""
     X, y, n = dataset.X, dataset.y, dataset.n
 
     def loss_at(th):
@@ -107,27 +129,26 @@ def _run_descent(dataset, loss, theta, config):
     if not np.isfinite(f):
         raise DivergenceError("non-finite loss at the initial point", [f])
     trace = [f]
-    step = config.step0
-    step_floor = config.step0 * _STEP_FLOOR_FACTOR
     grad_norm = np.inf
     converged = False
     iterations = 0
     null_steps = 0
     for _ in range(config.max_iters):
         G = pair_adjoint(X, loss.d1(z, y)) @ theta / n
-        gsq = float(np.sum(G * G))
-        grad_norm = np.sqrt(gsq)
+        grad_norm = np.sqrt(float(np.sum(G * G)))
         if grad_norm <= config.grad_tol:
             converged = True
             break
+        D, rate = _search_direction(dataset, loss, theta, z, G)
+        step = 1.0
         accepted = False
-        while step >= step_floor:
-            cand = theta - step * G
+        while step >= _STEP_FLOOR:
+            cand = theta + step * D
             fc, zc = loss_at(cand)
-            if np.isfinite(fc) and fc <= f - config.armijo * step * gsq:
+            if np.isfinite(fc) and fc <= f - _ARMIJO * step * rate:
                 accepted = True
                 break
-            step *= config.shrink
+            step *= _SHRINK
         if not accepted:
             break
         if fc >= f:
@@ -141,7 +162,6 @@ def _run_descent(dataset, loss, theta, config):
         theta, f, z = cand, fc, zc
         trace.append(f)
         iterations += 1
-        step *= 2.0
     return FitResult(theta0=theta, grad_norm=float(grad_norm),
                      iterations=iterations, loss_trace=np.array(trace),
                      converged=converged)

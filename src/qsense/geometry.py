@@ -99,6 +99,7 @@ def _check_full_rank(theta):
 def vertical_project(theta, Z):
     """Orthogonal projection of Z onto the vertical space {theta A, A skew}.
 
+    Z is one d x k matrix or an (m, d, k) stack, projected slice by slice.
     The minimizing skew A solves M A + A M = theta^T Z - Z^T theta with
     M = theta^T theta; solved in the eigenbasis of M, where the entrywise
     denominators lambda_i + lambda_j are bounded below by twice the squared
@@ -106,7 +107,7 @@ def vertical_project(theta, Z):
     """
     theta = np.asarray(theta, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != theta.shape:
+    if Z.ndim not in (2, 3) or Z.shape[-2:] != theta.shape:
         raise ValueError("Z must match the factor shape")
     _check_full_rank(theta)
     k = theta.shape[1]
@@ -115,7 +116,7 @@ def vertical_project(theta, Z):
     M = theta.T @ theta
     lam, Q = np.linalg.eigh(M)
     S = theta.T @ Z
-    S = S - S.T
+    S = S - np.swapaxes(S, -1, -2)
     St = Q.T @ S @ Q
     At = St / (lam[:, None] + lam[None, :])
     A = Q @ At @ Q.T
@@ -132,35 +133,35 @@ def horizontal_basis(theta, order="lex"):
     """Deterministic orthonormal basis of the horizontal space at theta.
 
     Projects the canonical d x k unit matrices (in lexicographic or reverse
-    lexicographic order) onto the horizontal space and orthonormalizes by
-    modified Gram-Schmidt, dropping directions with residual norm below
-    ``GS_DROP_TOL``.
+    lexicographic order) onto the horizontal space in one call and
+    orthonormalizes them in that order by two-pass Gram-Schmidt, dropping
+    directions with residual norm below ``GS_DROP_TOL``.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
     target = horizontal_dim(d, k)
-    indices = [(i, j) for i in range(d) for j in range(k)]
+    units = np.eye(d * k)
     if order == "revlex":
-        indices = indices[::-1]
+        units = units[::-1]
     elif order != "lex":
         raise ValueError(f"unknown basis order {order!r}")
-    kept = []
-    for (i, j) in indices:
-        E = np.zeros((d, k))
-        E[i, j] = 1.0
-        v = horizontal_project(theta, E)
+    projected = horizontal_project(theta, units.reshape(d * k, d, k))
+    kept = np.empty((d * k, d * k))
+    m = 0
+    for v in projected.reshape(d * k, d * k):
         # two orthogonalization passes keep the Gram matrix at ~1e-15
         for _ in range(2):
-            for u in kept:
-                v = v - np.sum(u * v) * u
+            v = v - kept[:m].T @ (kept[:m] @ v)
         norm = np.linalg.norm(v)
         if norm > GS_DROP_TOL:
-            kept.append(v / norm)
-    if len(kept) != target:
+            kept[m] = v / norm
+            m += 1
+    if m != target:
         raise DegenerateFactorError(
-            f"horizontal basis construction found {len(kept)} directions, "
+            f"horizontal basis construction found {m} directions, "
             f"expected {target}")
-    return HorizontalBasis(anchor=theta, elements=np.array(kept), tag=order)
+    return HorizontalBasis(anchor=theta, elements=kept[:m].reshape(m, d, k),
+                           tag=order)
 
 
 def rotate_basis(basis, U):

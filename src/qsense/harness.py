@@ -523,8 +523,8 @@ class RateReport(JsonFields):
     medians: np.ndarray
     q25: np.ndarray
     q75: np.ndarray
-    slope: float
-    intercept: float
+    slope: float | None
+    intercept: float | None
     bound_values: np.ndarray
     floor_limited: bool
     excluded: list
@@ -548,17 +548,21 @@ def rate_experiment(config):
         q25.append(float(np.percentile(dist, 25)))
         q75.append(float(np.percentile(dist, 75)))
     medians = np.array(medians)
-    slope, intercept = np.polyfit(np.log(grid), np.log(medians), 1)
-    certificate = diagnostics.theory_constants(
-        constants_for(config, theta_star), config.delta)
-    bounds = np.array([certificate.rate_bound(n) for n in grid])
     floor = (config.resolved_noise() == "gaussian"
              and config.resolved_noise_sigma() == 0.0) \
         or bool(np.all(medians < 1e-6))
+    # floor-limited medians are rounding noise (or exactly 0): no rate to fit
+    slope = intercept = None
+    if not floor:
+        slope, intercept = map(float, np.polyfit(np.log(grid),
+                                                 np.log(medians), 1))
+    certificate = diagnostics.theory_constants(
+        constants_for(config, theta_star), config.delta)
+    bounds = np.array([certificate.rate_bound(n) for n in grid])
     return RateReport(n_grid=grid, medians=medians, q25=np.array(q25),
-                      q75=np.array(q75), slope=float(slope),
-                      intercept=float(intercept), bound_values=bounds,
-                      floor_limited=floor, excluded=excluded)
+                      q75=np.array(q75), slope=slope, intercept=intercept,
+                      bound_values=bounds, floor_limited=floor,
+                      excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

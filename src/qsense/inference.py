@@ -17,8 +17,8 @@ from scipy.special import ndtri
 from . import geometry
 from .errors import DegenerateHessianError
 from .jsonable import JsonFields
-from .model import (Dataset, euclidean_gradient, pair_adjoint,
-                    pair_coordinates, population_curvature, predictions)
+from .model import (Dataset, pair_adjoint, pair_coordinates,
+                    population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
 # singular (the vertical-direction pathology).
@@ -39,25 +39,36 @@ def reconstruct(coords, basis):
                      basis.elements)
 
 
+def _restricted_terms(dataset, theta, E, loss, z=None):
+    """Restricted gradient and curvature at theta along a (m, d, k) stack E.
+
+    With A = pair_coordinates(X, theta, E) and the loss derivatives d1, d2
+    at the predictions z (computed when not supplied), returns
+    g = A^T d1 / n and H = A^T diag(d2) A / n + <E, Sbar E>, where
+    Sbar = pair_adjoint(X, d1) / n.  In an orthonormal horizontal basis g
+    represents the gradient and H the curvature.
+    """
+    theta = np.asarray(theta, dtype=float)
+    X, y, n = dataset.X, dataset.y, dataset.n
+    if z is None:
+        z = predictions(dataset, theta)
+    d1 = loss.d1(z, y)
+    A = pair_coordinates(X, theta, E)
+    m = E.shape[0]
+    Sbar = pair_adjoint(X, d1) / n
+    H = ((A * loss.d2(z, y)[:, None]).T @ A / n
+         + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
+    return A.T @ d1 / n, 0.5 * (H + H.T)
+
+
 def restricted_score(dataset, theta_star, basis, loss):
     """Representation of the empirical-loss gradient at theta_star."""
-    return represent(euclidean_gradient(dataset, theta_star, loss), basis)
+    return _restricted_terms(dataset, theta_star, basis.elements, loss)[0]
 
 
 def restricted_hessian(dataset, theta_star, basis, loss):
     """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    z = predictions(dataset, theta_star)
-    d1 = loss.d1(z, dataset.y)
-    d2 = loss.d2(z, dataset.y)
-    n = dataset.n
-    E = basis.elements
-    A = pair_coordinates(dataset.X, theta_star, E)
-    term1 = (A * d2[:, None]).T @ A / n
-    Sbar = pair_adjoint(dataset.X, d1) / n
-    term2 = E.reshape(basis.m, -1) @ (Sbar @ E).reshape(basis.m, -1).T
-    H = term1 + term2
-    return 0.5 * (H + H.T)
+    return _restricted_terms(dataset, theta_star, basis.elements, loss)[1]
 
 
 def per_sample_scores(dataset, theta_star, basis, loss):
@@ -94,7 +105,6 @@ class RestrictedRepresentation(JsonFields):
     phi0: np.ndarray
     score: np.ndarray
     hessian: np.ndarray
-    population_hessian: np.ndarray | None = None
 
     def to_json_dict(self):
         # the basis is identified by its tag and a digest of the anchor's
@@ -106,19 +116,19 @@ class RestrictedRepresentation(JsonFields):
                 **super().to_json_dict()}
 
 
-def restricted_representation(dataset, theta_star, theta0, basis, loss,
-                              population_hessian=None):
+def restricted_representation(dataset, theta_star, theta0, basis, loss):
     """Bundle phi*, phi0, the restricted score and curvature at the truth."""
     theta_star = np.asarray(theta_star, dtype=float)
     chord = geometry.log_map(theta_star, theta0)
     phi_star = represent(theta_star, basis)
+    score, hessian = _restricted_terms(dataset, theta_star, basis.elements,
+                                       loss)
     return RestrictedRepresentation(
         basis=basis,
         phi_star=phi_star,
         phi0=phi_star + represent(chord, basis),
-        score=restricted_score(dataset, theta_star, basis, loss),
-        hessian=restricted_hessian(dataset, theta_star, basis, loss),
-        population_hessian=population_hessian)
+        score=score,
+        hessian=hessian)
 
 
 @dataclass
@@ -223,8 +233,7 @@ def _single_sample_objects(data, theta, basis, loss):
     a = pair_coordinates(data.X, theta, basis.elements)[0]
     mu1 = loss.conditional_moments(predictions(data, theta))[1][0]
     # the conditional mean kills the score term of the population curvature
-    return (restricted_score(data, theta, basis, loss),
-            restricted_hessian(data, theta, basis, loss),
+    return (*_restricted_terms(data, theta, basis.elements, loss),
             mu1 * np.outer(a, a))
 
 

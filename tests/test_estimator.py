@@ -3,6 +3,7 @@ import pytest
 
 import qsense as q
 from qsense.errors import DivergenceError, InitializationError
+from qsense.harness import ExperimentConfig, make_truth
 from qsense.model import Dataset
 
 from helpers import random_orthogonal, random_theta
@@ -150,6 +151,43 @@ def test_fit_logistic_recovers_truth_direction():
     res = q.fit(data, q.Logistic(), q.FitConfig(grad_tol=1e-7), truth=theta)
     assert res.converged
     assert res.neighborhood_radius < 0.3
+
+
+def test_fit_escapes_saddle_where_curvature_is_indefinite():
+    # replicate 31 of this run (stream (11, 1, 31)): unguarded Newton steps
+    # stop at a saddle 0.81 from the truth and report convergence
+    cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=2000,
+                           replications=100, seed=11)
+    theta_star = make_truth(cfg)
+    data = q.simulate(cfg.make_dgp(theta_star, 1, 31), cfg.n)
+    loss = cfg.make_loss()
+    res = q.fit(data, loss, cfg.fit_config(cfg.seed * 1_000_003 + 31),
+                truth=theta_star)
+    assert res.converged
+    assert res.neighborhood_radius < 0.2
+    cert = q.minimizer_certificate(data, res.theta0, loss,
+                                   q.horizontal_basis(res.theta0))
+    assert cert.restricted_min_eigenvalue > 0.0
+
+
+def test_fit_from_rank_deficient_warm_start_falls_back_to_gradient():
+    # no horizontal basis exists at a factor with a zero column
+    rng = np.random.default_rng(13)
+    theta = random_theta(rng, 4, 2)
+    dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
+                                  noise="gaussian", sigma=0.5, seed=15)
+    data = q.simulate(dgp, 200)
+    init = theta.copy()
+    init[:, 1] = 0.0
+    res = q.fit(data, q.GaussianNLL(0.5), q.FitConfig(init=init, max_iters=200))
+    assert isinstance(res, q.FitResult)
+    assert res.final_loss < res.loss_trace[0]
+
+
+def test_fit_config_validation():
+    for bad in (dict(grad_tol=0.0), dict(max_iters=0), dict(restarts=-1)):
+        with pytest.raises(ValueError):
+            q.FitConfig(**bad).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import DegenerateFactorError, OutOfInjectivityError
+from qsense.geometry import GS_DROP_TOL
 
 from helpers import random_orthogonal, random_theta
 
@@ -192,6 +193,47 @@ def test_horizontal_basis_json_export():
     assert blob["tag"] == "lex"
     assert np.array_equal(np.array(blob["anchor"]), theta)
     assert np.array_equal(np.array(blob["elements"]), basis.elements)
+
+
+def _per_unit_mgs_basis(theta, order):
+    """The horizontal basis built one unit matrix at a time: each projected
+    on its own, then orthonormalized by two-pass modified Gram-Schmidt."""
+    d, k = theta.shape
+    units = [(i, j) for i in range(d) for j in range(k)]
+    if order == "revlex":
+        units = units[::-1]
+    kept = []
+    for i, j in units:
+        E = np.zeros((d, k))
+        E[i, j] = 1.0
+        v = q.horizontal_project(theta, E)
+        for _ in range(2):
+            for u in kept:
+                v = v - np.sum(u * v) * u
+        if np.linalg.norm(v) > GS_DROP_TOL:
+            kept.append(v / np.linalg.norm(v))
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_horizontal_basis_matches_per_unit_gram_schmidt(k, order):
+    rng = np.random.default_rng(17 + k)
+    for d in (k, k + 1, 6):
+        theta = random_theta(rng, d, k)
+        B = q.horizontal_basis(theta, order=order)
+        reference = _per_unit_mgs_basis(theta, order)
+        assert B.elements.shape == reference.shape
+        assert np.max(np.abs(B.elements - reference)) < 1e-12
+
+
+def test_vertical_projection_of_a_stack_matches_each_slice():
+    rng = np.random.default_rng(18)
+    theta = random_theta(rng, 5, 3)
+    Z = rng.standard_normal((4, 5, 3))
+    stacked = q.vertical_project(theta, Z)
+    for Zi, Vi in zip(Z, stacked):
+        assert np.max(np.abs(q.vertical_project(theta, Zi) - Vi)) < 1e-12
 
 
 def test_horizontal_basis_full_rank_square_case():

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 import qsense as q
 from qsense.cli import cli_main
 from qsense.errors import ConfigurationError, DegenerateHessianError
-from qsense.harness import (ExperimentConfig, build_context, constants_for,
-                            make_truth, normality_experiment, rate_experiment,
-                            run_replications)
+from qsense.harness import (_RATE_TAG_BASE, ExperimentConfig, build_context,
+                            constants_for, make_truth, normality_experiment,
+                            rate_experiment, run_replications)
 
 
 def _config(**kw):
@@ -168,8 +169,32 @@ def test_rate_floor_limited_flag_when_noiseless():
     cfg = _config(d=3, k=1, n=None, noise_sigma=0.0,
                   n_grid=[64, 128, 256, 512, 1024], replications=4,
                   grad_tol=1e-11, max_iters=50_000)
-    rep = rate_experiment(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = rate_experiment(cfg)
     assert rep.floor_limited
+    # no rate is fitted to rounding noise, and the report is strict JSON
+    assert rep.slope is None and rep.intercept is None
+    json.dumps(rep.to_json_dict(), allow_nan=False)
+
+
+def test_newton_fit_takes_few_iterations_on_criterion_5_gaussian():
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
+                           replications=20, seed=2024)
+    records, _ = run_replications(cfg)
+    assert all(rec.converged for rec in records)
+    assert np.median([rec.iterations for rec in records]) <= 5
+
+
+def test_criterion_6_grid_converges_on_every_replicate():
+    # descent that stalls just above grad_tol leaves replicates unconverged
+    grid = [512, 1024, 2048, 4096, 8192, 16384]
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1,
+                           n_grid=grid, replications=10, seed=7, delta=0.05)
+    for i, n in enumerate(grid):
+        records, _ = run_replications(cfg, n=n,
+                                      stream_tag=_RATE_TAG_BASE + i)
+        assert all(rec.converged for rec in records), n
 
 
 def test_rate_median_grows_with_k():

@@ -354,6 +354,7 @@ def test_restricted_representation_bundle():
     assert blob["basis_tag"] == "lex"
     assert len(blob["basis_anchor_hash"]) == 16
     assert blob["phi0"] == rep.phi0.tolist()
+    assert "population_hessian" not in blob
 
 
 def test_restricted_representation_orbit_independent():

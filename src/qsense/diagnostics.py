@@ -20,8 +20,8 @@ from . import geometry, inference
 from .errors import CapabilityError
 from .jsonable import JsonFields
 from .model import (ISOTROPIC_DESIGNS, design_adjoint, design_moment,
-                    euclidean_gradient, hessian_operator, pair_coordinates,
-                    predictions, sample_design, third_derivative_operator)
+                    euclidean_gradient, hessian_operator, predictions,
+                    sample_design, third_derivative_operator)
 
 # Guard on the d^2 x d^2 design-form materialization.
 MAX_FORM_DIM = 12
@@ -84,13 +84,6 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
     n = dataset.n
     d, k = theta_star.shape
     xbar = design_adjoint(dataset.X, eps) / n
-    mu1 = loss.conditional_moments(z)[1]
-    w = eps1 - mu1
-    # coordinates of (X_i + X_i^T) theta along the d k unit directions
-    Bf = pair_coordinates(dataset.X, theta_star,
-                          np.eye(d * k).reshape(d * k, d, k))
-    Mmat = (Bf * w[:, None]).T @ Bf / n
-    mbar_opnorm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (Mmat + Mmat.T)))))
 
     if constants is not None:
         x_max = constants.X_max
@@ -101,7 +94,7 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
         x_max = max(1.0, float(np.max(np.abs(dataset.X))))
         sigma_eps = max(1.0, float(np.std(eps)), float(np.std(eps1)),
                         float(np.std(eps2)))
-        mu_max = max(1.0, float(np.max(np.abs(mu1))))
+        mu_max = max(1.0, float(np.max(np.abs(eps1))))
         sigma_max = float(np.linalg.svd(theta_star, compute_uv=False)[0])
 
     return EmpiricalAggregates(
@@ -110,7 +103,9 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
         eps_bar=float(np.mean(np.abs(eps))),
         eps1_bar=float(np.mean(np.abs(eps1))),
         eps2_bar=float(np.mean(np.abs(eps2))),
-        mbar_opnorm=mbar_opnorm,
+        # ell'' does not depend on y, so its fluctuation about the mean
+        # given z, which M-bar averages, is identically zero
+        mbar_opnorm=0.0,
         delta=delta,
         xbar_bound=xbar_envelope(d, k, sigma_eps, x_max, delta, n),
         eps_bound=eps_envelope(mu_max, sigma_eps, delta, n),
@@ -131,26 +126,20 @@ def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
     unrestricted minimum eigenvalue can only be smaller than the minimum
     over low-rank matrices.  ``design`` may be a design name, a callable
     sampler, or an explicit (n, d, d) array of pre-drawn matrices.  With
-    ``population=True`` the exact second-moment matrix is used for the
-    named designs instead of sampling.
+    ``population=True`` the named designs' exact value comes back, with no
+    form materialized.
     """
-    if d > MAX_FORM_DIM:
-        raise CapabilityError(
-            f"d = {d} exceeds the materialization guard ({MAX_FORM_DIM})")
     if population:
         if design in ISOTROPIC_DESIGNS:
             # iid unit-variance entries: E[vec vec^T] is the identity
             return 1.0
         if design == "symmetric":
-            # E[X_ab X_cd] = (delta_ac delta_bd + delta_ad delta_bc) / 2
-            dim = d * d
-            form = np.zeros((dim, dim))
-            for a in range(d):
-                for b in range(d):
-                    form[a * d + b, a * d + b] += 0.5
-                    form[a * d + b, b * d + a] += 0.5
-            return float(np.linalg.eigvalsh(form)[0])
+            # the design cannot see skew matrices, which exist for d >= 2
+            return 1.0 if d == 1 else 0.0
         raise CapabilityError("population form unavailable for this design")
+    if d > MAX_FORM_DIM:
+        raise CapabilityError(
+            f"d = {d} exceeds the materialization guard ({MAX_FORM_DIM})")
     if isinstance(design, np.ndarray):
         X = np.asarray(design, dtype=float)
         if X.ndim == 2:
@@ -377,7 +366,7 @@ def assumption_report(dgp, theta_star, loss, n_mc, bartlett_tol=0.1,
     score_se = float(np.std(scores_scalar, ddof=1) / np.sqrt(n_mc))
     score_pass = abs(score_mean) <= 4.0 * max(score_se, 1e-300)
 
-    cond_curv = loss.conditional_moments(z)[1]
+    cond_curv = loss.d2(z, data.y)
     min_curv = float(np.min(cond_curv))
     curvature_pass = min_curv > 0.0
 

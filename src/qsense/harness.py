@@ -63,7 +63,6 @@ class ExperimentConfig:
     grad_tol: float = 1e-6
     max_iters: int = 20000
     restarts: int = 0
-    hstar_source: str = "auto"
     hstar_mc_factor: int = 50
     basis_order: str = "lex"
     x_max: float | None = None
@@ -76,8 +75,6 @@ class ExperimentConfig:
             raise ConfigurationError("need d >= k >= 1")
         if self.loss not in LOSSES:
             raise ConfigurationError(f"unknown loss {self.loss!r}")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
         if not (0.0 < self.alpha < 1.0) or not (0.0 < self.delta < 1.0):
             raise ConfigurationError("alpha and delta must lie in (0, 1)")
         if self.n_grid is not None:
@@ -91,10 +88,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
-        if self.hstar_source not in ("auto", "closed-form", "monte-carlo"):
-            raise ConfigurationError(f"unknown hstar_source {self.hstar_source!r}")
+        for key, least in (("replications", 1), ("threads", 1),
+                           ("hstar_mc_factor", 1), ("n_mc", 2)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(f"{key} must be >= {least}")
         return self
 
     @classmethod
@@ -355,23 +352,18 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     if config.debug_include_vertical:
         basis = _with_debug_vertical(basis)
     loss = config.make_loss()
-    closed_form_ok = has_closed_form(config.design, loss)
-    source = config.hstar_source
-    if source == "auto":
-        source = "closed-form" if closed_form_ok else "monte-carlo"
-    if source == "closed-form" and not closed_form_ok:
-        raise ConfigurationError(
-            "closed-form covariance unavailable for this design/loss")
+    exact = has_closed_form(config.design, loss)
     hstar = inference.restricted_population_hessian(
         config.make_dgp(theta_star, _HSTAR_TAG), theta_star, basis, loss,
-        n_mc=None if source == "closed-form" else config.hstar_mc_factor * n)
+        n_mc=None if exact else config.hstar_mc_factor * n)
     phi_star = inference.represent(theta_star, basis)
     # raises DegenerateHessianError if a vertical direction leaked in
     intervals = inference.wald_intervals(phi_star, hstar, n, config.alpha)
     return RunContext(config=config, n=n, stream_tag=stream_tag,
                       theta_star=theta_star, basis=basis, phi_star=phi_star,
                       hstar=hstar, hstar_sqrt=inference.sqrtm_spd(hstar),
-                      half_width=intervals.half_width, hstar_source=source)
+                      half_width=intervals.half_width,
+                      hstar_source="closed-form" if exact else "monte-carlo")
 
 
 # Thread-count entry points of OpenBLAS, "%s" standing for set or get: the
@@ -469,6 +461,7 @@ class NormalityReport(JsonFields):
     n: int
     replications: int
     excluded: int
+    # "closed-form" (exact: closed form or 1-D quadrature) or "monte-carlo"
     hstar_source: str
     coordinate_means: np.ndarray
     coordinate_variances: np.ndarray
@@ -487,6 +480,10 @@ def normality_experiment(config):
     """Check that whitened coordinate errors behave like standard normals."""
     if config.n is None:
         raise ConfigurationError("normality experiment requires config.n")
+    if config.replications < 2:
+        # the variances and covariance of z divide by replications - 1
+        raise ConfigurationError(
+            "normality experiment requires replications >= 2")
     records, context = run_replications(config)
     good = [rec for rec in records if not rec.diverged]
     Z = np.array([rec.z for rec in good])

@@ -82,10 +82,10 @@ def per_sample_scores(dataset, theta_star, basis, loss):
 def restricted_population_hessian(dgp, theta_star, basis, loss, n_mc=None):
     """Population curvature in the basis coordinates.
 
-    Closed form for isotropic entrywise-iid designs with the Gaussian loss
-    (constant conditional curvature 1/sigma^2); otherwise a Monte Carlo
-    average of mu'(z*) a a^T over n_mc fresh design draws.  Passing n_mc
-    forces the Monte Carlo route even when the closed form exists.
+    Exact (closed form or 1-D quadrature, see ``population_curvature``)
+    wherever ``has_closed_form`` holds; otherwise a Monte Carlo average of
+    ell''(z*) a a^T over n_mc fresh design draws.  Passing n_mc forces the
+    Monte Carlo route even when the exact form exists.
     """
     return population_curvature(dgp, theta_star, basis.elements, loss, n_mc)
 
@@ -231,7 +231,7 @@ def wald_intervals(phi0, hstar, n, alpha, phi_star=None):
 def _single_sample_objects(data, theta, basis, loss):
     """Score, curvature and population curvature of a 1-sample dataset."""
     a = pair_coordinates(data.X, theta, basis.elements)[0]
-    mu1 = loss.conditional_moments(predictions(data, theta))[1][0]
+    mu1 = loss.d2(predictions(data, theta), data.y)[0]
     # the conditional mean kills the score term of the population curvature
     return (*_restricted_terms(data, theta, basis.elements, loss),
             mu1 * np.outer(a, a))

@@ -11,9 +11,11 @@ first argument.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import ConfigurationError
@@ -28,7 +30,9 @@ class LossModel:
     """Scalar loss ell(z, y) with analytic derivatives in z.
 
     Subclasses implement ``value``, ``d1``, ``d2``, ``d3`` (all vectorized
-    over z and y).
+    over z and y).  ell'' must not depend on y: it is then its own
+    conditional mean given z, which is how the population curvature reads
+    it, with no target at hand.
     """
 
     def value(self, z, y):
@@ -48,14 +52,6 @@ class LossModel:
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ValueError("targets must be finite")
-
-    def conditional_moments(self, z):
-        """Conditional means of (ell', ell'', ell''') given z under matched noise.
-
-        "Matched" means the target is drawn from the noise model whose negative
-        log-likelihood this loss is; the first moment is then identically zero.
-        """
-        raise NotImplementedError
 
 
 class GaussianNLL(LossModel):
@@ -85,12 +81,6 @@ class GaussianNLL(LossModel):
     def d3(self, z, y):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def conditional_moments(self, z):
-        z = np.asarray(z, dtype=float)
-        return (np.zeros_like(z),
-                np.full_like(z, self._inv_var),
-                np.zeros_like(z))
-
     def __repr__(self):
         return f"GaussianNLL(sigma={self.sigma})"
 
@@ -118,11 +108,6 @@ class Logistic(LossModel):
         y = np.asarray(y, dtype=float)
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("logistic loss requires targets in {0, 1}")
-
-    def conditional_moments(self, z):
-        s = expit(z)
-        d2 = s * (1.0 - s)
-        return (np.zeros_like(d2), d2, d2 * (1.0 - 2.0 * s))
 
     def __repr__(self):
         return "Logistic()"
@@ -385,9 +370,8 @@ def third_derivative_operator(dataset, theta, V, W, loss):
 # ---------------------------------------------------------------------------
 
 # Designs with iid zero-mean unit-variance entries satisfy
-# E[<X, A><X, B>] = <A, B> for arbitrary A, B, which gives the closed-form
-# population curvature below.  The symmetrized design satisfies the identity
-# only for symmetric arguments, so it is excluded from the closed-form route.
+# E[<X, A><X, B>] = <A, B> for arbitrary A, B.  The symmetrized design does
+# so only for symmetric A, B, the only kind the population curvature pairs.
 ISOTROPIC_DESIGNS = ("gaussian", "bounded")
 DESIGNS = ("gaussian", "symmetric", "bounded")
 NOISES = ("gaussian", "bernoulli")
@@ -471,46 +455,74 @@ def simulate(dgp, n):
 
 
 def has_closed_form(design, loss):
-    """Whether the population curvature has a closed form for this pair.
+    """Whether the population curvature is exact: no design draws.
 
-    It does for isotropic entrywise-iid designs with a constant conditional
-    curvature (GaussianNLL).
+    Stein's identity gives it for any loss under the two Gaussian designs;
+    the Gaussian loss needs only an isotropic design's second moments.
     """
-    return design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)
+    return (design in ("gaussian", "symmetric")
+            or (design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)))
+
+
+def _stein_moments(loss, s):
+    """(E[ell''(s u)], E[ell''(s u) u^2]) for u ~ N(0, 1).
+
+    Both are 1/sigma^2 for the Gaussian loss; other losses are integrated
+    adaptively on each half-line.
+    """
+    if isinstance(loss, GaussianNLL):
+        return loss._inv_var, loss._inv_var
+    moments = []
+    for power in (0, 2):
+        def integrand(u):
+            return loss.d2(s * u, None) * u**power * math.exp(-0.5 * u * u)
+        halves = (quad(integrand, a, b, epsabs=0.0, epsrel=1e-12)[0]
+                  for a, b in ((-np.inf, 0.0), (0.0, np.inf)))
+        moments.append(sum(halves) / math.sqrt(2.0 * math.pi))
+    return tuple(moments)
 
 
 def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
                          return_se=False):
-    """Population curvature E[mu'(z*) a_i a_j] on a (m, d, k) direction stack.
+    """Population curvature E[ell''(z*) a_i a_j] on a (m, d, k) direction stack.
 
-    a_i = <X, C_i> with C_i = theta D_i^T + D_i theta^T, and mu' is the
-    conditional mean of ell'' given z*.  When ``has_closed_form`` holds and
-    ``n_mc`` is None this is ``<C_i, C_j> / sigma^2``; otherwise it is a
+    a_i = <X, C_i> with C_i = theta D_i^T + D_i theta^T.  When
+    ``has_closed_form`` holds and ``n_mc`` is None it is exact (Stein's
+    identity): with s^2 = ||M*||_F^2, b_i = <C_i, M*> and u ~ N(0, 1),
+
+        H = E[ell''(s u)] (C C^T - b b^T / s^2) + E[ell''(s u) u^2] b b^T / s^2,
+
+    which is C C^T / sigma^2 for the Gaussian loss.  Otherwise it is a
     Monte Carlo average over ``n_mc`` fresh design draws, taken
     ``MC_BATCH`` draws at a time.  With ``return_se`` the entrywise Monte
-    Carlo standard errors (zero for the closed form) come back too.
+    Carlo standard errors (zero when exact) come back too.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     C = _pair(theta_star, np.asarray(directions, dtype=float))
     m = C.shape[0]
+    M = theta_star @ theta_star.T
     se = np.zeros((m, m))
     if has_closed_form(dgp.design, loss) and n_mc is None:
+        # a = b z* / s^2 + r, with r independent of z* ~ N(0, s^2)
         C = C.reshape(m, -1)
-        H = C @ C.T / loss.sigma**2
+        s2 = float(np.sum(M * M))
+        mean, tail = _stein_moments(loss, math.sqrt(s2))
+        H = mean * (C @ C.T)
+        if s2 > 0.0:
+            b = C @ M.ravel()
+            H += (tail - mean) / s2 * np.outer(b, b)
     elif n_mc is None:
-        raise ConfigurationError(
-            "no closed form for this design/loss; supply a Monte Carlo "
-            "budget n_mc")
+        raise ConfigurationError("no exact form for this design/loss; "
+                                 "supply a Monte Carlo budget n_mc")
     else:
         rng = dgp.rng(0x9E5)
-        M = theta_star @ theta_star.T
         H = np.zeros((m, m))
         H2 = np.zeros((m, m))
         remaining = int(n_mc)
         while remaining > 0:
             nb = min(MC_BATCH, remaining)
             X = sample_design(dgp.design, rng, nb, dgp.d)
-            mu1 = loss.conditional_moments(design_forward(X, M))[1]
+            mu1 = loss.d2(design_forward(X, M), None)
             A = design_forward(X, C)
             H += (A * mu1[:, None]).T @ A
             if return_se:
@@ -529,8 +541,9 @@ def population_hessian_bilinear(dgp, theta_star, Z, W, loss,
                                 n_mc=None, return_se=False):
     """Population curvature form E[ell''(z*, y) a(Z) a(W)] at the truth.
 
-    The (Z, W) entry of ``population_curvature``: closed form where it
-    exists, otherwise a Monte Carlo estimate over ``n_mc`` design draws.
+    The (Z, W) entry of ``population_curvature``: exact where
+    ``has_closed_form`` holds, otherwise a Monte Carlo estimate over
+    ``n_mc`` design draws.
     """
     H, se = population_curvature(dgp, theta_star, np.stack([Z, W]), loss,
                                  n_mc=n_mc, return_se=True)

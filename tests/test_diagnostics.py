@@ -89,6 +89,17 @@ def test_restricted_eigenvalue_population_symmetric_design_degenerate():
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
+def test_restricted_eigenvalue_population_values_need_no_form():
+    # with d = 1 there is no skew direction to hide
+    assert q.restricted_eigenvalue_estimate("symmetric", 1, 1,
+                                            population=True) == 1.0
+    # exact values materialize nothing, so the size guard does not apply
+    assert q.restricted_eigenvalue_estimate("symmetric", 13, 2,
+                                            population=True) == 0.0
+    assert q.restricted_eigenvalue_estimate("gaussian", 13, 2,
+                                            population=True) == 1.0
+
+
 def test_restricted_eigenvalue_single_matrix_is_rank_one():
     X = np.random.default_rng(6).standard_normal((3, 3))
     assert q.restricted_eigenvalue_estimate(X, 3, 1) < 1e-12

@@ -138,11 +138,38 @@ def test_normality_covariance_error_improves_with_n():
 
 
 def test_normality_monte_carlo_source_for_logistic():
-    cfg = _config(loss="logistic", sigma=0.1, n=500, replications=6,
-                  hstar_mc_factor=5)
+    # the bounded design is not Gaussian, so the logistic H* is sampled
+    cfg = _config(loss="logistic", sigma=0.1, design="bounded", n=500,
+                  replications=6, hstar_mc_factor=5)
     rep = normality_experiment(cfg)
     assert rep.hstar_source == "monte-carlo"
     assert rep.z_matrix.shape[0] == 6
+    cfg = _config(loss="logistic", sigma=0.1, n=500, replications=6)
+    assert normality_experiment(cfg).hstar_source == "closed-form"
+
+
+@pytest.mark.parametrize("design, loss, budget", [
+    ("gaussian", "gaussian", None), ("gaussian", "logistic", None),
+    ("symmetric", "gaussian", None), ("symmetric", "logistic", None),
+    ("bounded", "gaussian", None), ("bounded", "logistic", 7 * 400),
+])
+def test_build_context_samples_designs_only_without_exact_form(
+        monkeypatch, design, loss, budget):
+    import qsense.inference as inf
+
+    seen = []
+    original = inf.restricted_population_hessian
+
+    # n_mc must arrive as a keyword: the benchmark's span reads it there
+    def recording(*args, n_mc):
+        seen.append(n_mc)
+        return original(*args, n_mc=n_mc)
+
+    monkeypatch.setattr(inf, "restricted_population_hessian", recording)
+    ctx = build_context(_config(design=design, loss=loss,
+                                hstar_mc_factor=7), 400)
+    assert seen == [budget]
+    assert ctx.hstar_source == ("monte-carlo" if budget else "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +236,16 @@ def test_rate_median_grows_with_k():
 # CLI
 # ---------------------------------------------------------------------------
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite value {name} in a JSON output")
+
+
+def _read_json(path):
+    """Parse an output file strictly: NaN and Infinity are not JSON."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant)
+
+
 def _write_config(tmp_path, obj, name="config.json"):
     path = os.path.join(tmp_path, name)
     with open(path, "w") as fh:
@@ -224,8 +261,7 @@ def test_cli_certificate_all_ones(tmp_path, capsys):
     path = _write_config(str(tmp_path), cfg)
     rc = cli_main(["certificate", "--config", path, "--out-dir", str(tmp_path)])
     assert rc == 0
-    with open(os.path.join(str(tmp_path), "certificate.json")) as fh:
-        out = json.load(fh)
+    out = _read_json(os.path.join(str(tmp_path), "certificate.json"))
     assert out["report"]["K"] == pytest.approx(2720.0)
     assert out["report"]["rate_bound_at_n"] > 0
     assert out["version"].startswith("qsense-")
@@ -240,8 +276,7 @@ def test_cli_simulate_fit_round_trip(tmp_path):
     data_path = os.path.join(str(tmp_path), "dataset.json")
     assert cli_main(["fit", "--config", path, "--dataset", data_path,
                      "--out-dir", str(tmp_path)]) == 0
-    with open(os.path.join(str(tmp_path), "fit.json")) as fh:
-        cli_result = json.load(fh)["report"]
+    cli_result = _read_json(os.path.join(str(tmp_path), "fit.json"))["report"]
 
     # reproduce in-process: same stream, same optimizer settings
     config = ExperimentConfig.from_dict(cfg_obj)
@@ -250,8 +285,7 @@ def test_cli_simulate_fit_round_trip(tmp_path):
                                   noise="gaussian", sigma=0.2,
                                   seed=(21, 1, 0))
     data = q.simulate(dgp, 120)
-    with open(data_path) as fh:
-        disk = q.Dataset.from_json(fh.read())
+    disk = q.Dataset.from_json(json.dumps(_read_json(data_path)))
     assert np.array_equal(disk.X, data.X) and np.array_equal(disk.y, data.y)
     res = q.fit(data, q.GaussianNLL(0.2),
                 q.FitConfig(grad_tol=1e-9, max_iters=config.max_iters,
@@ -273,8 +307,7 @@ def test_cli_verify_normality_outputs(tmp_path):
     assert lines[0] == ",".join(f"z{j}" for j in range(m))
     assert len(lines) == 1 + 7
     assert all(len(line.split(",")) == m for line in lines[1:])
-    with open(os.path.join(str(tmp_path), "report.json")) as fh:
-        report = json.load(fh)
+    report = _read_json(os.path.join(str(tmp_path), "report.json"))
     assert report["config"]["replications"] == 7
 
 
@@ -309,6 +342,7 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     rc = cli_main(["verify-normality", "--config", cfg,
                    "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
 
 
 def test_cli_rate_sweep_outputs(tmp_path):
@@ -321,8 +355,7 @@ def test_cli_rate_sweep_outputs(tmp_path):
         lines = fh.read().strip().split("\n")
     assert lines[0] == "n,median,q25,q75,bound"
     assert len(lines) == 6
-    with open(os.path.join(str(tmp_path), "report.json")) as fh:
-        rep = json.load(fh)["report"]
+    rep = _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
     assert len(rep["medians"]) == 5
 
 
@@ -332,8 +365,7 @@ def test_cli_check_assumptions(tmp_path):
     rc = cli_main(["check-assumptions", "--config", cfg,
                    "--out-dir", str(tmp_path)])
     assert rc == 0
-    with open(os.path.join(str(tmp_path), "report.json")) as fh:
-        rep = json.load(fh)["report"]
+    rep = _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
     assert rep["all_pass"] is True
 
 
@@ -343,8 +375,7 @@ def test_cli_invariance_audit(tmp_path):
     rc = cli_main(["invariance-audit", "--config", cfg,
                    "--out-dir", str(tmp_path)])
     assert rc == 0
-    with open(os.path.join(str(tmp_path), "report.json")) as fh:
-        rep = json.load(fh)["report"]
+    rep = _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
     assert rep["max_discrepancy"] <= 1e-9
     assert rep["rotations"] == 5
 
@@ -355,7 +386,7 @@ def test_cli_out_dir_from_config(tmp_path):
                                         "replications": 2, "seed": 1,
                                         "out_dir": target})
     assert cli_main(["verify-normality", "--config", cfg]) == 0
-    assert os.path.exists(os.path.join(target, "report.json"))
+    assert _read_json(os.path.join(target, "report.json"))["report"]
 
 
 def test_certificate_json_echoes_constants(tmp_path):
@@ -366,8 +397,7 @@ def test_certificate_json_echoes_constants(tmp_path):
         "delta": 0.1})
     rc = cli_main(["certificate", "--config", cfg, "--out-dir", str(tmp_path)])
     assert rc == 0
-    with open(os.path.join(str(tmp_path), "certificate.json")) as fh:
-        rep = json.load(fh)["report"]
+    rep = _read_json(os.path.join(str(tmp_path), "certificate.json"))["report"]
     assert rep["constants"]["X_max"] == 1.5
     assert rep["constants"]["mu0"] == 0.5
     assert rep["delta"] == 0.1
@@ -395,6 +425,32 @@ def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
     assert rc == 1
     assert err.count("\n") == 1 and named in err
     assert "Traceback" not in err
+
+
+_BOUNDED_LOGISTIC = {"d": 3, "k": 1, "loss": "logistic", "design": "bounded",
+                     "n": 200, "replications": 3}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": 0},
+     "hstar_mc_factor"),
+    ("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": -1},
+     "hstar_mc_factor"),
+    ("verify-normality", {"d": 3, "k": 1, "n": 200, "replications": 1},
+     "replications"),
+    ("check-assumptions", {"d": 3, "k": 1, "n_mc": 1}, "n_mc"),
+])
+def test_cli_rejects_degenerate_budgets_in_one_line(tmp_path, capsys, command,
+                                                    cfg, named):
+    # below these floors a run divides by zero: NaN in the report, or a
+    # numerical abort that blames the basis
+    path = _write_config(str(tmp_path), cfg)
+    rc = cli_main([command, "--config", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
 
 
 def test_cli_rejects_sample_size_below_quotient_dimension(tmp_path, capsys):

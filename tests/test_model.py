@@ -1,15 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
 import qsense as q
 from qsense.errors import ConfigurationError
-from qsense.model import (Dataset, design_forward, pair_adjoint,
-                          pair_coordinates, predictions,
+from qsense.model import (Dataset, _stein_moments, design_forward,
+                          pair_adjoint, pair_coordinates,
+                          population_curvature, predictions,
                           third_derivative_operator)
 
 from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
@@ -330,12 +333,62 @@ def test_population_hessian_monte_carlo_matches_closed_form():
     assert abs(mc - exact) <= 3.0 * se
 
 
-def test_population_hessian_needs_budget_for_symmetric_design():
+def test_population_hessian_needs_budget_for_bounded_logistic():
+    # uniform entries are not Gaussian and the logistic curvature is not
+    # constant: no exact form, so a Monte Carlo budget is required
     rng = np.random.default_rng(19)
     theta = random_theta(rng, 3, 1)
-    dgp = _dgp(theta, design="symmetric")
+    dgp = _dgp(theta, design="bounded", noise="bernoulli")
     with pytest.raises(ConfigurationError):
-        q.population_hessian_bilinear(dgp, theta, theta, theta, q.GaussianNLL(1.0))
+        q.population_hessian_bilinear(dgp, theta, theta, theta, q.Logistic())
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 1.6, 5.0, 13.5, 30.0])
+def test_logistic_stein_moments_match_monte_carlo(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        mean, tail = _stein_moments(q.Logistic(), s)
+    rng = np.random.default_rng(int(10 * s))
+    sums = np.zeros((2, 2))
+    draws = 4_000_000
+    for _ in range(4):
+        u = rng.standard_normal(draws // 4)
+        curv = q.Logistic().d2(s * u, None)
+        for row, values in enumerate((curv, curv * u * u)):
+            sums[row] += values.sum(), (values * values).sum()
+    mc = sums[:, 0] / draws
+    se = np.sqrt((sums[:, 1] / draws - mc * mc) / draws)
+    assert np.all(np.abs(np.array([mean, tail]) - mc) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("design", ["gaussian", "symmetric"])
+def test_logistic_exact_population_curvature_matches_monte_carlo(design):
+    rng = np.random.default_rng(23)
+    theta = random_theta(rng, 4, 2)
+    E = q.horizontal_basis(theta).elements
+    dgp = _dgp(theta, seed=24, design=design, noise="bernoulli")
+    exact = population_curvature(dgp, theta, E, q.Logistic())
+    mc, se = population_curvature(dgp, theta, E, q.Logistic(),
+                                  n_mc=200_000, return_se=True)
+    assert np.all(np.abs(exact - mc) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("design", ["gaussian", "symmetric", "bounded"])
+def test_gaussian_exact_population_curvature_is_closed_form(design):
+    rng = np.random.default_rng(25)
+    theta = random_theta(rng, 4, 2)
+    E = q.horizontal_basis(theta).elements
+    C = np.array([(theta @ D.T + D @ theta.T).ravel() for D in E])
+    H = population_curvature(_dgp(theta, design=design), theta, E,
+                             q.GaussianNLL(0.3))
+    assert np.allclose(H, C @ C.T / 0.3**2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("loss", [q.GaussianNLL(1.0), q.Logistic()])
+def test_population_hessian_vanishes_at_zero_truth(loss):
+    theta = np.zeros((3, 2))
+    Z = np.ones((3, 2))
+    assert q.population_hessian_bilinear(_dgp(theta), theta, Z, Z, loss) == 0.0
 
 
 # ---------------------------------------------------------------------------

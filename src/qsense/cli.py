@@ -40,8 +40,8 @@ def _add_common(p):
     p.add_argument("--config", required=True,
                    help="path to a JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--out-dir", default=None,
-                   help="output directory (overrides the config; default .)")
+    p.add_argument("--out-dir", default=".",
+                   help="output directory (default .)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (falls back to QSENSE_THREADS)")
 
@@ -53,15 +53,13 @@ def _load_json(path):
 
 def _experiment_config(args):
     obj = _load_json(args.config)
-    if args.seed is not None:
-        obj["seed"] = args.seed
     config = harness.ExperimentConfig.from_dict(obj)
+    if args.seed is not None:
+        config.seed = args.seed
     if args.threads is not None:
         config.threads = max(1, args.threads)
     elif "threads" not in obj:
         config.threads = harness.default_threads()
-    if args.out_dir is None:
-        args.out_dir = config.out_dir or "."
     return config
 
 
@@ -133,8 +131,6 @@ def _cmd_check_assumptions(args):
 
 
 def _cmd_certificate(args):
-    if args.out_dir is None:
-        args.out_dir = "."
     obj = _load_json(args.config)
     if not isinstance(obj, dict):
         raise ConfigurationError("certificate config must be a JSON object")
@@ -164,7 +160,7 @@ def _cmd_invariance_audit(args):
     loss = config.make_loss()
     data = simulate(config.make_dgp(theta_star, 0xAD1), 1)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xAD2)))
-    basis = geometry.horizontal_basis(theta_star, order=config.basis_order)
+    basis = geometry.horizontal_basis(theta_star)
     worst = 0.0
     per_object = {}
     for _ in range(config.replications):

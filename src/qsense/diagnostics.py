@@ -31,6 +31,10 @@ MAX_FORM_DIM = 12
 # scale of the projector.
 FD_STEP = 1e-5
 
+# Largest relative Frobenius gap between the restricted score covariance and
+# curvature that the Bartlett check accepts.
+BARTLETT_TOL = 0.1
+
 
 # ---------------------------------------------------------------------------
 # Noise aggregates (empirical counterparts of the concentration events)
@@ -124,8 +128,8 @@ def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
 
     A conservative lower bound for the rank-restricted constant: the
     unrestricted minimum eigenvalue can only be smaller than the minimum
-    over low-rank matrices.  ``design`` may be a design name, a callable
-    sampler, or an explicit (n, d, d) array of pre-drawn matrices.  With
+    over low-rank matrices.  ``design`` may be a design name or an
+    explicit (n, d, d) array of pre-drawn matrices.  With
     ``population=True`` the named designs' exact value comes back, with no
     form materialized.
     """
@@ -186,7 +190,6 @@ class TheoryCertificate(JsonFields):
     radius_required: float
     lambda_min_population: float
     lambda_min_population_isotropic: float
-    lambda_min_restricted: float | None = None
 
     def rate_bound(self, n):
         c = self.constants
@@ -278,15 +281,15 @@ def taylor_residual_check(dataset, theta_star, theta0, basis, loss,
 # Curvature-Lipschitz probe
 # ---------------------------------------------------------------------------
 
-def projection_derivative(theta, w, v, fd_step=FD_STEP):
+def projection_derivative(theta, w, v):
     """Directional derivative of the horizontal projector, applied to v.
 
     Central finite difference of theta -> P^H(theta) v along w.
     """
     theta = np.asarray(theta, dtype=float)
-    plus = geometry.horizontal_project(theta + fd_step * w, v)
-    minus = geometry.horizontal_project(theta - fd_step * w, v)
-    return (plus - minus) / (2.0 * fd_step)
+    plus = geometry.horizontal_project(theta + FD_STEP * w, v)
+    minus = geometry.horizontal_project(theta - FD_STEP * w, v)
+    return (plus - minus) / (2.0 * FD_STEP)
 
 
 def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0):
@@ -342,23 +345,25 @@ class AssumptionReport(JsonFields):
         return {**super().to_json_dict(), "all_pass": self.all_pass()}
 
 
-def assumption_report(dgp, theta_star, loss, n_mc, bartlett_tol=0.1,
-                      basis=None):
+def assumption_report(dgp, theta_star, loss, n_mc):
     """Monte Carlo check of the three standing moment assumptions.
 
+    On ``n_mc`` >= 2 draws, checks that
     1. the score has zero conditional mean at the truth (checked through
        the unconditional mean against 4 standard errors),
     2. the conditional curvature stays positive across design draws,
     3. the covariance of the restricted per-sample score matches the
        restricted expected curvature (relative Frobenius gap below
-       ``bartlett_tol``); ``bartlett_ratio`` is the trace ratio, which
+       ``BARTLETT_TOL``); ``bartlett_ratio`` is the trace ratio, which
        localizes a pure scale mismatch.
     """
     from .model import simulate
 
+    if n_mc < 2:
+        # the score's standard error divides by n_mc - 1
+        raise ValueError("Monte Carlo budget n_mc must be >= 2")
     theta_star = np.asarray(theta_star, dtype=float)
-    if basis is None:
-        basis = geometry.horizontal_basis(theta_star)
+    basis = geometry.horizontal_basis(theta_star)
     data = simulate(dgp, n_mc)
     z = predictions(data, theta_star)
     scores_scalar = loss.d1(z, data.y)
@@ -381,4 +386,4 @@ def assumption_report(dgp, theta_star, loss, n_mc, bartlett_tol=0.1,
         score_mean_pass=score_pass,
         min_conditional_curvature=min_curv, curvature_pass=curvature_pass,
         bartlett_gap=gap, bartlett_ratio=ratio,
-        bartlett_pass=gap <= bartlett_tol)
+        bartlett_pass=gap <= BARTLETT_TOL)

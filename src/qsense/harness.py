@@ -62,12 +62,8 @@ class ExperimentConfig:
     threads: int = 1
     grad_tol: float = 1e-6
     max_iters: int = 20000
-    restarts: int = 0
     hstar_mc_factor: int = 50
-    basis_order: str = "lex"
-    x_max: float | None = None
     n_mc: int = 100_000
-    out_dir: str | None = None
     debug_include_vertical: bool = False
 
     def validate(self):
@@ -131,9 +127,9 @@ class ExperimentConfig:
             seed=(self.seed, *tags))
 
     def fit_config(self, seed):
-        """The configured optimizer settings, with restarts seeded by ``seed``."""
+        """The configured optimizer settings; ``seed`` seeds a fallback start."""
         return FitConfig(grad_tol=self.grad_tol, max_iters=self.max_iters,
-                         restarts=self.restarts, seed=seed)
+                         seed=seed)
 
 
 def _convert(kind, value):
@@ -196,9 +192,15 @@ def checked_fields(cls, obj, what):
 def make_truth(config):
     """Ground-truth factor: explicit, or seeded with the configured spectrum."""
     if config.truth is not None:
-        theta = np.asarray(config.truth, dtype=float)
-        if theta.shape != (config.d, config.k):
-            raise ConfigurationError("explicit truth has the wrong shape")
+        try:
+            theta = np.asarray(config.truth, dtype=float)
+        except (TypeError, ValueError):
+            theta = None
+        if theta is None or theta.shape != (config.d, config.k) \
+                or not np.all(np.isfinite(theta)):
+            raise ConfigurationError(
+                f"config key 'truth' must be a {config.d} x {config.k} "
+                "matrix of finite numbers")
         return theta
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _TRUTH_TAG)))
     Q, _ = np.linalg.qr(rng.standard_normal((config.d, config.k)))
@@ -221,9 +223,7 @@ def constants_for(config, theta_star):
     """
     sv = np.linalg.svd(np.asarray(theta_star, float), compute_uv=False)
     smin, smax = float(sv[-1]), max(1.0, float(sv[0]))
-    if config.x_max is not None:
-        x_max = config.x_max
-    elif config.design == "bounded":
+    if config.design == "bounded":
         x_max = BOUNDED_XMAX
     else:
         total = (max(config.n_grid) if config.n_grid else (config.n or 1)) \
@@ -348,7 +348,7 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     """Shared per-experiment state: truth, basis, covariance, intervals."""
     config.validate()
     theta_star = make_truth(config)
-    basis = geometry.horizontal_basis(theta_star, order=config.basis_order)
+    basis = geometry.horizontal_basis(theta_star)
     if config.debug_include_vertical:
         basis = _with_debug_vertical(basis)
     loss = config.make_loss()
@@ -420,24 +420,34 @@ def single_threaded_blas():
             set_threads(count)
 
 
-def run_replications(config, n=None, stream_tag=_RUN_TAG, context=None):
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def run_replications(config, n=None, stream_tag=_RUN_TAG):
     """Fit ``config.replications`` simulated datasets and record each result.
 
     Records are bit-identical across thread counts for a fixed seed: the
-    replicates run with single-threaded BLAS, serial or pooled.  More than
+    replicates run with single-threaded BLAS, serial or pooled.  A pool
+    has at most one worker per replicate and per usable CPU.  More than
     20% divergent replicates aborts the run.
     """
-    if context is None:
-        if n is None:
-            if config.n is None:
-                raise ConfigurationError("config.n is required")
-            n = config.n
-        context = build_context(config, n, stream_tag)
+    if n is None:
+        if config.n is None:
+            raise ConfigurationError("config.n is required")
+        n = config.n
+    context = build_context(config, n, stream_tag)
     R = config.replications
     with single_threaded_blas():
         if config.threads > 1 and R > 1:
-            chunk = max(1, R // (config.threads * 4))
-            with ProcessPoolExecutor(max_workers=config.threads,
+            # a fork pool starts every worker at the first submit
+            workers = min(config.threads, R, _usable_cpus())
+            chunk = max(1, R // (workers * 4))
+            with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_init_worker,
                                      initargs=(context,)) as ex:
                 records = list(ex.map(_worker, range(R), chunksize=chunk))

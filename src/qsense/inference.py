@@ -243,24 +243,22 @@ class InvarianceAudit(JsonFields):
     max_discrepancy: float
 
 
-def invariance_audit(theta_star, U, sample, loss, theta0=None, basis=None):
+def invariance_audit(theta_star, U, sample, loss, basis=None):
     """Check that representations do not depend on the orbit representative.
 
     Computes phi/score/curvature objects in a basis at theta_star and again
-    in the pushed-forward basis at theta_star U (with the estimate point
-    rotated the same way) and reports the largest absolute discrepancy.
-    ``theta0`` defaults to a deterministic offset of theta_star.
+    in the pushed-forward basis at theta_star U (with the estimate point, a
+    deterministic offset of theta_star, rotated the same way) and reports
+    the largest absolute discrepancy.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     U = np.asarray(U, dtype=float)
     X, y = sample
     data = Dataset(X=np.asarray(X, dtype=float)[None], y=[y])
-    if theta0 is None:
-        probe = np.ones_like(theta_star)
-        probe[0, 0] += 1.0
-        probe /= np.linalg.norm(probe)
-        theta0 = theta_star + 0.1 * np.linalg.norm(theta_star) * probe
-    theta0 = np.asarray(theta0, dtype=float)
+    probe = np.ones_like(theta_star)
+    probe[0, 0] += 1.0
+    probe /= np.linalg.norm(probe)
+    theta0 = theta_star + 0.1 * np.linalg.norm(theta_star) * probe
     if basis is None:
         basis = geometry.horizontal_basis(theta_star)
     rotated = geometry.rotate_basis(basis, U)

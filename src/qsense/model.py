@@ -206,13 +206,24 @@ class Dataset:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        d = int(obj["d"])
-        X = np.array([s["X"] for s in obj["samples"]], dtype=float)
-        y = np.array([s["y"] for s in obj["samples"]], dtype=float)
+        if not isinstance(obj, dict):
+            raise ValueError("dataset must be a JSON object")
+        d, k, samples = obj.get("d"), obj.get("k"), obj.get("samples")
+        for key, value in (("d", d), ("k", 1 if k is None else k)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"dataset key {key!r} must be an integer")
+        if not isinstance(samples, list) or not all(
+                isinstance(s, dict) and "X" in s and "y" in s for s in samples):
+            raise ValueError("dataset key 'samples' must be a list of "
+                             "objects with 'X' and 'y'")
+        try:
+            X = np.array([s["X"] for s in samples], dtype=float)
+            y = np.array([s["y"] for s in samples], dtype=float)
+        except TypeError:
+            raise ValueError("dataset samples must hold numbers") from None
         if X.shape[1:] != (d, d):
             raise ValueError("sample matrices do not match declared dimension")
-        k = obj.get("k")
-        return cls(X=X, y=y, k=None if k is None else int(k))
+        return cls(X=X, y=y, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +397,6 @@ MC_BATCH = 65536
 
 def sample_design(design, rng, n, d):
     """Draw n measurement matrices of the named design."""
-    if callable(design):
-        return np.asarray(design(rng, n, d), dtype=float)
     if design == "gaussian":
         return rng.standard_normal((n, d, d))
     if design == "symmetric":
@@ -418,7 +427,7 @@ class DataGeneratingProcess:
         if theta.ndim != 2:
             raise ValueError("theta_star must be a d x k matrix")
         object.__setattr__(self, "theta_star", theta)
-        if not callable(self.design) and self.design not in DESIGNS:
+        if self.design not in DESIGNS:
             raise ConfigurationError(f"unknown design {self.design!r}")
         if self.noise not in NOISES:
             raise ConfigurationError(f"unknown noise model {self.noise!r}")
@@ -493,9 +502,9 @@ def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
         H = E[ell''(s u)] (C C^T - b b^T / s^2) + E[ell''(s u) u^2] b b^T / s^2,
 
     which is C C^T / sigma^2 for the Gaussian loss.  Otherwise it is a
-    Monte Carlo average over ``n_mc`` fresh design draws, taken
+    Monte Carlo average over ``n_mc`` >= 1 fresh design draws, taken
     ``MC_BATCH`` draws at a time.  With ``return_se`` the entrywise Monte
-    Carlo standard errors (zero when exact) come back too.
+    Carlo standard errors (zero when exact; ``n_mc`` >= 2) come back too.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     C = _pair(theta_star, np.asarray(directions, dtype=float))
@@ -515,6 +524,9 @@ def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
         raise ConfigurationError("no exact form for this design/loss; "
                                  "supply a Monte Carlo budget n_mc")
     else:
+        least = 2 if return_se else 1
+        if n_mc < least:
+            raise ValueError(f"Monte Carlo budget n_mc must be >= {least}")
         rng = dgp.rng(0x9E5)
         H = np.zeros((m, m))
         H2 = np.zeros((m, m))
@@ -545,7 +557,8 @@ def population_hessian_bilinear(dgp, theta_star, Z, W, loss,
     ``has_closed_form`` holds, otherwise a Monte Carlo estimate over
     ``n_mc`` design draws.
     """
-    H, se = population_curvature(dgp, theta_star, np.stack([Z, W]), loss,
-                                 n_mc=n_mc, return_se=True)
-    value = float(H[0, 1])
-    return (value, float(se[0, 1])) if return_se else value
+    out = population_curvature(dgp, theta_star, np.stack([Z, W]), loss,
+                               n_mc=n_mc, return_se=return_se)
+    if return_se:
+        return float(out[0][0, 1]), float(out[1][0, 1])
+    return float(out[0, 1])

@@ -380,6 +380,15 @@ def test_assumptions_flag_scale_mismatch():
     assert abs(report.bartlett_ratio - 4.0) <= 0.8
 
 
+def test_assumptions_reject_budget_without_standard_error():
+    # the score's standard error divides by n_mc - 1
+    rng = np.random.default_rng(35)
+    theta = random_theta(rng, 3, 1)
+    with pytest.raises(ValueError, match="n_mc must be >= 2"):
+        q.assumption_report(_dgp(theta, seed=36, noise="bernoulli"), theta,
+                            q.Logistic(), 1)
+
+
 # ---------------------------------------------------------------------------
 # lift identities
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import dataclasses
+import functools
 import json
+import math
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -102,6 +107,41 @@ def test_divergence_handling(monkeypatch):
     monkeypatch.setattr(h, "_replicate", lambda ctx, r: flaky(ctx, r, 3))
     with pytest.raises(q.HarnessAbort, match="3/10"):
         run_replications(cfg)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, size", [
+    (500, 64, 8),  # no more workers than replicates
+    (500, 3, 3),   # nor than usable CPUs
+    (2, 1, 1),     # pooled, not serial: a crashed worker still exits 2
+])
+def test_pool_size_is_capped(monkeypatch, threads, cpus, size):
+    import qsense.harness as h
+
+    sizes = []
+    monkeypatch.setattr(h, "ProcessPoolExecutor",
+                        functools.partial(_RecordingPool, sizes))
+    monkeypatch.setattr(h, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(h, "_WORKER_CTX", None)
+    records, _ = run_replications(_config(replications=8, threads=threads))
+    assert sizes == [size]
+    assert [rec.index for rec in records] == list(range(8))
 
 
 def test_debug_vertical_direction_aborts():
@@ -380,13 +420,14 @@ def test_cli_invariance_audit(tmp_path):
     assert rep["rotations"] == 5
 
 
-def test_cli_out_dir_from_config(tmp_path):
-    target = os.path.join(str(tmp_path), "from-config")
-    cfg = _write_config(str(tmp_path), {"d": 2, "k": 1, "n": 40,
-                                        "replications": 2, "seed": 1,
-                                        "out_dir": target})
-    assert cli_main(["verify-normality", "--config", cfg]) == 0
-    assert _read_json(os.path.join(target, "report.json"))["report"]
+def test_readme_schema_lists_every_config_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Experiment config schema")[1]
+    section = section.split("\n###")[0]
+    listed = [key for line in section.splitlines() if line.startswith("| `")
+              for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(listed) == sorted(f.name for f in
+                                    dataclasses.fields(ExperimentConfig))
 
 
 def test_certificate_json_echoes_constants(tmp_path):
@@ -451,6 +492,43 @@ def test_cli_rejects_degenerate_budgets_in_one_line(tmp_path, capsys, command,
     assert err.count("\n") == 1 and named in err
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
+
+
+def test_cli_rejects_removed_config_keys_in_one_line(tmp_path, capsys):
+    cfg = _write_config(str(tmp_path), {
+        "d": 3, "k": 1, "n": 50, "replications": 2, "restarts": 0,
+        "basis_order": "lex", "x_max": 2.0, "out_dir": "."})
+    rc = cli_main(["verify-normality", "--config", cfg,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("qsense: error: unknown config keys: "
+                   "['basis_order', 'out_dir', 'restarts', 'x_max']\n")
+
+
+_FIT_CONFIG = {"d": 2, "k": 1, "n": 20}
+
+
+@pytest.mark.parametrize("command, cfg, dataset, named", [
+    ("fit", _FIT_CONFIG, [1, 2], "dataset must be a JSON object"),
+    ("fit", _FIT_CONFIG, {"d": None, "k": 1, "samples": []}, "'d'"),
+    ("fit", _FIT_CONFIG, {"d": 2, "k": 1, "samples": [1, 2]}, "'samples'"),
+    ("verify-normality", [1, 2], None, "config must be a JSON object"),
+    ("verify-normality", {"d": 2, "k": 1, "n": 20, "replications": 2,
+                          "truth": [[math.nan], [1.0]]}, None, "'truth'"),
+])
+def test_cli_rejects_malformed_json_in_one_line(tmp_path, capsys, command,
+                                                cfg, dataset, named):
+    argv = [command, "--config", _write_config(str(tmp_path), cfg),
+            "--seed", "3", "--out-dir", str(tmp_path)]
+    if dataset is not None:
+        argv += ["--dataset", _write_config(str(tmp_path), dataset,
+                                            name="dataset.json")]
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_sample_size_below_quotient_dimension(tmp_path, capsys):
@@ -530,8 +608,7 @@ def test_large_n_reports_identical_across_thread_counts():
     outputs = []
     for threads in (1, 2):
         cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=16000,
-                               replications=4, seed=2024, hstar_mc_factor=2,
-                               threads=threads)
+                               replications=4, seed=2024, threads=threads)
         rep = normality_experiment(cfg)
         outputs.append((json.dumps(rep.to_json_dict(), sort_keys=True),
                         rep.z_matrix.tobytes()))

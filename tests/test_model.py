@@ -343,6 +343,28 @@ def test_population_hessian_needs_budget_for_bounded_logistic():
         q.population_hessian_bilinear(dgp, theta, theta, theta, q.Logistic())
 
 
+@pytest.mark.parametrize("n_mc, return_se", [(0, False), (-3, False),
+                                              (1, True)])
+def test_population_hessian_rejects_tiny_budgets(n_mc, return_se):
+    # a mean needs one draw and a standard error two; below that the
+    # estimate or its error is NaN
+    rng = np.random.default_rng(20)
+    theta = random_theta(rng, 3, 1)
+    dgp = _dgp(theta, design="bounded", noise="bernoulli")
+    with pytest.raises(ValueError, match="n_mc must be >= "):
+        q.population_hessian_bilinear(dgp, theta, theta, theta, q.Logistic(),
+                                      n_mc=n_mc, return_se=return_se)
+
+
+def test_population_hessian_mean_from_one_draw():
+    rng = np.random.default_rng(21)
+    theta = random_theta(rng, 3, 1)
+    dgp = _dgp(theta, design="bounded", noise="bernoulli")
+    val = q.population_hessian_bilinear(dgp, theta, theta, theta,
+                                        q.Logistic(), n_mc=1)
+    assert math.isfinite(val)
+
+
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.6, 5.0, 13.5, 30.0])
 def test_logistic_stein_moments_match_monte_carlo(s):
     with warnings.catch_warnings():

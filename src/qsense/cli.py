@@ -57,10 +57,11 @@ def _experiment_config(args):
     if args.seed is not None:
         config.seed = args.seed
     if args.threads is not None:
-        config.threads = max(1, args.threads)
+        config.threads = args.threads
     elif "threads" not in obj:
         config.threads = harness.default_threads()
-    return config
+    # the flag and QSENSE_THREADS obey the config key's bounds
+    return config.validate()
 
 
 def _emit(args, config, report_dict, name="report.json", **extra):
@@ -90,6 +91,10 @@ def _cmd_fit(args):
     config = _experiment_config(args)
     with open(args.dataset) as fh:
         data = Dataset.from_json(fh.read())
+    if (config.d, config.k) != (data.d, data.k):
+        raise ConfigurationError(
+            f"config has d={config.d}, k={config.k} but the dataset has "
+            f"d={data.d}, k={data.k}")
     loss = config.make_loss()
     result = fit(data, loss, config.fit_config(config.seed))
     _emit(args, config, result.to_json_dict(), name="fit.json")

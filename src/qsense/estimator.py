@@ -1,14 +1,24 @@
 """Empirical-loss minimization over the factor matrix.
 
-Guarded Newton iteration in horizontal coordinates.  At each iterate the
-loss's gradient and curvature are represented in an orthonormal basis of
-the horizontal space of R^(d x k) / O(k), where the curvature is invertible
-at a nondegenerate minimizer, and the Newton step -H^(-1) g is taken back
-to a d x k direction.  Newton steps alone are drawn to saddle points as
-well as minimizers, so the step is used only when H is positive definite
-(its Cholesky factorization succeeds); otherwise, or at a rank-deficient
-iterate with no horizontal basis, the direction is the negative gradient.
-Either direction is searched by Armijo backtracking from unit length.
+The default start is the spectral initializer rescaled along its own ray:
+the loss at theta0 sqrt(tau) is a convex function of tau alone (the
+predictions are tau times those at theta0), so a safeguarded scalar Newton
+solve finds the best scale in O(n) per step, with no pass over the design.
+This corrects the spectral estimate's scale, which is off by the factor
+E[ell''(z*)] for losses other than the Gaussian.
+
+From there, guarded Newton iteration in horizontal coordinates.  At each
+iterate one derivative pass gives ell', ell'' and Sbar = pair_adjoint(X, ell')
+/ n; Sbar theta is the gradient the stop rule reads, and the same three give
+the loss's gradient and curvature in an orthonormal basis of the horizontal
+space of R^(d x k) / O(k), where the curvature is invertible at a
+nondegenerate minimizer.  The Newton step -H^(-1) g is taken back to a
+d x k direction.  Newton steps alone are drawn to saddle points as well as
+minimizers, so the step is used only when H is positive definite (its
+Cholesky factorization succeeds); otherwise, or at a rank-deficient iterate
+with no horizontal basis, the direction is the negative gradient, and the
+result counts these steps.  Either direction is searched by Armijo
+backtracking from unit length.
 """
 
 from __future__ import annotations
@@ -33,6 +43,13 @@ _STEP_FLOOR = 1e-20
 
 # Eigenvalue floor for the spectral initializer.
 _EIG_FLOOR = 1e-12
+
+# Radial start: the scalar Newton solve along the initial ray has settled
+# once a step moves tau by at most _RADIAL_TOL relative; a solve that has
+# not settled after _RADIAL_STEPS steps (a separable ray has no minimizer)
+# leaves the start as it is.
+_RADIAL_TOL = 1e-10
+_RADIAL_STEPS = 50
 
 
 @dataclass
@@ -62,6 +79,7 @@ class FitResult(JsonFields):
     theta0: np.ndarray
     grad_norm: float
     iterations: int
+    gradient_steps: int
     loss_trace: np.ndarray
     converged: bool
     neighborhood_radius: float | None = None
@@ -97,27 +115,62 @@ def spectral_init(dataset, k, loss):
     return V[:, top] * np.sqrt(lam_top)[None, :]
 
 
-def _search_direction(dataset, loss, theta, z, G):
-    """Newton direction and its decrease rate -<G, D>, or the gradient's.
+def _radial_scale(dataset, loss, theta):
+    """tau > 0 minimizing f(tau) = mean ell(tau z0, y), or None.
+
+    z0 = <X_i, theta theta^T> are the predictions at theta, so tau z0 are
+    those at theta sqrt(tau).  f is convex (ell is convex in z), with
+    f' = mean(ell' z0) and f'' = mean(ell'' z0^2).  Scalar Newton steps from
+    tau = 1 keep a bracket on the root of f' and bisect whenever a step
+    leaves it.  For the Gaussian loss the first step lands on the closed
+    form <z0, y> / <z0, z0>.  None when the ray is flat (f'' = 0, as for
+    z0 = 0 or a saturated logistic ray) or the solve does not settle in
+    _RADIAL_STEPS steps.
+    """
+    z0 = design_forward(dataset.X, theta @ theta.T)
+    z0_sq = z0 * z0
+    lo, hi, tau = 0.0, np.inf, 1.0
+    for _ in range(_RADIAL_STEPS):
+        d1, d2 = loss.d1_d2(tau * z0, dataset.y)
+        slope = float(np.mean(d1 * z0))
+        curv = float(np.mean(d2 * z0_sq))
+        if not curv > 0.0:
+            return None
+        new = tau - slope / curv
+        if abs(new - tau) <= _RADIAL_TOL * tau:
+            return new
+        if slope < 0.0:
+            lo = tau
+        else:
+            hi = tau
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * tau
+        tau = new
+    return None
+
+
+def _search_direction(dataset, loss, theta, G, terms):
+    """Search direction D, its decrease rate -<G, D>, and whether D is -G.
 
     The Newton direction sum_j s_j E_j solves H s = -g in a horizontal
-    basis E at theta.  It is used only when H is positive definite, so that
-    it is a descent direction; a saddle's indefinite H, or a rank-deficient
-    theta without a horizontal basis, gives the negative gradient instead.
+    basis E at theta, with g and H built from the iterate's derivative pass
+    ``terms``.  It is used only when H is positive definite, so that it is
+    a descent direction; a saddle's indefinite H, or a rank-deficient theta
+    without a horizontal basis, gives the negative gradient instead.
     """
     try:
         E = geometry.horizontal_basis(theta).elements
-        g, H = inference._restricted_terms(dataset, theta, E, loss, z)
+        g, H = inference._restricted_terms(dataset, theta, E, loss, terms)
         L = np.linalg.cholesky(H)
     except (DegenerateFactorError, np.linalg.LinAlgError):
-        return -G, float(np.sum(G * G))
+        return -G, float(np.sum(G * G)), True
     s = -np.linalg.solve(L.T, np.linalg.solve(L, g))
-    return np.tensordot(s, E, axes=1), -float(g @ s)
+    return np.tensordot(s, E, axes=1), -float(g @ s), False
 
 
 def _run_descent(dataset, loss, theta, config):
     """Guarded Newton descent from one start.  Returns a FitResult."""
-    X, y, n = dataset.X, dataset.y, dataset.n
+    X, y = dataset.X, dataset.y
 
     def loss_at(th):
         # non-finite values are handled by the divergence/backtracking logic
@@ -132,14 +185,16 @@ def _run_descent(dataset, loss, theta, config):
     grad_norm = np.inf
     converged = False
     iterations = 0
+    gradient_steps = 0
     null_steps = 0
     for _ in range(config.max_iters):
-        G = pair_adjoint(X, loss.d1(z, y)) @ theta / n
+        terms = inference._derivative_pass(dataset, z, loss)
+        G = terms[2] @ theta
         grad_norm = np.sqrt(float(np.sum(G * G)))
         if grad_norm <= config.grad_tol:
             converged = True
             break
-        D, rate = _search_direction(dataset, loss, theta, z, G)
+        D, rate, fallback = _search_direction(dataset, loss, theta, G, terms)
         step = 1.0
         accepted = False
         while step >= _STEP_FLOOR:
@@ -162,9 +217,10 @@ def _run_descent(dataset, loss, theta, config):
         theta, f, z = cand, fc, zc
         trace.append(f)
         iterations += 1
+        gradient_steps += fallback
     return FitResult(theta0=theta, grad_norm=float(grad_norm),
-                     iterations=iterations, loss_trace=np.array(trace),
-                     converged=converged)
+                     iterations=iterations, gradient_steps=gradient_steps,
+                     loss_trace=np.array(trace), converged=converged)
 
 
 def fit(dataset, loss, config=None, truth=None):
@@ -172,8 +228,10 @@ def fit(dataset, loss, config=None, truth=None):
 
     The rank comes from ``dataset.k`` unless ``config.init`` is an explicit
     warm start.  An uninformative spectral initialization falls back to a
-    seeded random start.  When ``truth`` is supplied the result records the
-    quotient distance to it as ``neighborhood_radius``.
+    seeded random start.  Either start is rescaled along its ray to the
+    loss's minimum there (``_radial_scale``); an explicit warm start is used
+    as given.  When ``truth`` is supplied the
+    result records the quotient distance to it as ``neighborhood_radius``.
     """
     config = FitConfig() if config is None else config
     config.validate()
@@ -192,6 +250,9 @@ def fit(dataset, loss, config=None, truth=None):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, 0xFA11)))
             base = rng.standard_normal((d, dataset.k))
+        tau = _radial_scale(dataset, loss, base)
+        if tau is not None:
+            base = base * np.sqrt(tau)
     else:
         base = np.asarray(config.init, dtype=float)
         if base.shape[0] != d:

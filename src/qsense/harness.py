@@ -603,7 +603,7 @@ def default_threads():
     env = os.environ.get("QSENSE_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ConfigurationError("QSENSE_THREADS must be an integer")
     return 1

@@ -39,24 +39,34 @@ def reconstruct(coords, basis):
                      basis.elements)
 
 
-def _restricted_terms(dataset, theta, E, loss, z=None):
+def _derivative_pass(dataset, z, loss):
+    """(d1, d2, Sbar) at the predictions z, with Sbar = pair_adjoint(X, d1) / n.
+
+    Sbar theta is the Euclidean gradient at the factor theta behind z, and
+    ``_restricted_terms`` builds the restricted gradient and curvature from
+    the same three, so one pass serves both.
+    """
+    d1, d2 = loss.d1_d2(z, dataset.y)
+    return d1, d2, pair_adjoint(dataset.X, d1) / dataset.n
+
+
+def _restricted_terms(dataset, theta, E, loss, terms=None):
     """Restricted gradient and curvature at theta along a (m, d, k) stack E.
 
-    With A = pair_coordinates(X, theta, E) and the loss derivatives d1, d2
-    at the predictions z (computed when not supplied), returns
-    g = A^T d1 / n and H = A^T diag(d2) A / n + <E, Sbar E>, where
-    Sbar = pair_adjoint(X, d1) / n.  In an orthonormal horizontal basis g
-    represents the gradient and H the curvature.
+    With A = pair_coordinates(X, theta, E) and ``terms`` = (d1, d2, Sbar)
+    from ``_derivative_pass`` at theta (computed when not supplied), returns
+    g = A^T d1 / n and H = A^T diag(d2) A / n + <E, Sbar E>.  In an
+    orthonormal horizontal basis g represents the gradient and H the
+    curvature.
     """
     theta = np.asarray(theta, dtype=float)
-    X, y, n = dataset.X, dataset.y, dataset.n
-    if z is None:
-        z = predictions(dataset, theta)
-    d1 = loss.d1(z, y)
-    A = pair_coordinates(X, theta, E)
+    if terms is None:
+        terms = _derivative_pass(dataset, predictions(dataset, theta), loss)
+    d1, d2, Sbar = terms
+    n = dataset.n
+    A = pair_coordinates(dataset.X, theta, E)
     m = E.shape[0]
-    Sbar = pair_adjoint(X, d1) / n
-    H = ((A * loss.d2(z, y)[:, None]).T @ A / n
+    H = ((A * d2[:, None]).T @ A / n
          + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
     return A.T @ d1 / n, 0.5 * (H + H.T)
 

@@ -30,9 +30,10 @@ class LossModel:
     """Scalar loss ell(z, y) with analytic derivatives in z.
 
     Subclasses implement ``value``, ``d1``, ``d2``, ``d3`` (all vectorized
-    over z and y).  ell'' must not depend on y: it is then its own
-    conditional mean given z, which is how the population curvature reads
-    it, with no target at hand.
+    over z and y), and may override ``d1_d2`` to share work between the
+    first two.  ell'' must not depend on y: it is then its own conditional
+    mean given z, which is how the population curvature reads it, with no
+    target at hand.
     """
 
     def value(self, z, y):
@@ -46,6 +47,10 @@ class LossModel:
 
     def d3(self, z, y):
         raise NotImplementedError
+
+    def d1_d2(self, z, y):
+        """(d1(z, y), d2(z, y)) in one call."""
+        return self.d1(z, y), self.d2(z, y)
 
     def validate_targets(self, y):
         """Raise ValueError if the targets are outside the loss's domain."""
@@ -98,6 +103,10 @@ class Logistic(LossModel):
     def d2(self, z, y):
         s = expit(z)
         return s * (1.0 - s)
+
+    def d1_d2(self, z, y):
+        s = expit(z)
+        return s - y, s * (1.0 - s)
 
     def d3(self, z, y):
         s = expit(z)
@@ -336,8 +345,7 @@ def hessian_operator(dataset, theta, Z, loss):
     if Z.shape != theta.shape:
         raise ValueError("Z must match the factor shape")
     z = predictions(dataset, theta)
-    d1 = loss.d1(z, dataset.y)
-    d2 = loss.d2(z, dataset.y)
+    d1, d2 = loss.d1_d2(z, dataset.y)
     X = dataset.X
     aZ = design_forward(X, _pair(theta, Z))
     return (pair_adjoint(X, d2 * aZ) @ theta

@@ -3,8 +3,9 @@ import pytest
 
 import qsense as q
 from qsense.errors import DivergenceError, InitializationError
+from qsense.estimator import _radial_scale
 from qsense.harness import ExperimentConfig, make_truth
-from qsense.model import Dataset
+from qsense.model import Dataset, design_forward
 
 from helpers import random_orthogonal, random_theta
 
@@ -182,12 +183,80 @@ def test_fit_from_rank_deficient_warm_start_falls_back_to_gradient():
     res = q.fit(data, q.GaussianNLL(0.5), q.FitConfig(init=init, max_iters=200))
     assert isinstance(res, q.FitResult)
     assert res.final_loss < res.loss_trace[0]
+    assert 1 <= res.gradient_steps <= res.iterations
 
 
 def test_fit_config_validation():
     for bad in (dict(grad_tol=0.0), dict(max_iters=0), dict(restarts=-1)):
         with pytest.raises(ValueError):
             q.FitConfig(**bad).validate()
+
+
+# ---------------------------------------------------------------------------
+# radial start
+# ---------------------------------------------------------------------------
+
+def test_radial_scale_is_the_least_squares_ratio_for_gaussian_loss():
+    rng = np.random.default_rng(14)
+    theta = random_theta(rng, 5, 2)
+    dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
+                                  noise="gaussian", sigma=0.4, seed=16)
+    data = q.simulate(dgp, 300)
+    start = 3.0 * q.spectral_init(data, 2, q.GaussianNLL(0.4))
+    z0 = design_forward(data.X, start @ start.T)
+    tau = _radial_scale(data, q.GaussianNLL(0.4), start)
+    assert tau == pytest.approx(z0 @ data.y / (z0 @ z0), rel=1e-12, abs=0)
+
+
+def test_radial_scale_zeroes_the_ray_derivative_for_logistic_loss():
+    rng = np.random.default_rng(15)
+    theta = random_theta(rng, 4, 2)
+    dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
+                                  noise="bernoulli", seed=17)
+    data = q.simulate(dgp, 3000)
+    loss = q.Logistic()
+    start = q.spectral_init(data, 2, loss)
+    z0 = design_forward(data.X, start @ start.T)
+    tau = _radial_scale(data, loss, start)
+    d1 = loss.d1(tau * z0, data.y)
+    assert abs(np.mean(d1 * z0)) <= 1e-9 * np.mean(np.abs(d1 * z0))
+    # the response-weighted mean shrinks the logistic factor's scale
+    assert tau > 2.0
+
+
+def test_separable_ray_keeps_the_start_and_fit_runs():
+    # PSD designs and all-ones targets: the loss falls without bound
+    # along the ray, so there is no scale to solve for
+    V = np.random.default_rng(16).standard_normal((40, 3))
+    data = Dataset(X=np.einsum("ni,nj->nij", V, V), y=np.ones(40), k=1)
+    loss = q.Logistic()
+    start = q.spectral_init(data, 1, loss)
+    assert np.all(design_forward(data.X, start @ start.T) > 0.0)
+    assert _radial_scale(data, loss, start) is None
+    res = q.fit(data, loss, q.FitConfig(max_iters=50))
+    assert np.all(np.isfinite(res.theta0))
+    assert res.final_loss < res.loss_trace[0]
+
+
+@pytest.mark.parametrize("n, seed, r", [
+    (16000, 2024, 0),  # criterion 5, logistic
+    (2000, 11, 31),    # the saddle replicate above
+])
+def test_radial_and_raw_spectral_starts_reach_the_same_minimizer(n, seed, r):
+    # the unscaled start crosses indefinite curvature on the way
+    cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=n, replications=1,
+                           seed=seed)
+    data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, r), cfg.n)
+    loss = cfg.make_loss()
+    fit_cfg = cfg.fit_config(cfg.seed * 1_000_003 + r)
+    radial = q.fit(data, loss, fit_cfg)
+    fit_cfg.init = q.spectral_init(data, cfg.k, loss)
+    raw = q.fit(data, loss, fit_cfg)
+    assert radial.converged and raw.converged
+    assert radial.iterations < raw.iterations
+    assert raw.gradient_steps >= 1
+    M = radial.theta0 @ radial.theta0.T
+    assert np.linalg.norm(raw.theta0 @ raw.theta0.T - M) <= 1e-5 * np.linalg.norm(M)
 
 
 # ---------------------------------------------------------------------------

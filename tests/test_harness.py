@@ -385,6 +385,42 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     assert _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
 
 
+@pytest.mark.parametrize("flag, env", [("0", None), ("-4", None),
+                                       (None, "0")])
+def test_cli_rejects_nonpositive_worker_counts_in_one_line(
+        tmp_path, capsys, monkeypatch, flag, env):
+    def no_experiment(config):
+        raise AssertionError("the experiment ran")
+    monkeypatch.setattr("qsense.harness.normality_experiment", no_experiment)
+    monkeypatch.delenv("QSENSE_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("QSENSE_THREADS", env)
+    cfg = _write_config(str(tmp_path), {"d": 2, "k": 1, "n": 60,
+                                        "replications": 3})
+    argv = ["verify-normality", "--config", cfg, "--out-dir", str(tmp_path)]
+    rc = cli_main(argv + ([] if flag is None else ["--threads", flag]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "threads must be >= 1" in err
+
+
+def test_cli_fit_rejects_config_of_another_shape(tmp_path, capsys):
+    sim = _write_config(str(tmp_path), {"d": 3, "k": 1, "n": 40, "seed": 1},
+                        name="sim.json")
+    assert cli_main(["simulate", "--config", sim,
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    other = _write_config(str(tmp_path), {"d": 2, "k": 2})
+    rc = cli_main(["fit", "--config", other, "--dataset",
+                   os.path.join(str(tmp_path), "dataset.json"),
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert "d=2, k=2" in err and "d=3, k=1" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "fit.json"))
+
+
 def test_cli_rate_sweep_outputs(tmp_path):
     cfg = _write_config(str(tmp_path), {
         "d": 3, "k": 1, "n_grid": [64, 128, 256, 512, 1024],

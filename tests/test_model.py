@@ -86,6 +86,16 @@ def test_logistic_curvature_bounded():
     assert np.all(d2 <= 0.25 + 1e-15)
 
 
+@pytest.mark.parametrize("loss", [q.GaussianNLL(0.7), q.Logistic()])
+def test_d1_d2_is_exactly_d1_and_d2(loss):
+    # |z| = 800 saturates expit to exactly 0 and 1
+    z = np.array([-800.0, -37.5, -1.0, 0.0, 0.3, 2.5, 40.0, 800.0])
+    for y in (np.zeros_like(z), np.ones_like(z)):
+        d1, d2 = loss.d1_d2(z, y)
+        assert np.array_equal(d1, loss.d1(z, y))
+        assert np.array_equal(d2, loss.d2(z, y))
+
+
 # ---------------------------------------------------------------------------
 # empirical loss
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from .errors import (CapabilityError, ConfigurationError, DegenerateFactorError,
 from .model import (DataGeneratingProcess, Dataset, GaussianNLL, Logistic,
                     LossModel, ProblemConstants, empirical_loss, evaluate_loss,
                     euclidean_gradient, hessian_bilinear, hessian_operator,
-                    population_hessian_bilinear, predict, simulate,
-                    third_derivative)
-from .geometry import (AlignmentResult, HorizontalBasis, SkewBasis, align,
+                    population_curvature, predict, simulate, third_derivative)
+from .geometry import (AlignmentResult, HorizontalBasis, align,
                        horizontal_basis, horizontal_project, horizontal_dim,
                        injectivity_radius, log_map, quotient_distance,
                        rotate_basis, skew_basis, vertical_project)
@@ -25,8 +24,7 @@ from .inference import (ConfidenceReport, CovarianceEstimate, InvarianceAudit,
 from .diagnostics import (AssumptionReport, EmpiricalAggregates,
                           TaylorResidualReport, TheoryCertificate,
                           assumption_report, hessian_lipschitz_probe,
-                          lambda_min_restricted, noise_aggregates,
-                          restricted_eigenvalue_estimate,
+                          noise_aggregates, restricted_eigenvalue_estimate,
                           taylor_residual_check, theory_constants)
 from .harness import (ExperimentConfig, NormalityReport, RateReport,
                       normality_experiment, rate_experiment, run_replications)

@@ -47,7 +47,6 @@ class EmpiricalAggregates(JsonFields):
     eps_bar: float
     eps1_bar: float
     eps2_bar: float
-    mbar_opnorm: float
     delta: float
     xbar_bound: float
     eps_bound: float
@@ -75,10 +74,11 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
     """Empirical noise aggregates at the truth plus their envelopes.
 
     eps_i is the loss score at the noiseless prediction; the aggregates are
-    the score-weighted design mean X-bar, the mean absolute values of the
-    first three loss derivatives, and the operator norm of the centered
-    curvature fluctuation.  Envelope constants come from ``constants`` when
-    given, otherwise from conservative plug-in estimates.
+    the score-weighted design mean X-bar and the mean absolute values of the
+    first three loss derivatives.  The centered curvature fluctuation M-bar
+    has only its envelope here: ell'' does not depend on y, so the
+    fluctuation itself is identically zero.  Envelope constants come from
+    ``constants`` when given, otherwise from conservative plug-in estimates.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     z = predictions(dataset, theta_star)
@@ -107,9 +107,6 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
         eps_bar=float(np.mean(np.abs(eps))),
         eps1_bar=float(np.mean(np.abs(eps1))),
         eps2_bar=float(np.mean(np.abs(eps2))),
-        # ell'' does not depend on y, so its fluctuation about the mean
-        # given z, which M-bar averages, is identically zero
-        mbar_opnorm=0.0,
         delta=delta,
         xbar_bound=xbar_envelope(d, k, sigma_eps, x_max, delta, n),
         eps_bound=eps_envelope(mu_max, sigma_eps, delta, n),
@@ -156,16 +153,6 @@ def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE51)))
         X = sample_design(design, rng, n_mc, d)
     return float(np.linalg.eigvalsh(design_moment(X))[0])
-
-
-def lambda_min_restricted(dataset, theta_star, basis, loss):
-    """Minimum eigenvalue of the empirical curvature in the horizontal basis.
-
-    Equals the minimum eigenvalue of the curvature seen by the quotient of
-    the factor space, where the rotation degeneracy has been projected out.
-    """
-    H = inference.restricted_hessian(dataset, theta_star, basis, loss)
-    return float(np.linalg.eigvalsh(H)[0])
 
 
 # ---------------------------------------------------------------------------

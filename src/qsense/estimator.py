@@ -56,22 +56,22 @@ _RADIAL_STEPS = 50
 class FitConfig:
     """Optimizer settings.
 
-    ``init`` is "spectral" or an explicit warm-start factor.  ``restarts``
-    adds that many extra runs from perturbed starts (seeded by ``seed``);
-    the lowest-loss run is kept.
+    ``init`` is "spectral" or an explicit warm-start factor.  The descent
+    stops once the gradient norm is at most ``grad_tol`` or after
+    ``max_iters`` steps.  ``seed`` seeds the random start that replaces an
+    uninformative spectral one.
     """
 
     init: object = "spectral"
     grad_tol: float = 1e-9
     max_iters: int = 100_000
-    restarts: int = 0
     seed: int = 0
 
     def validate(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1 or self.restarts < 0:
-            raise ValueError("max_iters must be >= 1 and restarts >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -82,7 +82,6 @@ class FitResult(JsonFields):
     gradient_steps: int
     loss_trace: np.ndarray
     converged: bool
-    neighborhood_radius: float | None = None
 
     @property
     def final_loss(self):
@@ -168,15 +167,46 @@ def _search_direction(dataset, loss, theta, G, terms):
     return np.tensordot(s, E, axes=1), -float(g @ s), False
 
 
-def _run_descent(dataset, loss, theta, config):
-    """Guarded Newton descent from one start.  Returns a FitResult."""
-    X, y = dataset.X, dataset.y
+def fit(dataset, loss, config=None):
+    """Minimize the empirical loss by one guarded Newton descent.
+
+    The rank comes from ``dataset.k`` unless ``config.init`` is an explicit
+    warm start, which is used as given.  Otherwise the start is the
+    spectral initializer, or a seeded random factor when the spectrum is
+    uninformative, rescaled along its ray to the loss's minimum there
+    (``_radial_scale``).  The quotient distance of the result to a known
+    truth is ``geometry.quotient_distance(result.theta0, truth)``.
+    """
+    config = FitConfig() if config is None else config
+    config.validate()
+    loss.validate_targets(dataset.y)
+    d = dataset.d
+
+    if isinstance(config.init, str):
+        if config.init != "spectral":
+            raise ValueError(f"unknown init {config.init!r}")
+        if dataset.k is None:
+            raise ValueError("dataset has no rank; supply a warm start")
+        try:
+            theta = spectral_init(dataset, dataset.k, loss)
+        except InitializationError:
+            # uninformative spectrum: fall back to a seeded random start
+            rng = np.random.default_rng(
+                np.random.SeedSequence((config.seed, 0xFA11)))
+            theta = rng.standard_normal((d, dataset.k))
+        tau = _radial_scale(dataset, loss, theta)
+        if tau is not None:
+            theta = theta * np.sqrt(tau)
+    else:
+        theta = np.asarray(config.init, dtype=float)
+        if theta.shape[0] != d:
+            raise ValueError("warm start does not match the data dimension")
 
     def loss_at(th):
         # non-finite values are handled by the divergence/backtracking logic
         with np.errstate(over="ignore", invalid="ignore"):
-            z = design_forward(X, th @ th.T)
-            return float(np.mean(loss.value(z, y))), z
+            z = design_forward(dataset.X, th @ th.T)
+            return float(np.mean(loss.value(z, dataset.y))), z
 
     f, z = loss_at(theta)
     if not np.isfinite(f):
@@ -221,58 +251,6 @@ def _run_descent(dataset, loss, theta, config):
     return FitResult(theta0=theta, grad_norm=float(grad_norm),
                      iterations=iterations, gradient_steps=gradient_steps,
                      loss_trace=np.array(trace), converged=converged)
-
-
-def fit(dataset, loss, config=None, truth=None):
-    """Minimize the empirical loss; keep the best of 1 + restarts runs.
-
-    The rank comes from ``dataset.k`` unless ``config.init`` is an explicit
-    warm start.  An uninformative spectral initialization falls back to a
-    seeded random start.  Either start is rescaled along its ray to the
-    loss's minimum there (``_radial_scale``); an explicit warm start is used
-    as given.  When ``truth`` is supplied the
-    result records the quotient distance to it as ``neighborhood_radius``.
-    """
-    config = FitConfig() if config is None else config
-    config.validate()
-    loss.validate_targets(dataset.y)
-    d = dataset.d
-
-    if isinstance(config.init, str):
-        if config.init != "spectral":
-            raise ValueError(f"unknown init {config.init!r}")
-        if dataset.k is None:
-            raise ValueError("dataset has no rank; supply a warm start")
-        try:
-            base = spectral_init(dataset, dataset.k, loss)
-        except InitializationError:
-            # uninformative spectrum: fall back to a seeded random start
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, 0xFA11)))
-            base = rng.standard_normal((d, dataset.k))
-        tau = _radial_scale(dataset, loss, base)
-        if tau is not None:
-            base = base * np.sqrt(tau)
-    else:
-        base = np.asarray(config.init, dtype=float)
-        if base.shape[0] != d:
-            raise ValueError("warm start does not match the data dimension")
-
-    starts = [base]
-    if config.restarts > 0:
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5EED)))
-        scale = max(np.linalg.norm(base) / np.sqrt(base.size), 1e-3)
-        for _ in range(config.restarts):
-            starts.append(base + 0.5 * scale * rng.standard_normal(base.shape))
-
-    best = None
-    for theta_init in starts:
-        result = _run_descent(dataset, loss, theta_init, config)
-        if best is None or result.final_loss < best.final_loss:
-            best = result
-    if truth is not None:
-        best.neighborhood_radius = geometry.quotient_distance(best.theta0, truth)
-    return best
 
 
 @dataclass

@@ -28,18 +28,6 @@ GS_DROP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class SkewBasis:
-    """Orthonormal basis of k x k skew-symmetric matrices, (m, k, k)."""
-
-    k: int
-    elements: np.ndarray
-
-    @property
-    def m(self):
-        return self.elements.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class HorizontalBasis(JsonFields):
     """Orthonormal basis of the horizontal space at ``anchor``.
 
@@ -73,7 +61,8 @@ def horizontal_dim(d, k):
 
 
 def skew_basis(k):
-    """Canonical orthonormal skew basis (E_ij - E_ji) / sqrt(2), i < j."""
+    """Canonical orthonormal skew basis (E_ij - E_ji) / sqrt(2), i < j, as an
+    (m, k, k) array, m = k (k - 1) / 2, in lexicographic order of (i, j)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     m = (k * (k - 1)) // 2
@@ -85,14 +74,16 @@ def skew_basis(k):
             elements[idx, i, j] = s
             elements[idx, j, i] = -s
             idx += 1
-    return SkewBasis(k=k, elements=elements)
+    return elements
 
 
 def _check_full_rank(theta):
     sv = np.linalg.svd(theta, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
+        # an all-zero factor has no ratio to report
+        ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         raise DegenerateFactorError(
-            f"factor is numerically rank deficient (sv ratio {sv[-1] / sv[0]:.2e})")
+            f"factor is numerically rank deficient (sv ratio {ratio:.2e})")
     return sv
 
 

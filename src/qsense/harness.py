@@ -84,10 +84,17 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
-        for key, least in (("replications", 1), ("threads", 1),
+        for key, least in (("replications", 1), ("threads", 1), ("seed", 0),
                            ("hstar_mc_factor", 1), ("n_mc", 2)):
             if getattr(self, key) < least:
                 raise ConfigurationError(f"{key} must be >= {least}")
+        if self.truth is None:
+            # the random truth's singular values run from sigma_max down to
+            # sigma_min, which k = 1 does not use
+            if not self.sigma_max > 0.0:
+                raise ConfigurationError("sigma_max must be > 0")
+            if self.k > 1 and not 0.0 < self.sigma_min <= self.sigma_max:
+                raise ConfigurationError("sigma_min must lie in (0, sigma_max]")
         return self
 
     @classmethod
@@ -336,7 +343,7 @@ def _with_debug_vertical(basis):
     if k < 2:
         raise ConfigurationError(
             "debug vertical direction needs k >= 2 (no rotation freedom)")
-    A = geometry.skew_basis(k).elements[0]
+    A = geometry.skew_basis(k)[0]
     vert = theta @ A
     vert = vert / np.linalg.norm(vert)
     elements = np.concatenate([basis.elements, vert[None]], axis=0)
@@ -361,7 +368,8 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     intervals = inference.wald_intervals(phi_star, hstar, n, config.alpha)
     return RunContext(config=config, n=n, stream_tag=stream_tag,
                       theta_star=theta_star, basis=basis, phi_star=phi_star,
-                      hstar=hstar, hstar_sqrt=inference.sqrtm_spd(hstar),
+                      hstar=hstar,
+                      hstar_sqrt=inference.asymptotic_covariance(hstar).root,
                       half_width=intervals.half_width,
                       hstar_source="closed-form" if exact else "monte-carlo")
 

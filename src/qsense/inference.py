@@ -90,12 +90,11 @@ def per_sample_scores(dataset, theta_star, basis, loss):
 
 
 def restricted_population_hessian(dgp, theta_star, basis, loss, n_mc=None):
-    """Population curvature in the basis coordinates.
+    """H*: ``population_curvature`` on the basis elements.
 
-    Exact (closed form or 1-D quadrature, see ``population_curvature``)
-    wherever ``has_closed_form`` holds; otherwise a Monte Carlo average of
-    ell''(z*) a a^T over n_mc fresh design draws.  Passing n_mc forces the
-    Monte Carlo route even when the exact form exists.
+    Exact wherever ``has_closed_form`` holds, otherwise (or when n_mc is
+    passed) a Monte Carlo average over n_mc design draws.  Its inverse and
+    root come from ``asymptotic_covariance``.
     """
     return population_curvature(dgp, theta_star, basis.elements, loss, n_mc)
 
@@ -144,19 +143,22 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
 @dataclass
 class CovarianceEstimate:
     inverse_hessian: np.ndarray
+    root: np.ndarray
     condition_number: float
     residual: float
     sandwich: np.ndarray | None = None
 
 
 def asymptotic_covariance(hstar, scores=None):
-    """Invert the restricted curvature; optionally add a sandwich estimate.
+    """Inverse and symmetric square root of H from one eigendecomposition.
 
-    Raises DegenerateHessianError when the smallest eigenvalue is at or
-    below the floor, which is what happens if a loss-invariant (vertical)
-    direction leaks into the basis.  ``scores`` is an optional (n, d')
-    matrix of per-sample score representations for the sandwich
-    Hinv Cov(score) Hinv (useful under misspecification).
+    The inverse is the asymptotic covariance of sqrt(n) times the
+    coordinate error, and the root whitens that error.  Raises
+    DegenerateHessianError when the smallest eigenvalue is at or below the
+    floor, which is what happens if a loss-invariant (vertical) direction
+    leaks into the basis.  ``scores`` is an optional (n, d') matrix of
+    per-sample score representations for the sandwich Hinv Cov(score) Hinv
+    (useful under misspecification).
     """
     hstar = np.asarray(hstar, dtype=float)
     lam, V = np.linalg.eigh(0.5 * (hstar + hstar.T))
@@ -174,24 +176,15 @@ def asymptotic_covariance(hstar, scores=None):
         cov = centered.T @ centered / scores.shape[0]
         sandwich = inv @ cov @ inv
     return CovarianceEstimate(inverse_hessian=inv,
+                              root=(V * np.sqrt(lam)[None, :]) @ V.T,
                               condition_number=float(lam[-1] / lam[0]),
                               residual=residual,
                               sandwich=sandwich)
 
 
-def sqrtm_spd(H):
-    """Symmetric square root of an SPD matrix via eigendecomposition."""
-    H = np.asarray(H, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (H + H.T))
-    if lam[0] <= EIG_FLOOR:
-        raise DegenerateHessianError(
-            f"matrix is not positive definite (min eigenvalue {lam[0]:.3e})")
-    return (V * np.sqrt(lam)[None, :]) @ V.T
-
-
 def standardize(phi0, phi_star, hstar, n):
     """Whitened coordinate error sqrt(n) H^(1/2) (phi0 - phi_star)."""
-    root = sqrtm_spd(hstar)
+    root = asymptotic_covariance(hstar).root
     diff = np.asarray(phi0, dtype=float) - np.asarray(phi_star, dtype=float)
     return np.sqrt(n) * (root @ diff)
 

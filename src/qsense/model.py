@@ -556,17 +556,3 @@ def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
     H = 0.5 * (H + H.T)
     return (H, se) if return_se else H
 
-
-def population_hessian_bilinear(dgp, theta_star, Z, W, loss,
-                                n_mc=None, return_se=False):
-    """Population curvature form E[ell''(z*, y) a(Z) a(W)] at the truth.
-
-    The (Z, W) entry of ``population_curvature``: exact where
-    ``has_closed_form`` holds, otherwise a Monte Carlo estimate over
-    ``n_mc`` design draws.
-    """
-    out = population_curvature(dgp, theta_star, np.stack([Z, W]), loss,
-                               n_mc=n_mc, return_se=return_se)
-    if return_se:
-        return float(out[0][0, 1]), float(out[1][0, 1])
-    return float(out[0, 1])

@@ -94,7 +94,7 @@ def test_criterion_2_geometry_suite():
     for _ in range(10):
         theta = random_theta(rng, 5, 3)
         Z = rng.standard_normal((5, 3))
-        span = np.array([theta @ A for A in q.skew_basis(3).elements])
+        span = np.array([theta @ A for A in q.skew_basis(3)])
         flat = span.reshape(span.shape[0], -1)
         coef = np.linalg.solve(flat @ flat.T, flat @ Z.ravel())
         oracle = np.einsum("m,mij->ij", coef, span)
@@ -166,10 +166,10 @@ def test_criterion_4_degeneracy_and_restriction():
     dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
                                   noise="gaussian", sigma=1.0, seed=0)
     vertical_worst = 0.0
-    for A in q.skew_basis(3).elements:
+    for A in q.skew_basis(3):
         Z = theta @ A
-        vertical_worst = max(vertical_worst, abs(
-            q.population_hessian_bilinear(dgp, theta, Z, Z, loss)))
+        vertical_worst = max(vertical_worst, abs(q.population_curvature(
+            dgp, theta, np.stack([Z, Z]), loss)[0, 1]))
     basis = q.horizontal_basis(theta)
     H = q.restricted_population_hessian(dgp, theta, basis, loss)
     lam_min = float(np.linalg.eigvalsh(H)[0])

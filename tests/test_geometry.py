@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,22 +17,22 @@ from helpers import random_orthogonal, random_theta
 # ---------------------------------------------------------------------------
 
 def test_skew_basis_trivial_for_k1():
-    assert q.skew_basis(1).elements.shape == (0, 1, 1)
+    assert q.skew_basis(1).shape == (0, 1, 1)
 
 
 def test_skew_basis_k2():
     B = q.skew_basis(2)
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(B.elements[0], np.array([[0.0, s], [-s, 0.0]]))
+    assert np.allclose(B[0], np.array([[0.0, s], [-s, 0.0]]))
 
 
 def test_skew_basis_k4_orthonormal():
     B = q.skew_basis(4)
-    assert B.m == 6
-    flat = B.elements.reshape(6, -1)
+    assert B.shape[0] == 6
+    flat = B.reshape(6, -1)
     gram = flat @ flat.T
     assert np.allclose(gram, np.eye(6), atol=1e-12)
-    for A in B.elements:
+    for A in B:
         assert np.max(np.abs(A + A.T)) < 1e-14
 
 
@@ -53,7 +55,7 @@ def test_vertical_projection_trivial_for_k1():
 def test_vertical_projection_fixes_its_range():
     rng = np.random.default_rng(1)
     theta = random_theta(rng, 5, 3)
-    A0 = np.einsum("m,mij->ij", rng.standard_normal(3), q.skew_basis(3).elements)
+    A0 = np.einsum("m,mij->ij", rng.standard_normal(3), q.skew_basis(3))
     Z = theta @ A0
     assert np.linalg.norm(q.vertical_project(theta, Z) - Z) < 1e-10
 
@@ -63,7 +65,7 @@ def test_vertical_projection_matches_least_squares_oracle():
     rng = np.random.default_rng(2)
     theta = random_theta(rng, 5, 3)
     Z = rng.standard_normal((5, 3))
-    span = np.array([theta @ A for A in q.skew_basis(3).elements])
+    span = np.array([theta @ A for A in q.skew_basis(3)])
     flat = span.reshape(span.shape[0], -1)
     G = flat @ flat.T
     b = flat @ Z.ravel()
@@ -80,6 +82,15 @@ def test_vertical_projection_rejects_rank_deficiency():
         q.vertical_project(theta, np.ones((4, 2)))
 
 
+def test_zero_factor_is_rank_deficient_without_warnings():
+    # an all-zero factor has no singular-value ratio to divide out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFactorError) as err:
+            q.horizontal_basis(np.zeros((3, 2)))
+    assert "nan" not in str(err.value)
+
+
 def test_horizontal_projection_identity_for_k1():
     rng = np.random.default_rng(3)
     theta = random_theta(rng, 3, 1)
@@ -90,7 +101,7 @@ def test_horizontal_projection_identity_for_k1():
 def test_horizontal_projection_kills_verticals():
     rng = np.random.default_rng(4)
     theta = random_theta(rng, 4, 2)
-    Z = theta @ q.skew_basis(2).elements[0]
+    Z = theta @ q.skew_basis(2)[0]
     assert np.linalg.norm(q.horizontal_project(theta, Z)) < 1e-10
 
 
@@ -99,7 +110,7 @@ def test_horizontal_projection_orthogonal_to_vertical_span():
     theta = random_theta(rng, 5, 3)
     Z = rng.standard_normal((5, 3))
     P = q.horizontal_project(theta, Z)
-    for A in q.skew_basis(3).elements:
+    for A in q.skew_basis(3):
         assert abs(float(np.sum(P * (theta @ A)))) < 1e-10
 
 
@@ -142,7 +153,7 @@ def test_vertical_span_dimension():
     rng = np.random.default_rng(9)
     d, k = 6, 3
     theta = random_theta(rng, d, k)
-    span = np.array([theta @ A for A in q.skew_basis(k).elements])
+    span = np.array([theta @ A for A in q.skew_basis(k)])
     rank = np.linalg.matrix_rank(span.reshape(span.shape[0], -1))
     assert rank == k * (k - 1) // 2
     assert q.horizontal_dim(d, k) + k * (k - 1) // 2 == d * k

@@ -530,6 +530,49 @@ def test_cli_rejects_degenerate_budgets_in_one_line(tmp_path, capsys, command,
     assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
 
 
+@pytest.mark.parametrize("spectrum, named", [
+    ({"k": 2, "sigma_min": 0}, "sigma_min"),
+    ({"k": 2, "sigma_min": -0.5}, "sigma_min"),
+    ({"k": 2, "sigma_min": 1.5, "sigma_max": 1.2}, "sigma_min"),
+    ({"k": 2, "sigma_max": 0}, "sigma_max"),
+    ({"k": 1, "sigma_max": 0}, "sigma_max"),
+    ({"k": 1, "sigma_max": -1.0}, "sigma_max"),
+], ids=["zero-min", "negative-min", "min-above-max", "zero-max",
+        "k1-zero-max", "k1-negative-max"])
+def test_cli_rejects_bad_truth_spectrum_in_one_line(tmp_path, capsys,
+                                                    spectrum, named):
+    cfg = _write_config(str(tmp_path), {"d": 3, "n": 20, **spectrum})
+    rc = cli_main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and named in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "dataset.json"))
+
+
+@pytest.mark.parametrize("spectrum", [
+    # k = 1 reads only sigma_max, and an explicit truth reads neither
+    {"k": 1, "sigma_min": 0},
+    {"k": 1, "sigma_min": 1.5, "sigma_max": 1.2},
+    {"k": 2, "sigma_min": 0, "sigma_max": 0,
+     "truth": [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]},
+], ids=["k1-zero-min", "k1-min-above-max", "explicit-truth"])
+def test_cli_accepts_unused_spectrum_keys(tmp_path, spectrum):
+    cfg = _write_config(str(tmp_path), {"d": 3, "n": 20, **spectrum})
+    assert cli_main(["simulate", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("key, flag", [(-1, None), (3, "-1")],
+                         ids=["config-key", "flag"])
+def test_cli_rejects_negative_seed_in_one_line(tmp_path, capsys, key, flag):
+    cfg = _write_config(str(tmp_path), {"d": 3, "k": 1, "n": 20, "seed": key})
+    argv = ["simulate", "--config", cfg, "--out-dir", str(tmp_path)]
+    rc = cli_main(argv + ([] if flag is None else ["--seed", flag]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "qsense: error: seed must be >= 0\n"
+
+
 def test_cli_rejects_removed_config_keys_in_one_line(tmp_path, capsys):
     cfg = _write_config(str(tmp_path), {
         "d": 3, "k": 1, "n": 50, "replications": 2, "restarts": 0,
@@ -635,6 +678,21 @@ def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "worker" in err
+
+
+@pytest.mark.parametrize("loss", ["gaussian", "logistic"])
+def test_cached_whitening_matches_wald_intervals(loss):
+    # each replicate whitens with the context's cached root and half-widths;
+    # both must reproduce the public interval computation bit for bit
+    cfg = ExperimentConfig(d=6, k=2, loss=loss, n=2000, replications=10,
+                           seed=2024)
+    records, ctx = run_replications(cfg)
+    for rec in records:
+        assert not rec.diverged
+        ref = q.wald_intervals(rec.phi0, ctx.hstar, ctx.n, cfg.alpha,
+                               phi_star=ctx.phi_star)
+        assert np.array_equal(rec.z, ref.standardized)
+        assert np.array_equal(rec.ci_hits, ref.covers)
 
 
 def test_large_n_reports_identical_across_thread_counts():

@@ -317,16 +317,18 @@ def _dgp(theta, seed=0, design="gaussian", noise="gaussian", sigma=1.0):
 def test_population_hessian_annihilates_verticals():
     rng = np.random.default_rng(17)
     theta = random_theta(rng, 4, 2)
-    A = q.skew_basis(2).elements[0]
+    A = q.skew_basis(2)[0]
     Z = theta @ A
-    val = q.population_hessian_bilinear(_dgp(theta), theta, Z, Z, q.GaussianNLL(1.0))
+    val = population_curvature(_dgp(theta), theta, np.stack([Z, Z]),
+                               q.GaussianNLL(1.0))[0, 1]
     assert abs(val) < 1e-10
 
 
 def test_population_hessian_explicit_value():
     theta = np.array([[1.0], [0.0]])
     Z = np.array([[0.0], [1.0]])
-    val = q.population_hessian_bilinear(_dgp(theta), theta, Z, Z, q.GaussianNLL(1.0))
+    val = population_curvature(_dgp(theta), theta, np.stack([Z, Z]),
+                               q.GaussianNLL(1.0))[0, 1]
     assert val == pytest.approx(2.0)
 
 
@@ -337,10 +339,10 @@ def test_population_hessian_monte_carlo_matches_closed_form():
     W = rng.standard_normal(theta.shape)
     loss = q.GaussianNLL(1.0)
     dgp = _dgp(theta, seed=42)
-    exact = q.population_hessian_bilinear(dgp, theta, Z, W, loss)
-    mc, se = q.population_hessian_bilinear(dgp, theta, Z, W, loss,
-                                           n_mc=200_000, return_se=True)
-    assert abs(mc - exact) <= 3.0 * se
+    exact = population_curvature(dgp, theta, np.stack([Z, W]), loss)
+    mc, se = population_curvature(dgp, theta, np.stack([Z, W]), loss,
+                                  n_mc=200_000, return_se=True)
+    assert abs(mc[0, 1] - exact[0, 1]) <= 3.0 * se[0, 1]
 
 
 def test_population_hessian_needs_budget_for_bounded_logistic():
@@ -350,7 +352,8 @@ def test_population_hessian_needs_budget_for_bounded_logistic():
     theta = random_theta(rng, 3, 1)
     dgp = _dgp(theta, design="bounded", noise="bernoulli")
     with pytest.raises(ConfigurationError):
-        q.population_hessian_bilinear(dgp, theta, theta, theta, q.Logistic())
+        population_curvature(dgp, theta, np.stack([theta, theta]),
+                             q.Logistic())
 
 
 @pytest.mark.parametrize("n_mc, return_se", [(0, False), (-3, False),
@@ -362,16 +365,16 @@ def test_population_hessian_rejects_tiny_budgets(n_mc, return_se):
     theta = random_theta(rng, 3, 1)
     dgp = _dgp(theta, design="bounded", noise="bernoulli")
     with pytest.raises(ValueError, match="n_mc must be >= "):
-        q.population_hessian_bilinear(dgp, theta, theta, theta, q.Logistic(),
-                                      n_mc=n_mc, return_se=return_se)
+        population_curvature(dgp, theta, np.stack([theta, theta]),
+                             q.Logistic(), n_mc=n_mc, return_se=return_se)
 
 
 def test_population_hessian_mean_from_one_draw():
     rng = np.random.default_rng(21)
     theta = random_theta(rng, 3, 1)
     dgp = _dgp(theta, design="bounded", noise="bernoulli")
-    val = q.population_hessian_bilinear(dgp, theta, theta, theta,
-                                        q.Logistic(), n_mc=1)
+    val = population_curvature(dgp, theta, np.stack([theta, theta]),
+                               q.Logistic(), n_mc=1)[0, 1]
     assert math.isfinite(val)
 
 
@@ -420,7 +423,8 @@ def test_gaussian_exact_population_curvature_is_closed_form(design):
 def test_population_hessian_vanishes_at_zero_truth(loss):
     theta = np.zeros((3, 2))
     Z = np.ones((3, 2))
-    assert q.population_hessian_bilinear(_dgp(theta), theta, Z, Z, loss) == 0.0
+    assert population_curvature(_dgp(theta), theta, np.stack([Z, Z]),
+                                loss)[0, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +500,7 @@ def test_gradient_has_no_vertical_component():
     rng = np.random.default_rng(24)
     data, theta, loss = random_instance(rng, 5, 3, 10)
     G = q.euclidean_gradient(data, theta, loss)
-    for A in q.skew_basis(3).elements:
+    for A in q.skew_basis(3):
         assert abs(float(np.sum(G * (theta @ A)))) < 1e-10
 
 
@@ -505,7 +509,7 @@ def test_gradient_vertical_degeneracy_at_noiseless_minimum():
     theta = random_theta(rng, 4, 2)
     data = q.simulate(_dgp(theta, sigma=0.0), 30)
     G = q.euclidean_gradient(data, theta, q.GaussianNLL(1.0))
-    for A in q.skew_basis(2).elements:
+    for A in q.skew_basis(2):
         assert abs(float(np.sum(G * (theta @ A)))) < 1e-12
 
 

@@ -20,7 +20,7 @@ from .inference import (ConfidenceReport, CovarianceEstimate, InvarianceAudit,
                         RestrictedRepresentation, asymptotic_covariance,
                         invariance_audit, represent, restricted_hessian,
                         restricted_population_hessian, restricted_representation,
-                        restricted_score, standardize, wald_intervals)
+                        restricted_score, wald_intervals)
 from .diagnostics import (AssumptionReport, EmpiricalAggregates,
                           TaylorResidualReport, TheoryCertificate,
                           assumption_report, hessian_lipschitz_probe,

@@ -64,13 +64,18 @@ def _experiment_config(args):
     return config.validate()
 
 
-def _emit(args, config, report_dict, name="report.json", **extra):
+def _write(args, name, text):
+    """Write ``text`` to ``name`` under --out-dir and print the path."""
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, name)
-    harness.dump_json(harness.report_envelope(config, report_dict, **extra),
-                      path)
+    with open(path, "w") as fh:
+        fh.write(text)
     print(path)
-    return path
+
+
+def _emit(args, config, report_dict, name="report.json"):
+    _write(args, name, harness.json_text(
+        harness.report_envelope(config, report_dict)))
 
 
 def _cmd_simulate(args):
@@ -79,11 +84,7 @@ def _cmd_simulate(args):
         raise ConfigurationError("simulate requires config.n")
     theta_star = harness.make_truth(config)
     data = simulate(config.make_dgp(theta_star, harness._RUN_TAG, 0), config.n)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "dataset.json")
-    with open(path, "w") as fh:
-        fh.write(data.to_json())
-    print(path)
+    _write(args, "dataset.json", data.to_json())
     return 0
 
 
@@ -104,24 +105,20 @@ def _cmd_fit(args):
 def _cmd_verify_normality(args):
     config = _experiment_config(args)
     report = harness.normality_experiment(config)
-    _emit(args, config, report.to_json_dict(), name="report.json")
-    z_path = os.path.join(args.out_dir, "z.csv")
+    _emit(args, config, report.to_json_dict())
     header = [f"z{j}" for j in range(report.z_matrix.shape[1])]
-    harness.write_matrix_csv(z_path, header, report.z_matrix)
-    print(z_path)
+    _write(args, "z.csv", harness.matrix_csv(header, report.z_matrix))
     return 0
 
 
 def _cmd_rate_sweep(args):
     config = _experiment_config(args)
     report = harness.rate_experiment(config)
-    _emit(args, config, report.to_json_dict(), name="report.json")
+    _emit(args, config, report.to_json_dict())
     table = np.column_stack([report.n_grid, report.medians, report.q25,
                              report.q75, report.bound_values])
-    csv_path = os.path.join(args.out_dir, "rate.csv")
-    harness.write_matrix_csv(csv_path, ["n", "median", "q25", "q75", "bound"],
-                             table)
-    print(csv_path)
+    _write(args, "rate.csv",
+           harness.matrix_csv(["n", "median", "q25", "q75", "bound"], table))
     return 0
 
 
@@ -131,7 +128,7 @@ def _cmd_check_assumptions(args):
     report = diagnostics.assumption_report(config.make_dgp(theta_star, 0xA55),
                                            theta_star, config.make_loss(),
                                            config.n_mc)
-    _emit(args, config, report.to_json_dict(), name="report.json")
+    _emit(args, config, report.to_json_dict())
     return 0
 
 
@@ -151,11 +148,8 @@ def _cmd_certificate(args):
             raise ConfigurationError("certificate config key 'n' must be >= 1")
         report["rate_bound_at_n"] = cert.rate_bound(n)
         report["lambda_min_lower_bound_at_n"] = cert.lambda_min_lower_bound(n)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "certificate.json")
-    harness.dump_json({"version": harness.VERSION_STRING, "config": obj,
-                       "report": report}, path)
-    print(path)
+    _write(args, "certificate.json", harness.json_text(
+        {"version": harness.VERSION_STRING, "config": obj, "report": report}))
     return 0
 
 
@@ -177,8 +171,7 @@ def _cmd_invariance_audit(args):
             per_object[key] = max(per_object.get(key, 0.0), val)
     _emit(args, config, {"rotations": config.replications,
                          "max_discrepancy": worst,
-                         "per_object": per_object},
-          name="report.json")
+                         "per_object": per_object})
     return 0
 
 

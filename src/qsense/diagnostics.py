@@ -119,7 +119,7 @@ def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
 # Restricted design eigenvalue
 # ---------------------------------------------------------------------------
 
-def restricted_eigenvalue_estimate(design, d, k, n_mc=None, seed=0,
+def restricted_eigenvalue_estimate(design, d, n_mc=None, seed=0,
                                    population=False):
     """Minimum eigenvalue of the d^2 x d^2 second-moment form of the design.
 
@@ -234,25 +234,26 @@ class TaylorResidualReport(JsonFields):
     grad_at_estimate_norm: float
 
 
-def taylor_residual_check(dataset, theta_star, theta0, basis, loss,
-                          certificate_k=None):
+def taylor_residual_check(dataset, rep, loss, certificate_k=None):
     """First-order expansion residual of the represented gradient.
 
+    Reads the score, curvature and aligned chord of ``rep``, a
+    ``restricted_representation`` whose basis is anchored at the truth.
     ``lhs`` is the norm of score + curvature x coordinate-error at the
     truth; ``remainder`` additionally subtracts the represented gradient at
     the aligned estimate, so it measures the genuine quadratic remainder
-    even when theta0 is not a minimizer (at a minimizer the two coincide,
-    since the gradient vanishes there).  ``ratio`` is remainder / distance^2
-    and should stay below certificate K / 2.
+    even when the estimate is not a minimizer (at a minimizer the two
+    coincide, since the gradient vanishes there).  ``ratio`` is remainder /
+    distance^2 and should stay below certificate K / 2.  Raises
+    OutOfInjectivityError when the distance is not below the injectivity
+    radius, where the chord is no chart of the quotient.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    v = geometry.log_map(theta_star, theta0)  # raises beyond the radius
-    distance = float(np.linalg.norm(v))
-    g0, H0 = inference._restricted_terms(dataset, theta_star, basis.elements,
-                                         loss)
-    first_order = g0 + H0 @ inference.represent(v, basis)
+    theta_star, distance = rep.basis.anchor, rep.distance
+    geometry.check_within_radius(theta_star, distance)
+    first_order = rep.score + rep.hessian @ inference.represent(rep.chord,
+                                                                rep.basis)
     grad_at = inference.represent(
-        euclidean_gradient(dataset, theta_star + v, loss), basis)
+        euclidean_gradient(dataset, theta_star + rep.chord, loss), rep.basis)
     lhs = float(np.linalg.norm(first_order))
     remainder = float(np.linalg.norm(grad_at - first_order))
     # below float resolution the squared distance is pure rounding noise

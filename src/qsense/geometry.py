@@ -200,6 +200,16 @@ def injectivity_radius(theta):
     return float(sv[-1])
 
 
+def check_within_radius(theta_star, distance):
+    """Raise OutOfInjectivityError unless ``distance`` is below the
+    injectivity radius at theta_star, where the aligned chord is a chart."""
+    radius = injectivity_radius(theta_star)
+    if distance >= radius:
+        raise OutOfInjectivityError(
+            f"distance {distance:.6g} is not below the injectivity "
+            f"radius {radius:.6g}")
+
+
 def log_map(theta_star, theta0):
     """Aligned chord theta0 U - theta_star, with U aligning theta0 to theta_star.
 
@@ -210,9 +220,5 @@ def log_map(theta_star, theta0):
     """
     theta_star = np.asarray(theta_star, dtype=float)
     res = align(theta0, theta_star)
-    radius = injectivity_radius(theta_star)
-    if res.distance >= radius:
-        raise OutOfInjectivityError(
-            f"distance {res.distance:.6g} is not below the injectivity "
-            f"radius {radius:.6g}")
+    check_within_radius(theta_star, res.distance)
     return res.aligned - theta_star

@@ -270,10 +270,8 @@ class RunContext:
     stream_tag: int
     theta_star: np.ndarray
     basis: geometry.HorizontalBasis
-    phi_star: np.ndarray
     hstar: np.ndarray
-    hstar_sqrt: np.ndarray
-    half_width: np.ndarray
+    covariance: inference.CovarianceEstimate
     hstar_source: str
 
 
@@ -304,24 +302,24 @@ def _replicate(ctx, r):
                   ctx.config.fit_config(ctx.config.seed * 1_000_003 + r))
     except (DivergenceError, InitializationError) as exc:
         return ReplicationRecord(index=r, diverged=True, message=str(exc))
-    al = geometry.align(res.theta0, ctx.theta_star)
-    v = al.aligned - ctx.theta_star
-    phi0 = ctx.phi_star + inference.represent(v, ctx.basis)
-    diff = phi0 - ctx.phi_star
-    z = math.sqrt(ctx.n) * (ctx.hstar_sqrt @ diff)
-    hits = np.abs(diff) <= ctx.half_width
+    rep = inference.restricted_representation(data, ctx.theta_star,
+                                              res.theta0, ctx.basis, loss)
+    ci = inference.wald_intervals(rep.phi0, ctx.covariance, ctx.n,
+                                  ctx.config.alpha, phi_star=rep.phi_star)
     try:
-        taylor = diagnostics.taylor_residual_check(
-            data, ctx.theta_star, res.theta0, ctx.basis, loss)
+        taylor = diagnostics.taylor_residual_check(data, rep, loss)
         t_lhs, t_rem = taylor.lhs, taylor.remainder
         t_ratio = float("nan") if taylor.ratio is None else taylor.ratio
     except geometry.OutOfInjectivityError:
+        # beyond the radius the chord is no chart: z and coverage stand,
+        # the expansion does not
         t_lhs = t_rem = t_ratio = float("nan")
     return ReplicationRecord(
         index=r, converged=res.converged, iterations=res.iterations,
         grad_norm=res.grad_norm, final_loss=res.final_loss,
-        distance=al.distance, phi0=phi0, z=z, ci_hits=hits,
-        taylor_lhs=t_lhs, taylor_remainder=t_rem, taylor_ratio=t_ratio)
+        distance=rep.distance, phi0=rep.phi0, z=ci.standardized,
+        ci_hits=ci.covers, taylor_lhs=t_lhs, taylor_remainder=t_rem,
+        taylor_ratio=t_ratio)
 
 
 _WORKER_CTX = None
@@ -352,7 +350,7 @@ def _with_debug_vertical(basis):
 
 
 def build_context(config, n, stream_tag=_RUN_TAG):
-    """Shared per-experiment state: truth, basis, covariance, intervals."""
+    """Shared per-experiment state: truth, basis, H* and its covariance."""
     config.validate()
     theta_star = make_truth(config)
     basis = geometry.horizontal_basis(theta_star)
@@ -363,14 +361,11 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     hstar = inference.restricted_population_hessian(
         config.make_dgp(theta_star, _HSTAR_TAG), theta_star, basis, loss,
         n_mc=None if exact else config.hstar_mc_factor * n)
-    phi_star = inference.represent(theta_star, basis)
-    # raises DegenerateHessianError if a vertical direction leaked in
-    intervals = inference.wald_intervals(phi_star, hstar, n, config.alpha)
     return RunContext(config=config, n=n, stream_tag=stream_tag,
-                      theta_star=theta_star, basis=basis, phi_star=phi_star,
-                      hstar=hstar,
-                      hstar_sqrt=inference.asymptotic_covariance(hstar).root,
-                      half_width=intervals.half_width,
+                      theta_star=theta_star, basis=basis, hstar=hstar,
+                      # raises DegenerateHessianError if a vertical
+                      # direction leaked in
+                      covariance=inference.asymptotic_covariance(hstar),
                       hstar_source="closed-form" if exact else "monte-carlo")
 
 
@@ -461,7 +456,6 @@ def run_replications(config, n=None, stream_tag=_RUN_TAG):
                 records = list(ex.map(_worker, range(R), chunksize=chunk))
         else:
             records = [_replicate(context, r) for r in range(R)]
-    records.sort(key=lambda rec: rec.index)
     n_div = sum(rec.diverged for rec in records)
     if n_div > 0.2 * R:
         raise HarnessAbort(
@@ -584,27 +578,21 @@ def rate_experiment(config):
 # Deterministic serialization helpers
 # ---------------------------------------------------------------------------
 
-def report_envelope(config, report_dict, **extra):
-    body = {"version": VERSION_STRING, "config": config.to_dict(),
+def report_envelope(config, report_dict):
+    return {"version": VERSION_STRING, "config": config.to_dict(),
             "report": report_dict}
-    body.update(extra)
-    return body
 
 
-def dump_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
+def json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_matrix_csv(path, header, matrix):
+def matrix_csv(header, matrix):
     """CSV with a header row and shortest-round-trip float formatting."""
     lines = [",".join(header)]
     for row in np.atleast_2d(matrix):
         lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def default_threads():

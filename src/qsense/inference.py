@@ -106,7 +106,8 @@ class RestrictedRepresentation(JsonFields):
     ``phi0`` represents the estimate after aligning it onto the basis anchor
     (equivalently: the anchor's coordinates plus the represented aligned
     chord), so it does not depend on which orbit representative the
-    optimizer happened to return.
+    optimizer happened to return.  ``chord`` is that aligned chord and
+    ``distance`` its norm, the quotient distance.
     """
 
     basis: object = field(repr=False)
@@ -114,6 +115,8 @@ class RestrictedRepresentation(JsonFields):
     phi0: np.ndarray
     score: np.ndarray
     hessian: np.ndarray
+    chord: np.ndarray = field(repr=False)
+    distance: float = field(repr=False)
 
     def to_json_dict(self):
         # the basis is identified by its tag and a digest of the anchor's
@@ -126,9 +129,18 @@ class RestrictedRepresentation(JsonFields):
 
 
 def restricted_representation(dataset, theta_star, theta0, basis, loss):
-    """Bundle phi*, phi0, the restricted score and curvature at the truth."""
+    """Bundle phi*, phi0, the restricted score and curvature at the truth.
+
+    ``basis`` must be anchored at theta_star.  theta0 is aligned onto
+    theta_star once; the representation is defined at any distance, but
+    the aligned chord is a chart of the quotient only below the injectivity
+    radius, which ``diagnostics.taylor_residual_check`` enforces.
+    """
     theta_star = np.asarray(theta_star, dtype=float)
-    chord = geometry.log_map(theta_star, theta0)
+    if not np.array_equal(basis.anchor, theta_star):
+        raise ValueError("basis must be anchored at theta_star")
+    al = geometry.align(theta0, theta_star)
+    chord = al.aligned - theta_star
     phi_star = represent(theta_star, basis)
     score, hessian = _restricted_terms(dataset, theta_star, basis.elements,
                                        loss)
@@ -137,7 +149,9 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
         phi_star=phi_star,
         phi0=phi_star + represent(chord, basis),
         score=score,
-        hessian=hessian)
+        hessian=hessian,
+        chord=chord,
+        distance=al.distance)
 
 
 @dataclass
@@ -182,13 +196,6 @@ def asymptotic_covariance(hstar, scores=None):
                               sandwich=sandwich)
 
 
-def standardize(phi0, phi_star, hstar, n):
-    """Whitened coordinate error sqrt(n) H^(1/2) (phi0 - phi_star)."""
-    root = asymptotic_covariance(hstar).root
-    diff = np.asarray(phi0, dtype=float) - np.asarray(phi_star, dtype=float)
-    return np.sqrt(n) * (root @ diff)
-
-
 @dataclass
 class ConfidenceReport(JsonFields):
     level: float
@@ -205,25 +212,26 @@ class ConfidenceReport(JsonFields):
                 if v is not None}
 
 
-def wald_intervals(phi0, hstar, n, alpha, phi_star=None):
+def wald_intervals(phi0, cov, n, alpha, phi_star=None):
     """Per-coordinate (1 - alpha) intervals phi0_i +/- z sqrt(Hinv_ii / n).
 
-    With ``phi_star`` supplied, also records the whitened error vector and
-    the per-coordinate coverage indicators.
+    ``cov`` is the ``asymptotic_covariance`` of H.  With ``phi_star``
+    supplied, also records the whitened error sqrt(n) H^(1/2) (phi0 -
+    phi_star) and the coverage indicators |phi0_i - phi_star_i| <= half
+    width.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     phi0 = np.asarray(phi0, dtype=float)
-    cov = asymptotic_covariance(hstar)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     half = z_crit * np.sqrt(np.diag(cov.inverse_hessian) / n)
     report = ConfidenceReport(level=1.0 - alpha, z_crit=z_crit,
                               lower=phi0 - half, upper=phi0 + half,
                               half_width=half)
     if phi_star is not None:
-        phi_star = np.asarray(phi_star, dtype=float)
-        report.standardized = standardize(phi0, phi_star, hstar, n)
-        report.covers = (report.lower <= phi_star) & (phi_star <= report.upper)
+        diff = phi0 - np.asarray(phi_star, dtype=float)
+        report.standardized = np.sqrt(n) * (cov.root @ diff)
+        report.covers = np.abs(diff) <= half
     return report
 
 

@@ -76,43 +76,43 @@ def test_eps_envelope_holds():
 # ---------------------------------------------------------------------------
 
 def test_restricted_eigenvalue_population_isotropic():
-    assert q.restricted_eigenvalue_estimate("gaussian", 4, 2,
+    assert q.restricted_eigenvalue_estimate("gaussian", 4,
                                             population=True) == 1.0
-    assert q.restricted_eigenvalue_estimate("bounded", 4, 2,
+    assert q.restricted_eigenvalue_estimate("bounded", 4,
                                             population=True) == 1.0
 
 
 def test_restricted_eigenvalue_population_symmetric_design_degenerate():
     # skew matrices are invisible to a symmetric design
-    val = q.restricted_eigenvalue_estimate("symmetric", 3, 1, population=True)
+    val = q.restricted_eigenvalue_estimate("symmetric", 3, population=True)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_restricted_eigenvalue_population_values_need_no_form():
     # with d = 1 there is no skew direction to hide
-    assert q.restricted_eigenvalue_estimate("symmetric", 1, 1,
+    assert q.restricted_eigenvalue_estimate("symmetric", 1,
                                             population=True) == 1.0
     # exact values materialize nothing, so the size guard does not apply
-    assert q.restricted_eigenvalue_estimate("symmetric", 13, 2,
+    assert q.restricted_eigenvalue_estimate("symmetric", 13,
                                             population=True) == 0.0
-    assert q.restricted_eigenvalue_estimate("gaussian", 13, 2,
+    assert q.restricted_eigenvalue_estimate("gaussian", 13,
                                             population=True) == 1.0
 
 
 def test_restricted_eigenvalue_single_matrix_is_rank_one():
     X = np.random.default_rng(6).standard_normal((3, 3))
-    assert q.restricted_eigenvalue_estimate(X, 3, 1) < 1e-12
+    assert q.restricted_eigenvalue_estimate(X, 3) < 1e-12
 
 
 def test_restricted_eigenvalue_monte_carlo_near_one():
-    val = q.restricted_eigenvalue_estimate("gaussian", 4, 2, n_mc=10_000,
+    val = q.restricted_eigenvalue_estimate("gaussian", 4, n_mc=10_000,
                                            seed=7)
     assert abs(val - 1.0) <= 0.1
 
 
 def test_restricted_eigenvalue_guard():
     with pytest.raises(CapabilityError):
-        q.restricted_eigenvalue_estimate("gaussian", 13, 2, n_mc=10)
+        q.restricted_eigenvalue_estimate("gaussian", 13, n_mc=10)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,9 @@ def test_taylor_lhs_is_score_norm_at_truth():
     data = q.simulate(_dgp(theta, seed=13, sigma=0.5), 300)
     loss = q.GaussianNLL(0.5)
     basis = q.horizontal_basis(theta)
-    rep = q.taylor_residual_check(data, theta, theta, basis, loss)
+    rep = q.taylor_residual_check(
+        data, q.restricted_representation(data, theta, theta, basis, loss),
+        loss)
     g0 = q.restricted_score(data, theta, basis, loss)
     assert rep.lhs == pytest.approx(float(np.linalg.norm(g0)), rel=1e-12)
     assert rep.distance == pytest.approx(0.0, abs=1e-12)
@@ -237,7 +239,9 @@ def test_taylor_residual_tiny_at_noiseless_minimizer():
     loss = q.GaussianNLL(1.0)
     res = q.fit(data, loss, q.FitConfig(grad_tol=1e-12, max_iters=50_000))
     basis = q.horizontal_basis(theta)
-    rep = q.taylor_residual_check(data, theta, res.theta0, basis, loss)
+    rep = q.taylor_residual_check(
+        data, q.restricted_representation(data, theta, res.theta0, basis,
+                                          loss), loss)
     assert rep.lhs <= 1e-8
 
 
@@ -252,7 +256,8 @@ def test_taylor_remainder_scales_quadratically():
     radii = 0.15 * q.injectivity_radius(theta) * 0.5 ** np.arange(6)
     dists, rems = [], []
     for r in radii:
-        rep = q.taylor_residual_check(data, theta, theta + r * W, basis, loss)
+        rep = q.taylor_residual_check(data, q.restricted_representation(
+            data, theta, theta + r * W, basis, loss), loss)
         dists.append(rep.distance)
         rems.append(rep.remainder)
     slope = np.polyfit(np.log(dists), np.log(rems), 1)[0]
@@ -272,8 +277,10 @@ def test_taylor_remainder_below_certificate():
     W = q.horizontal_project(theta, rng.standard_normal((4, 2)))
     W /= np.linalg.norm(W)
     for r in 0.1 * 0.5 ** np.arange(5):
-        rep = q.taylor_residual_check(data, theta, theta + r * W, basis, loss,
-                                      certificate_k=cert.K)
+        rep = q.taylor_residual_check(
+            data, q.restricted_representation(data, theta, theta + r * W,
+                                              basis, loss),
+            loss, certificate_k=cert.K)
         assert rep.remainder <= rep.certificate_rhs
         assert rep.ratio <= cert.K / 2.0
 
@@ -283,9 +290,11 @@ def test_taylor_check_rejects_far_points():
     theta = random_theta(rng, 3, 2)
     data = q.simulate(_dgp(theta, seed=21), 50)
     basis = q.horizontal_basis(theta)
+    loss = q.GaussianNLL(1.0)
+    rep = q.restricted_representation(data, theta, 10.0 * theta + 1.0, basis,
+                                      loss)
     with pytest.raises(OutOfInjectivityError):
-        q.taylor_residual_check(data, theta, 10.0 * theta + 1.0, basis,
-                                q.GaussianNLL(1.0))
+        q.taylor_residual_check(data, rep, loss)
 
 
 # ---------------------------------------------------------------------------

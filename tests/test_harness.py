@@ -689,10 +689,52 @@ def test_cached_whitening_matches_wald_intervals(loss):
     records, ctx = run_replications(cfg)
     for rec in records:
         assert not rec.diverged
-        ref = q.wald_intervals(rec.phi0, ctx.hstar, ctx.n, cfg.alpha,
-                               phi_star=ctx.phi_star)
+        ref = q.wald_intervals(rec.phi0, q.asymptotic_covariance(ctx.hstar),
+                               ctx.n, cfg.alpha,
+                               phi_star=q.represent(ctx.theta_star, ctx.basis))
         assert np.array_equal(rec.z, ref.standardized)
         assert np.array_equal(rec.ci_hits, ref.covers)
+
+
+def test_replicates_beyond_the_injectivity_radius_keep_z_and_coverage():
+    # at n = 20 and sigma = 3 most estimates land beyond the radius, where
+    # the aligned chord is no chart: their Taylor fields are NaN, while the
+    # whitened error and coverage are recorded and nothing counts as diverged
+    records, ctx = run_replications(_config(sigma=3.0, n=20, replications=60))
+    radius = q.injectivity_radius(ctx.theta_star)
+    far = [rec for rec in records if rec.distance >= radius]
+    near = [rec for rec in records if rec.distance < radius]
+    assert len(far) >= 30 and near
+    assert not any(rec.diverged for rec in records)
+    for rec in far:
+        assert np.all(np.isfinite(rec.z))
+        assert rec.ci_hits.dtype == bool and rec.ci_hits.shape == rec.z.shape
+        assert np.isnan([rec.taylor_lhs, rec.taylor_remainder,
+                         rec.taylor_ratio]).all()
+    for rec in near:
+        assert np.isfinite([rec.taylor_lhs, rec.taylor_remainder]).all()
+
+
+def test_serial_run_decomposes_hstar_once_and_aligns_once_per_replicate(
+        monkeypatch):
+    import qsense.geometry as geo
+    import qsense.inference as inf
+
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(inf, "asymptotic_covariance")
+    counting(geo, "align")
+    records, _ = run_replications(_config(replications=5))
+    assert calls.count("asymptotic_covariance") == 1
+    assert calls.count("align") == len(records) == 5
 
 
 def test_large_n_reports_identical_across_thread_counts():

@@ -113,7 +113,7 @@ def test_population_hessian_consistent_with_design_second_moments():
     basis = q.horizontal_basis(theta)
     d = 3
     form = np.eye(d * d) * q.restricted_eigenvalue_estimate(
-        "gaussian", d, 2, population=True)
+        "gaussian", d, population=True)
     H_alt = np.zeros((basis.m, basis.m))
     for i in range(basis.m):
         Ci = (theta @ basis.elements[i].T + basis.elements[i] @ theta.T).ravel()
@@ -247,8 +247,8 @@ def test_sandwich_corrects_scale_misspecification():
 
 
 def test_confidence_report_serializes():
-    report = q.wald_intervals(np.zeros(3), np.eye(3), 100, 0.05,
-                              phi_star=np.array([0.0, 0.1, 5.0]))
+    report = q.wald_intervals(np.zeros(3), q.asymptotic_covariance(np.eye(3)),
+                              100, 0.05, phi_star=np.array([0.0, 0.1, 5.0]))
     blob = report.to_json_dict()
     assert blob["level"] == 0.95
     assert len(blob["lower"]) == 3
@@ -260,13 +260,16 @@ def test_standardize_zero_difference():
     rng = np.random.default_rng(16)
     H = np.eye(4) * 3.0
     phi = rng.standard_normal(4)
-    assert np.allclose(q.standardize(phi, phi, H, 50), 0.0)
+    z = q.wald_intervals(phi, q.asymptotic_covariance(H), 50, 0.05,
+                         phi_star=phi).standardized
+    assert np.allclose(z, 0.0)
 
 
 def test_standardize_identity_curvature():
     phi0 = np.array([1.0, 2.0])
     phi_star = np.array([0.5, 1.5])
-    z = q.standardize(phi0, phi_star, np.eye(2), 4)
+    z = q.wald_intervals(phi0, q.asymptotic_covariance(np.eye(2)), 4, 0.05,
+                         phi_star=phi_star).standardized
     assert np.allclose(z, 2.0 * (phi0 - phi_star))
 
 
@@ -280,22 +283,25 @@ def test_covariance_root_squares_back():
 
 def test_wald_half_width_frozen_quantile():
     # alpha = 0.05, identity covariance, n = 100: half width = 1.95996.. / 10
-    report = q.wald_intervals(np.zeros(3), np.eye(3), 100, 0.05)
+    report = q.wald_intervals(np.zeros(3), q.asymptotic_covariance(np.eye(3)),
+                              100, 0.05)
     assert np.all(np.abs(report.half_width - 0.19600) < 1e-3)
     assert report.z_crit == pytest.approx(1.959964, abs=1e-6)
 
 
 def test_wald_half_width_shrinks_as_alpha_grows():
-    report = q.wald_intervals(np.zeros(2), np.eye(2), 100, 1.0 - 1e-12)
+    cov = q.asymptotic_covariance(np.eye(2))
+    report = q.wald_intervals(np.zeros(2), cov, 100, 1.0 - 1e-12)
     assert np.all(report.half_width < 1e-6)
     with pytest.raises(ValueError):
-        q.wald_intervals(np.zeros(2), np.eye(2), 100, 1.5)
+        q.wald_intervals(np.zeros(2), cov, 100, 1.5)
 
 
 def test_wald_coverage_indicator():
     phi0 = np.array([0.0, 1.0])
     phi_star = np.array([0.05, 3.0])
-    report = q.wald_intervals(phi0, np.eye(2), 100, 0.05, phi_star=phi_star)
+    report = q.wald_intervals(phi0, q.asymptotic_covariance(np.eye(2)), 100,
+                              0.05, phi_star=phi_star)
     assert report.covers.tolist() == [True, False]
     assert report.standardized is not None
 
@@ -328,7 +334,9 @@ def test_standardized_norm_is_basis_invariant():
         H = q.restricted_population_hessian(_dgp(theta), theta, basis, loss)
         phi0 = q.represent(theta0, basis)
         phi_star = q.represent(theta, basis)
-        norms.append(np.linalg.norm(q.standardize(phi0, phi_star, H, 400)))
+        z = q.wald_intervals(phi0, q.asymptotic_covariance(H), 400, 0.05,
+                             phi_star=phi_star).standardized
+        norms.append(np.linalg.norm(z))
     assert norms[0] == pytest.approx(norms[1], abs=1e-8)
 
 
@@ -356,6 +364,10 @@ def test_restricted_representation_bundle():
     assert len(blob["basis_anchor_hash"]) == 16
     assert blob["phi0"] == rep.phi0.tolist()
     assert "population_hessian" not in blob
+    assert "chord" not in blob and "distance" not in blob
+    assert rep.distance == pytest.approx(np.linalg.norm(rep.chord), rel=1e-12)
+    with pytest.raises(ValueError):
+        q.restricted_representation(data, 2.0 * theta, theta0, basis, loss)
 
 
 def test_restricted_representation_orbit_independent():

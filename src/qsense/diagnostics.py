@@ -237,8 +237,10 @@ class TaylorResidualReport(JsonFields):
 def taylor_residual_check(dataset, rep, loss, certificate_k=None):
     """First-order expansion residual of the represented gradient.
 
-    Reads the score, curvature and aligned chord of ``rep``, a
-    ``restricted_representation`` whose basis is anchored at the truth.
+    Reads the score and aligned chord of ``rep``, a
+    ``restricted_representation`` whose basis is anchored at the truth, and
+    applies its curvature to the chord's coordinates (``curvature_times``,
+    two passes over the design; the full curvature is never built).
     ``lhs`` is the norm of score + curvature x coordinate-error at the
     truth; ``remainder`` additionally subtracts the represented gradient at
     the aligned estimate, so it measures the genuine quadratic remainder
@@ -250,8 +252,8 @@ def taylor_residual_check(dataset, rep, loss, certificate_k=None):
     """
     theta_star, distance = rep.basis.anchor, rep.distance
     geometry.check_within_radius(theta_star, distance)
-    first_order = rep.score + rep.hessian @ inference.represent(rep.chord,
-                                                                rep.basis)
+    first_order = rep.score + rep.curvature_times(
+        inference.represent(rep.chord, rep.basis))
     grad_at = inference.represent(
         euclidean_gradient(dataset, theta_star + rep.chord, loss), rep.basis)
     lhs = float(np.linalg.norm(first_order))

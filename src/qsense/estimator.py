@@ -10,7 +10,7 @@ E[ell''(z*)] for losses other than the Gaussian.
 From there, guarded Newton iteration in horizontal coordinates.  At each
 iterate one derivative pass gives ell', ell'' and Sbar = pair_adjoint(X, ell')
 / n; Sbar theta is the gradient the stop rule reads, and the same three give
-the loss's gradient and curvature in an orthonormal basis of the horizontal
+the loss's gradient and curvature in an orthonormal basis E of the horizontal
 space of R^(d x k) / O(k), where the curvature is invertible at a
 nondegenerate minimizer.  The Newton step -H^(-1) g is taken back to a
 d x k direction.  Newton steps alone are drawn to saddle points as well as
@@ -19,6 +19,17 @@ Cholesky factorization succeeds); otherwise, or at a rank-deficient iterate
 with no horizontal basis, the direction is the negative gradient, and the
 result counts these steps.  Either direction is searched by Armijo
 backtracking from unit length.
+
+Building H takes a pass over the design with one column per basis direction,
+the most expensive step of an iterate, so E and the Cholesky factor of H are
+reused (the chord or Shamanskii variant of Newton's method; Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).
+A factor serves at most two accepted steps (_REUSE_STEPS); it is rebuilt
+sooner when the gradient norm fails to halve from one iterate to the next
+(_CONTRACTION), and after every negative-gradient step.  An iterate that
+reuses the factor reads only g_j = <Sbar theta, E_j> from its own derivative
+pass, and its step -H^(-1) g is still a descent direction, since H is
+positive definite.
 """
 
 from __future__ import annotations
@@ -40,6 +51,12 @@ from .model import design_forward, euclidean_gradient, pair_adjoint
 _SHRINK = 0.5
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-20
+
+# Chord reuse (module docstring): a curvature factor serves at most
+# _REUSE_STEPS accepted steps, and fewer once |G| fails to shrink by
+# _CONTRACTION in one step.
+_REUSE_STEPS = 2
+_CONTRACTION = 0.5
 
 # Eigenvalue floor for the spectral initializer.
 _EIG_FLOOR = 1e-12
@@ -148,21 +165,34 @@ def _radial_scale(dataset, loss, theta):
     return None
 
 
-def _search_direction(dataset, loss, theta, G, terms):
-    """Search direction D, its decrease rate -<G, D>, and whether D is -G.
+def _newton_factor(dataset, loss, theta, terms):
+    """(E, L): a horizontal basis at theta and the Cholesky factor of H there.
 
-    The Newton direction sum_j s_j E_j solves H s = -g in a horizontal
-    basis E at theta, with g and H built from the iterate's derivative pass
-    ``terms``.  It is used only when H is positive definite, so that it is
-    a descent direction; a saddle's indefinite H, or a rank-deficient theta
-    without a horizontal basis, gives the negative gradient instead.
+    H is the restricted curvature on E, built from the iterate's derivative
+    pass ``terms``.  None when H is not positive definite (a saddle's
+    indefinite curvature) or theta is rank deficient, with no horizontal
+    basis.
     """
     try:
         E = geometry.horizontal_basis(theta).elements
-        g, H = inference._restricted_terms(dataset, theta, E, loss, terms)
-        L = np.linalg.cholesky(H)
+        H = inference._restricted_terms(dataset, theta, E, loss, terms)[1]
+        return E, np.linalg.cholesky(H)
     except (DegenerateFactorError, np.linalg.LinAlgError):
+        return None
+
+
+def _search_direction(theta, G, terms, factor):
+    """Search direction D, its decrease rate -<G, D>, and whether D is -G.
+
+    With a ``_newton_factor`` (E, L), possibly built at an earlier iterate,
+    D = sum_j s_j E_j for L L^T s = -g, g the restricted gradient of the
+    derivative pass ``terms`` on E.  Without one, D is the negative
+    gradient G.
+    """
+    if factor is None:
         return -G, float(np.sum(G * G)), True
+    E, L = factor
+    g = inference._restricted_gradient(terms, theta, E)
     s = -np.linalg.solve(L.T, np.linalg.solve(L, g))
     return np.tensordot(s, E, axes=1), -float(g @ s), False
 
@@ -217,14 +247,18 @@ def fit(dataset, loss, config=None):
     iterations = 0
     gradient_steps = 0
     null_steps = 0
+    factor, uses = None, 0
     for _ in range(config.max_iters):
         terms = inference._derivative_pass(dataset, z, loss)
         G = terms[2] @ theta
-        grad_norm = np.sqrt(float(np.sum(G * G)))
+        prev_norm, grad_norm = grad_norm, np.sqrt(float(np.sum(G * G)))
         if grad_norm <= config.grad_tol:
             converged = True
             break
-        D, rate, fallback = _search_direction(dataset, loss, theta, G, terms)
+        if (factor is None or uses >= _REUSE_STEPS
+                or grad_norm > _CONTRACTION * prev_norm):
+            factor, uses = _newton_factor(dataset, loss, theta, terms), 0
+        D, rate, fallback = _search_direction(theta, G, terms, factor)
         step = 1.0
         accepted = False
         while step >= _STEP_FLOOR:
@@ -248,6 +282,7 @@ def fit(dataset, loss, config=None):
         trace.append(f)
         iterations += 1
         gradient_steps += fallback
+        uses += 1
     return FitResult(theta0=theta, grad_norm=float(grad_norm),
                      iterations=iterations, gradient_steps=gradient_steps,
                      loss_trace=np.array(trace), converged=converged)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -17,7 +18,7 @@ from scipy.special import ndtri
 from . import geometry
 from .errors import DegenerateHessianError
 from .jsonable import JsonFields
-from .model import (Dataset, pair_adjoint, pair_coordinates,
+from .model import (Dataset, curvature_apply, pair_adjoint, pair_coordinates,
                     population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
@@ -42,12 +43,21 @@ def reconstruct(coords, basis):
 def _derivative_pass(dataset, z, loss):
     """(d1, d2, Sbar) at the predictions z, with Sbar = pair_adjoint(X, d1) / n.
 
-    Sbar theta is the Euclidean gradient at the factor theta behind z, and
-    ``_restricted_terms`` builds the restricted gradient and curvature from
-    the same three, so one pass serves both.
+    Sbar theta is the Euclidean gradient at the factor theta behind z.  The
+    restricted gradient, the restricted curvature and its product with a
+    vector are all built from the same three, so one pass serves them all.
     """
     d1, d2 = loss.d1_d2(z, dataset.y)
     return d1, d2, pair_adjoint(dataset.X, d1) / dataset.n
+
+
+def _restricted_gradient(terms, theta, E):
+    """g_j = <Sbar theta, E_j> from a derivative pass ``terms`` at theta.
+
+    This equals A^T d1 / n with A = pair_coordinates(X, theta, E), at the
+    cost of one small matrix product instead of a pass over the design.
+    """
+    return np.einsum("mik,ik->m", E, terms[2] @ theta)
 
 
 def _restricted_terms(dataset, theta, E, loss, terms=None):
@@ -55,25 +65,27 @@ def _restricted_terms(dataset, theta, E, loss, terms=None):
 
     With A = pair_coordinates(X, theta, E) and ``terms`` = (d1, d2, Sbar)
     from ``_derivative_pass`` at theta (computed when not supplied), returns
-    g = A^T d1 / n and H = A^T diag(d2) A / n + <E, Sbar E>.  In an
-    orthonormal horizontal basis g represents the gradient and H the
-    curvature.
+    g = ``_restricted_gradient`` and H = A^T diag(d2) A / n + <E, Sbar E>.
+    In an orthonormal horizontal basis g represents the gradient and H the
+    curvature.  H costs a pass over the design with m columns, one product
+    H v two single passes (``RestrictedRepresentation.curvature_times``).
     """
     theta = np.asarray(theta, dtype=float)
     if terms is None:
         terms = _derivative_pass(dataset, predictions(dataset, theta), loss)
-    d1, d2, Sbar = terms
-    n = dataset.n
+    d2, Sbar = terms[1], terms[2]
     A = pair_coordinates(dataset.X, theta, E)
     m = E.shape[0]
-    H = ((A * d2[:, None]).T @ A / n
+    H = ((A * d2[:, None]).T @ A / dataset.n
          + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
-    return A.T @ d1 / n, 0.5 * (H + H.T)
+    return _restricted_gradient(terms, theta, E), 0.5 * (H + H.T)
 
 
 def restricted_score(dataset, theta_star, basis, loss):
     """Representation of the empirical-loss gradient at theta_star."""
-    return _restricted_terms(dataset, theta_star, basis.elements, loss)[0]
+    theta_star = np.asarray(theta_star, dtype=float)
+    terms = _derivative_pass(dataset, predictions(dataset, theta_star), loss)
+    return _restricted_gradient(terms, theta_star, basis.elements)
 
 
 def restricted_hessian(dataset, theta_star, basis, loss):
@@ -107,16 +119,35 @@ class RestrictedRepresentation(JsonFields):
     (equivalently: the anchor's coordinates plus the represented aligned
     chord), so it does not depend on which orbit representative the
     optimizer happened to return.  ``chord`` is that aligned chord and
-    ``distance`` its norm, the quotient distance.
+    ``distance`` its norm, the quotient distance.  ``score`` is the
+    restricted gradient at the truth.  The restricted curvature there is
+    computed on demand: ``curvature_times(v)`` applies it to one vector
+    with two passes over the design, and ``hessian``, the full matrix, is
+    built when first read.
     """
 
     basis: object = field(repr=False)
     phi_star: np.ndarray
     phi0: np.ndarray
     score: np.ndarray
-    hessian: np.ndarray
     chord: np.ndarray = field(repr=False)
     distance: float = field(repr=False)
+    # the data and its derivative pass at the truth, for the curvature
+    dataset: Dataset = field(repr=False)
+    terms: tuple = field(repr=False)
+
+    def curvature_times(self, v):
+        """H v: the curvature operator on sum_j v_j e_j, represented."""
+        _, d2, Sbar = self.terms
+        V = np.tensordot(v, self.basis.elements, axes=1)
+        return represent(curvature_apply(self.dataset.X, self.basis.anchor,
+                                         V, d2, Sbar), self.basis)
+
+    @cached_property
+    def hessian(self):
+        return _restricted_terms(self.dataset, self.basis.anchor,
+                                 self.basis.elements, loss=None,
+                                 terms=self.terms)[1]
 
     def to_json_dict(self):
         # the basis is identified by its tag and a digest of the anchor's
@@ -125,16 +156,19 @@ class RestrictedRepresentation(JsonFields):
         digest = hashlib.sha256(repr(anchor.shape).encode() + anchor.tobytes())
         return {"basis_tag": self.basis.tag,
                 "basis_anchor_hash": digest.hexdigest()[:16],
-                **super().to_json_dict()}
+                **super().to_json_dict(),
+                "hessian": self.hessian.tolist()}
 
 
 def restricted_representation(dataset, theta_star, theta0, basis, loss):
-    """Bundle phi*, phi0, the restricted score and curvature at the truth.
+    """Bundle phi*, phi0 and the restricted score at the truth.
 
     ``basis`` must be anchored at theta_star.  theta0 is aligned onto
     theta_star once; the representation is defined at any distance, but
     the aligned chord is a chart of the quotient only below the injectivity
-    radius, which ``diagnostics.taylor_residual_check`` enforces.
+    radius, which ``diagnostics.taylor_residual_check`` enforces.  One
+    derivative pass at the truth gives the score and, on demand, the
+    curvature (see ``RestrictedRepresentation``).
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if not np.array_equal(basis.anchor, theta_star):
@@ -142,16 +176,16 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
     al = geometry.align(theta0, theta_star)
     chord = al.aligned - theta_star
     phi_star = represent(theta_star, basis)
-    score, hessian = _restricted_terms(dataset, theta_star, basis.elements,
-                                       loss)
+    terms = _derivative_pass(dataset, predictions(dataset, theta_star), loss)
     return RestrictedRepresentation(
         basis=basis,
         phi_star=phi_star,
         phi0=phi_star + represent(chord, basis),
-        score=score,
-        hessian=hessian,
+        score=_restricted_gradient(terms, theta_star, basis.elements),
         chord=chord,
-        distance=al.distance)
+        distance=al.distance,
+        dataset=dataset,
+        terms=terms)
 
 
 @dataclass

@@ -94,8 +94,10 @@ class Logistic(LossModel):
     """Logistic loss ell(z, y) = log(1 + e^z) - y z for binary targets."""
 
     def value(self, z, y):
+        # log(1 + e^z) = max(z, 0) + log1p(e^-|z|): one exp and one log1p,
+        # neither of which can overflow
         z = np.asarray(z, dtype=float)
-        return np.logaddexp(0.0, z) - y * z
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z
 
     def d1(self, z, y):
         return expit(z) - y
@@ -346,10 +348,20 @@ def hessian_operator(dataset, theta, Z, loss):
         raise ValueError("Z must match the factor shape")
     z = predictions(dataset, theta)
     d1, d2 = loss.d1_d2(z, dataset.y)
-    X = dataset.X
-    aZ = design_forward(X, _pair(theta, Z))
-    return (pair_adjoint(X, d2 * aZ) @ theta
-            + pair_adjoint(X, d1) @ Z) / dataset.n
+    return curvature_apply(dataset.X, theta, Z, d2,
+                           pair_adjoint(dataset.X, d1) / dataset.n)
+
+
+def curvature_apply(X, theta, Z, d2, Sbar):
+    """The curvature operator at theta applied to Z, from a derivative pass.
+
+    With d2 = ell''(z) at theta's predictions and Sbar = pair_adjoint(X,
+    ell'(z)) / n, this is pair_adjoint(X, d2 a) theta / n + Sbar Z for
+    a = <X_i, theta Z^T + Z theta^T>: two passes over the design, one
+    forward and one adjoint (the exact curvature-vector product).
+    """
+    a = design_forward(X, _pair(theta, Z))
+    return pair_adjoint(X, d2 * a) @ theta / X.shape[0] + Sbar @ Z
 
 
 def third_derivative(dataset, theta, Z, W, V, loss):

@@ -226,6 +226,29 @@ def test_separable_ray_keeps_the_start_and_fit_runs():
     assert res.final_loss < res.loss_trace[0]
 
 
+@pytest.mark.parametrize("scale", [40.0, -800.0])
+def test_saturated_ray_has_no_scale_and_a_finite_loss(scale):
+    # every prediction lies where ell'' rounds to 0 (beyond 37 expit is 1,
+    # below -745 it is 0), so the ray looks flat to the scalar solve
+    rng = np.random.default_rng(17)
+    n = 30
+    X = scale * (1.0 + rng.random(n))[:, None, None] * np.eye(3)[None]
+    y = (np.arange(n) % 2).astype(float)
+    data = Dataset(X=X, y=y, k=1)
+    loss = q.Logistic()
+    start = np.array([[1.0], [0.0], [0.0]])
+    z0 = design_forward(data.X, start @ start.T)
+    assert np.all(loss.d2(z0, y) == 0.0)
+    assert _radial_scale(data, loss, start) is None
+    value = loss.value(z0, y)
+    assert np.all(np.isfinite(value))
+    assert np.all(np.abs(value - (np.logaddexp(0.0, z0) - y * z0))
+                  <= 4.4e-16 * np.abs(z0))
+    res = q.fit(data, loss, q.FitConfig(init=start, max_iters=20))
+    assert np.isfinite(res.loss_trace[0])
+    assert res.final_loss < res.loss_trace[0]
+
+
 @pytest.mark.parametrize("n, seed, r", [
     (16000, 2024, 0),  # criterion 5, logistic
     (2000, 11, 31),    # the saddle replicate above

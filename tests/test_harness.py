@@ -737,6 +737,38 @@ def test_serial_run_decomposes_hstar_once_and_aligns_once_per_replicate(
     assert calls.count("align") == len(records) == 5
 
 
+@pytest.mark.parametrize("loss, n", [("gaussian", 8000), ("logistic", 16000)])
+def test_serial_run_builds_curvature_only_inside_fits(monkeypatch, loss, n):
+    # the fit builds the restricted curvature at most once per two accepted
+    # steps, plus once per gradient fallback; the truth needs only H v
+    import qsense.harness as harness
+    import qsense.inference as inf
+
+    builds, fits = [], []
+    original_terms, original_fit = inf._restricted_terms, harness.fit
+
+    def counting_terms(*args, **kwargs):
+        builds.append(1)
+        return original_terms(*args, **kwargs)
+
+    def counting_fit(*args, **kwargs):
+        before = len(builds)
+        res = original_fit(*args, **kwargs)
+        fits.append((res, len(builds) - before))
+        return res
+
+    monkeypatch.setattr(inf, "_restricted_terms", counting_terms)
+    monkeypatch.setattr(harness, "fit", counting_fit)
+    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
+                           replications=4, seed=2024)
+    records, _ = run_replications(cfg)
+    assert len(fits) == len(records) == 4
+    assert sum(count for _, count in fits) == len(builds)
+    for res, count in fits:
+        assert res.converged
+        assert 1 <= count <= math.ceil(res.iterations / 2) + res.gradient_steps
+
+
 def test_large_n_reports_identical_across_thread_counts():
     # n = 16000 is large enough for multi-threaded BLAS to split its sums,
     # which would change the rounding unless every replicate, serial or

@@ -5,13 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import DegenerateHessianError
-from qsense.inference import per_sample_scores, reconstruct
-from qsense.model import predictions
+from qsense.inference import _restricted_terms, per_sample_scores, reconstruct
+from qsense.model import pair_coordinates, predictions
 
-from helpers import random_orthogonal, random_theta, rel_err
+from helpers import random_instance, random_orthogonal, random_theta, rel_err
 
 
 def _dgp(theta, seed=0, design="gaussian", noise="gaussian", sigma=1.0):
@@ -381,6 +383,62 @@ def test_restricted_representation_orbit_independent():
     a = q.restricted_representation(data, theta, theta0, basis, loss)
     b = q.restricted_representation(data, theta, theta0 @ U, basis, loss)
     assert np.allclose(a.phi0, b.phi0, atol=1e-10)
+
+
+def test_representation_json_and_hessian_on_demand():
+    rng = np.random.default_rng(44)
+    theta = random_theta(rng, 4, 2)
+    data = q.simulate(_dgp(theta, seed=45, sigma=0.3), 200)
+    loss = q.GaussianNLL(0.3)
+    basis = q.horizontal_basis(theta)
+    theta0 = theta + 0.05 * rng.standard_normal((4, 2))
+    rep = q.restricted_representation(data, theta, theta0, basis, loss)
+    # the curvature is built only when read
+    assert "hessian" not in vars(rep)
+    H = q.restricted_hessian(data, theta, basis, loss)
+    assert np.array_equal(rep.hessian, H)
+    assert rep.hessian is rep.hessian
+    # the serialized layout of a representation that stored its curvature
+    blob = rep.to_json_dict()
+    assert list(blob) == ["basis_tag", "basis_anchor_hash", "phi_star",
+                          "phi0", "score", "hessian"]
+    assert blob["hessian"] == H.tolist()
+    assert blob["score"] == q.restricted_score(data, theta, basis,
+                                               loss).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       loss_kind=st.sampled_from(["gaussian", "logistic"]))
+def test_score_and_curvature_product_match_the_full_curvature(seed, loss_kind):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    k = int(rng.integers(1, min(d, 3) + 1))
+    data, theta, loss = random_instance(rng, d, k, int(rng.integers(20, 60)),
+                                        loss_kind)
+    basis = q.horizontal_basis(theta)
+    U = random_orthogonal(rng, k)
+    theta0 = theta + 0.1 * rng.standard_normal((d, k))
+    v = rng.standard_normal(basis.m)
+    reps = []
+    # at the anchor and at the anchor rotated by U, in the pushed-forward basis
+    for anchor, b in ((theta, basis), (theta @ U, q.rotate_basis(basis, U))):
+        rep = q.restricted_representation(data, anchor, theta0, b, loss)
+        g, H = _restricted_terms(data, anchor, b.elements, loss)
+        # an independent form of the score: A^T ell' / n
+        A = pair_coordinates(data.X, anchor, b.elements)
+        d1 = loss.d1(predictions(data, anchor), data.y)
+        g_tol = 1e-12 * np.linalg.norm(A) * np.linalg.norm(d1) / data.n
+        assert np.linalg.norm(rep.score - A.T @ d1 / data.n) <= g_tol
+        assert np.linalg.norm(rep.score - g) <= g_tol
+        for w in (v, q.represent(rep.chord, b)):
+            assert (np.linalg.norm(rep.curvature_times(w) - H @ w)
+                    <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(w))
+        reps.append(rep)
+    scale = np.linalg.norm(reps[0].hessian) * np.linalg.norm(v)
+    assert np.allclose(reps[0].score, reps[1].score, rtol=0, atol=1e-10)
+    assert np.allclose(reps[0].curvature_times(v), reps[1].curvature_times(v),
+                       rtol=0, atol=1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,24 @@ def test_d1_d2_is_exactly_d1_and_d2(loss):
         assert np.array_equal(d2, loss.d2(z, y))
 
 
+@settings(max_examples=200, deadline=None)
+@given(z=st.floats(-800.0, 800.0), y=st.sampled_from([0.0, 1.0]))
+def test_logistic_value_matches_logaddexp(z, y):
+    value = q.Logistic().value(np.array([z]), y)[0]
+    reference = np.logaddexp(0.0, z) - y * z
+    assert abs(value - reference) <= 4.4e-16 * max(1.0, abs(z))
+
+
+def test_logistic_value_keeps_logaddexp_non_finite_results():
+    # the fit's backtracking reads a non-finite loss as a rejected step
+    z = np.array([np.inf, -np.inf, np.nan, 0.0, 745.0, -745.0])
+    for y in (0.0, 1.0):
+        with np.errstate(invalid="ignore"):
+            value = q.Logistic().value(z, y)
+            reference = np.logaddexp(0.0, z) - y * z
+        assert np.array_equal(value, reference, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # empirical loss
 # ---------------------------------------------------------------------------

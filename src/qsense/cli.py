@@ -16,7 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import diagnostics, geometry, harness, inference
-from .errors import (CapabilityError, ConfigurationError, DegenerateFactorError,
+from .errors import (ConfigurationError, DegenerateFactorError,
                      DegenerateHessianError, DivergenceError, HarnessAbort,
                      InitializationError, OutOfInjectivityError)
 from .estimator import fit
@@ -24,7 +24,7 @@ from .model import Dataset, ProblemConstants, simulate
 
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
                      OutOfInjectivityError, InitializationError,
-                     DegenerateFactorError, CapabilityError)
+                     DegenerateFactorError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +136,10 @@ def _cmd_certificate(args):
     obj = _load_json(args.config)
     if not isinstance(obj, dict):
         raise ConfigurationError("certificate config must be a JSON object")
+    unknown = set(obj) - {"constants", "delta", "n"}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown certificate config keys: {sorted(unknown)}")
     constants = ProblemConstants(**harness.checked_fields(
         ProblemConstants, obj.get("constants"), "constants"))
     delta = harness.coerce_field("delta", "float", obj.get("delta", 0.05),

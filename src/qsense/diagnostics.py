@@ -1,158 +1,26 @@
 """Certificates and runtime checks backing the statistical guarantees.
 
 Everything here is simulation-side: it assumes access to the ground truth
-(and often the data generating process) and quantifies how far a concrete
-instance is from the idealized constants the guarantees are phrased in:
-noise aggregates and their high-probability envelopes, the restricted
-design eigenvalue, the restricted curvature floor, the curvature-Lipschitz
-constant, the quadratic remainder of the local expansion, and the standing
+(and often the data generating process) and sets a concrete instance
+against the guarantees: the closed-form constants of the convergence
+theorem, the quadratic remainder of the local expansion, and the standing
 moment assumptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, inference
-from .errors import CapabilityError
 from .jsonable import JsonFields
-from .model import (ISOTROPIC_DESIGNS, design_adjoint, design_moment,
-                    euclidean_gradient, hessian_operator, predictions,
-                    sample_design, third_derivative_operator)
-
-# Guard on the d^2 x d^2 design-form materialization.
-MAX_FORM_DIM = 12
-
-# Central finite-difference step for the projection-derivative probe;
-# balances sqrt(eps_machine) truncation against the 1/sigma_min curvature
-# scale of the projector.
-FD_STEP = 1e-5
+from .model import euclidean_gradient, predictions, simulate
 
 # Largest relative Frobenius gap between the restricted score covariance and
 # curvature that the Bartlett check accepts.
 BARTLETT_TOL = 0.1
-
-
-# ---------------------------------------------------------------------------
-# Noise aggregates (empirical counterparts of the concentration events)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EmpiricalAggregates(JsonFields):
-    xbar: np.ndarray = field(repr=False)
-    xbar_norm: float
-    eps_bar: float
-    eps1_bar: float
-    eps2_bar: float
-    delta: float
-    xbar_bound: float
-    eps_bound: float
-    mbar_bound: float
-
-
-def xbar_envelope(d, k, sigma_eps, x_max, delta, n):
-    """High-probability bound for the score-weighted design mean norm."""
-    return math.sqrt(8.0 * d * k * sigma_eps**2 * x_max**2
-                     * math.log(8.0 * d * k / delta) / n)
-
-
-def eps_envelope(mu_max, sigma_eps, delta, n):
-    """High-probability bound for the mean absolute noise derivatives."""
-    return mu_max + (3.0 + math.sqrt(72.0 * math.log(12.0 / delta) / n)) * sigma_eps
-
-
-def mbar_envelope(d, k, sigma_eps, sigma_max, x_max, delta, n):
-    """High-probability bound for the centered curvature fluctuation norm."""
-    return math.sqrt(128.0 * d**2 * k**6 * x_max**4 * sigma_max**4
-                     * sigma_eps**2 * math.log(8.0 * d**2 * k**2 / delta) / n)
-
-
-def noise_aggregates(dataset, theta_star, loss, delta=0.05, constants=None):
-    """Empirical noise aggregates at the truth plus their envelopes.
-
-    eps_i is the loss score at the noiseless prediction; the aggregates are
-    the score-weighted design mean X-bar and the mean absolute values of the
-    first three loss derivatives.  The centered curvature fluctuation M-bar
-    has only its envelope here: ell'' does not depend on y, so the
-    fluctuation itself is identically zero.  Envelope constants come from
-    ``constants`` when given, otherwise from conservative plug-in estimates.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    z = predictions(dataset, theta_star)
-    eps = loss.d1(z, dataset.y)
-    eps1 = loss.d2(z, dataset.y)
-    eps2 = loss.d3(z, dataset.y)
-    n = dataset.n
-    d, k = theta_star.shape
-    xbar = design_adjoint(dataset.X, eps) / n
-
-    if constants is not None:
-        x_max = constants.X_max
-        sigma_eps = constants.sigma_eps
-        mu_max = constants.mu_max
-        sigma_max = constants.sigma_max
-    else:
-        x_max = max(1.0, float(np.max(np.abs(dataset.X))))
-        sigma_eps = max(1.0, float(np.std(eps)), float(np.std(eps1)),
-                        float(np.std(eps2)))
-        mu_max = max(1.0, float(np.max(np.abs(eps1))))
-        sigma_max = float(np.linalg.svd(theta_star, compute_uv=False)[0])
-
-    return EmpiricalAggregates(
-        xbar=xbar,
-        xbar_norm=float(np.linalg.norm(xbar)),
-        eps_bar=float(np.mean(np.abs(eps))),
-        eps1_bar=float(np.mean(np.abs(eps1))),
-        eps2_bar=float(np.mean(np.abs(eps2))),
-        delta=delta,
-        xbar_bound=xbar_envelope(d, k, sigma_eps, x_max, delta, n),
-        eps_bound=eps_envelope(mu_max, sigma_eps, delta, n),
-        mbar_bound=mbar_envelope(d, k, sigma_eps, max(sigma_max, 1.0), x_max,
-                                 delta, n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Restricted design eigenvalue
-# ---------------------------------------------------------------------------
-
-def restricted_eigenvalue_estimate(design, d, n_mc=None, seed=0,
-                                   population=False):
-    """Minimum eigenvalue of the d^2 x d^2 second-moment form of the design.
-
-    A conservative lower bound for the rank-restricted constant: the
-    unrestricted minimum eigenvalue can only be smaller than the minimum
-    over low-rank matrices.  ``design`` may be a design name or an
-    explicit (n, d, d) array of pre-drawn matrices.  With
-    ``population=True`` the named designs' exact value comes back, with no
-    form materialized.
-    """
-    if population:
-        if design in ISOTROPIC_DESIGNS:
-            # iid unit-variance entries: E[vec vec^T] is the identity
-            return 1.0
-        if design == "symmetric":
-            # the design cannot see skew matrices, which exist for d >= 2
-            return 1.0 if d == 1 else 0.0
-        raise CapabilityError("population form unavailable for this design")
-    if d > MAX_FORM_DIM:
-        raise CapabilityError(
-            f"d = {d} exceeds the materialization guard ({MAX_FORM_DIM})")
-    if isinstance(design, np.ndarray):
-        X = np.asarray(design, dtype=float)
-        if X.ndim == 2:
-            X = X[None, :, :]
-        if X.shape[1:] != (d, d):
-            raise ValueError("pre-drawn samples do not match dimension d")
-    else:
-        if n_mc is None or n_mc < 1:
-            raise ValueError("empirical estimate needs a sample budget n_mc")
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE51)))
-        X = sample_design(design, rng, n_mc, d)
-    return float(np.linalg.eigvalsh(design_moment(X))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,52 +136,6 @@ def taylor_residual_check(dataset, rep, loss, certificate_k=None):
 
 
 # ---------------------------------------------------------------------------
-# Curvature-Lipschitz probe
-# ---------------------------------------------------------------------------
-
-def projection_derivative(theta, w, v):
-    """Directional derivative of the horizontal projector, applied to v.
-
-    Central finite difference of theta -> P^H(theta) v along w.
-    """
-    theta = np.asarray(theta, dtype=float)
-    plus = geometry.horizontal_project(theta + FD_STEP * w, v)
-    minus = geometry.horizontal_project(theta - FD_STEP * w, v)
-    return (plus - minus) / (2.0 * FD_STEP)
-
-
-def hessian_lipschitz_probe(dataset, theta, n_dirs, loss, seed=0):
-    """Empirical lower bound for the curvature-Lipschitz constant.
-
-    For random unit direction pairs (w, v), assembles the derivative of the
-    projected curvature operator along w,
-
-        (DP^H[w]) Hess v  +  (D Hess[w]) v  +  Hess (DP^H[w] v),
-
-    projects it horizontally, and returns the largest norm seen.  The
-    projector derivative uses central finite differences; the curvature
-    derivative is the analytic third-derivative contraction.
-    """
-    theta = np.asarray(theta, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11B)))
-    best = 0.0
-    for _ in range(n_dirs):
-        w = rng.standard_normal(theta.shape)
-        w /= np.linalg.norm(w)
-        v = rng.standard_normal(theta.shape)
-        v /= np.linalg.norm(v)
-        Hv = hessian_operator(dataset, theta, v, loss)
-        term1 = projection_derivative(theta, w, Hv)
-        term2 = third_derivative_operator(dataset, theta, v, w, loss)
-        term3 = hessian_operator(dataset, theta,
-                                 projection_derivative(theta, w, v),
-                                 loss)
-        probe = geometry.horizontal_project(theta, term1 + term2 + term3)
-        best = max(best, float(np.linalg.norm(probe)))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Standing assumption checks
 # ---------------------------------------------------------------------------
 
@@ -347,8 +169,6 @@ def assumption_report(dgp, theta_star, loss, n_mc):
        ``BARTLETT_TOL``); ``bartlett_ratio`` is the trace ratio, which
        localizes a pure scale mismatch.
     """
-    from .model import simulate
-
     if n_mc < 2:
         # the score's standard error divides by n_mc - 1
         raise ValueError("Monte Carlo budget n_mc must be >= 2")

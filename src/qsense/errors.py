@@ -38,10 +38,6 @@ class DegenerateHessianError(QsenseError):
     """
 
 
-class CapabilityError(QsenseError):
-    """The request exceeds a deliberate size guard."""
-
-
 class ConfigurationError(QsenseError):
     """Invalid or inconsistent configuration values."""
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import geometry, inference
 from .errors import DegenerateFactorError, DivergenceError, InitializationError
 from .jsonable import JsonFields
-from .model import design_forward, euclidean_gradient, pair_adjoint
+from .model import design_forward, pair_adjoint
 
 # Backtracking line search: every search starts at unit length (the natural
 # length of a Newton step), shrinks by _SHRINK until the Armijo sufficient
@@ -205,7 +205,7 @@ def fit(dataset, loss, config=None):
     spectral initializer, or a seeded random factor when the spectrum is
     uninformative, rescaled along its ray to the loss's minimum there
     (``_radial_scale``).  The quotient distance of the result to a known
-    truth is ``geometry.quotient_distance(result.theta0, truth)``.
+    truth is ``geometry.align(result.theta0, truth).distance``.
     """
     config = FitConfig() if config is None else config
     config.validate()
@@ -287,25 +287,3 @@ def fit(dataset, loss, config=None):
                      iterations=iterations, gradient_steps=gradient_steps,
                      loss_trace=np.array(trace), converged=converged)
 
-
-@dataclass
-class MinimizerCertificate(JsonFields):
-    grad_norm: float
-    restricted_min_eigenvalue: float
-    distance_to_truth: float | None = None
-
-
-def minimizer_certificate(dataset, theta0, loss, basis, truth=None):
-    """First- and second-order evidence that theta0 is a local minimizer.
-
-    Reports the gradient norm and the smallest eigenvalue of the empirical
-    curvature restricted to the supplied horizontal basis (which should be
-    anchored at theta0), plus the quotient distance to a known truth.
-    """
-    g = euclidean_gradient(dataset, theta0, loss)
-    H = inference.restricted_hessian(dataset, theta0, basis, loss)
-    eig_min = float(np.linalg.eigvalsh(H)[0])
-    dist = None if truth is None else geometry.quotient_distance(theta0, truth)
-    return MinimizerCertificate(grad_norm=float(np.linalg.norm(g)),
-                                restricted_min_eigenvalue=eig_min,
-                                distance_to_truth=dist)

@@ -5,9 +5,9 @@ by an orthogonal k x k rotation are indistinguishable.  Directions of the
 form theta A with A skew-symmetric ("vertical") are collapsed by that
 symmetry; their Frobenius-orthogonal complement ("horizontal") is where
 estimation error lives.  This module provides the skew basis, the two
-projections, orthonormal horizontal bases, Procrustes alignment, the
-induced distance, the aligned-chord log map, and the injectivity radius
-(the smallest singular value of the anchor factor).
+projections, orthonormal horizontal bases, Procrustes alignment and the
+quotient distance it induces, and the injectivity radius (the smallest
+singular value of the anchor factor).
 """
 
 from __future__ import annotations
@@ -188,11 +188,6 @@ def align(theta_a, theta_b):
                            degenerate=degenerate)
 
 
-def quotient_distance(theta_a, theta_b):
-    """Frobenius distance after optimal O(k) alignment."""
-    return align(theta_a, theta_b).distance
-
-
 def injectivity_radius(theta):
     """Smallest singular value of theta: the radius of the aligned-chord chart."""
     theta = np.asarray(theta, dtype=float)
@@ -209,16 +204,3 @@ def check_within_radius(theta_star, distance):
             f"distance {distance:.6g} is not below the injectivity "
             f"radius {radius:.6g}")
 
-
-def log_map(theta_star, theta0):
-    """Aligned chord theta0 U - theta_star, with U aligning theta0 to theta_star.
-
-    Valid (injective) only while the quotient distance stays below the
-    injectivity radius at theta_star; the chord's Frobenius norm equals the
-    quotient distance.  The chord is not exactly horizontal; callers needing
-    the projected variant can apply horizontal_project.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    res = align(theta0, theta_star)
-    check_within_radius(theta_star, res.distance)
-    return res.aligned - theta_star

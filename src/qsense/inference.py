@@ -34,12 +34,6 @@ def represent(M, basis):
     return np.einsum("mik,ik->m", basis.elements, M)
 
 
-def reconstruct(coords, basis):
-    """Matrix sum_i coords_i e_i (the basis-projection of a represented matrix)."""
-    return np.einsum("m,mik->ik", np.asarray(coords, dtype=float),
-                     basis.elements)
-
-
 def _derivative_pass(dataset, z, loss):
     """(d1, d2, Sbar) at the predictions z, with Sbar = pair_adjoint(X, d1) / n.
 
@@ -79,13 +73,6 @@ def _restricted_terms(dataset, theta, E, loss, terms=None):
     H = ((A * d2[:, None]).T @ A / dataset.n
          + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
     return _restricted_gradient(terms, theta, E), 0.5 * (H + H.T)
-
-
-def restricted_score(dataset, theta_star, basis, loss):
-    """Representation of the empirical-loss gradient at theta_star."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    terms = _derivative_pass(dataset, predictions(dataset, theta_star), loss)
-    return _restricted_gradient(terms, theta_star, basis.elements)
 
 
 def restricted_hessian(dataset, theta_star, basis, loss):
@@ -193,20 +180,16 @@ class CovarianceEstimate:
     inverse_hessian: np.ndarray
     root: np.ndarray
     condition_number: float
-    residual: float
-    sandwich: np.ndarray | None = None
 
 
-def asymptotic_covariance(hstar, scores=None):
+def asymptotic_covariance(hstar):
     """Inverse and symmetric square root of H from one eigendecomposition.
 
     The inverse is the asymptotic covariance of sqrt(n) times the
     coordinate error, and the root whitens that error.  Raises
     DegenerateHessianError when the smallest eigenvalue is at or below the
     floor, which is what happens if a loss-invariant (vertical) direction
-    leaks into the basis.  ``scores`` is an optional (n, d') matrix of
-    per-sample score representations for the sandwich Hinv Cov(score) Hinv
-    (useful under misspecification).
+    leaks into the basis.
     """
     hstar = np.asarray(hstar, dtype=float)
     lam, V = np.linalg.eigh(0.5 * (hstar + hstar.T))
@@ -215,19 +198,9 @@ def asymptotic_covariance(hstar, scores=None):
             f"restricted curvature has minimum eigenvalue {lam[0]:.3e}; "
             "a rotation-invariant direction is present in the basis")
     inv = (V / lam[None, :]) @ V.T
-    inv = 0.5 * (inv + inv.T)
-    residual = float(np.linalg.norm(hstar @ inv - np.eye(len(lam))))
-    sandwich = None
-    if scores is not None:
-        scores = np.asarray(scores, dtype=float)
-        centered = scores - scores.mean(axis=0, keepdims=True)
-        cov = centered.T @ centered / scores.shape[0]
-        sandwich = inv @ cov @ inv
-    return CovarianceEstimate(inverse_hessian=inv,
+    return CovarianceEstimate(inverse_hessian=0.5 * (inv + inv.T),
                               root=(V * np.sqrt(lam)[None, :]) @ V.T,
-                              condition_number=float(lam[-1] / lam[0]),
-                              residual=residual,
-                              sandwich=sandwich)
+                              condition_number=float(lam[-1] / lam[0]))
 
 
 @dataclass

@@ -124,15 +124,6 @@ class Logistic(LossModel):
         return "Logistic()"
 
 
-def evaluate_loss(loss, z, y):
-    """Return (value, d1, d2, d3) of the loss at a scalar (z, y)."""
-    if not (np.isfinite(z) and np.isfinite(y)):
-        raise ValueError("z and y must be finite")
-    loss.validate_targets(np.asarray([y]))
-    return (float(loss.value(z, y)), float(loss.d1(z, y)),
-            float(loss.d2(z, y)), float(loss.d3(z, y)))
-
-
 # ---------------------------------------------------------------------------
 # Problem constants
 # ---------------------------------------------------------------------------
@@ -261,12 +252,6 @@ def design_adjoint(X, w):
     return (X.reshape(n, d * d).T @ w).reshape(d, d)
 
 
-def design_moment(X):
-    """(d^2, d^2) second-moment form (1/n) sum_i vec(X_i) vec(X_i)^T."""
-    V = X.reshape(X.shape[0], -1)
-    return V.T @ V / X.shape[0]
-
-
 def _pair(A, B):
     """A B^T + B A^T, batched over a leading axis of either argument.
 
@@ -294,16 +279,6 @@ def pair_coordinates(X, theta, directions):
 # ---------------------------------------------------------------------------
 # Core predictions and derivatives
 # ---------------------------------------------------------------------------
-
-def predict(X, theta):
-    """Frobenius inner product <X, theta theta^T>."""
-    X = np.asarray(X, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if X.shape != (theta.shape[0], theta.shape[0]):
-        raise ValueError(
-            f"shape mismatch: X is {X.shape}, theta is {theta.shape}")
-    return float(design_forward(X[None], theta @ theta.T)[0])
-
 
 def predictions(dataset, theta):
     """Vector of <X_i, theta theta^T> for every sample."""
@@ -376,7 +351,7 @@ def third_derivative_operator(dataset, theta, V, W, loss):
     """Matrix R with <R, U> = third_derivative(dataset, theta, V, U, W, loss).
 
     This is the derivative of the curvature operator in direction W, applied
-    to V; used by the curvature-Lipschitz probe.
+    to V.
     """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)

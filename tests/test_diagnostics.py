@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 import qsense as q
-from qsense.diagnostics import projection_derivative
-from qsense.errors import CapabilityError, OutOfInjectivityError
-from qsense.model import Dataset, hessian_operator
+from qsense.errors import OutOfInjectivityError
+from qsense.model import euclidean_gradient, hessian_operator
 
 from helpers import random_theta
 
@@ -24,98 +21,6 @@ def _constants(d=1, k=1, **kw):
 
 
 # ---------------------------------------------------------------------------
-# noise aggregates
-# ---------------------------------------------------------------------------
-
-def test_noise_aggregates_vanish_without_noise():
-    rng = np.random.default_rng(0)
-    theta = random_theta(rng, 4, 2)
-    data = q.simulate(_dgp(theta, sigma=0.0), 50)
-    agg = q.noise_aggregates(data, theta, q.GaussianNLL(1.0))
-    assert np.allclose(agg.xbar, 0.0)
-    assert agg.eps_bar == 0.0
-
-
-def test_noise_aggregates_half_normal_mean():
-    # |eps| for unit Gaussian noise has mean sqrt(2/pi)
-    rng = np.random.default_rng(1)
-    theta = random_theta(rng, 3, 2)
-    data = q.simulate(_dgp(theta, seed=2, sigma=1.0), 100_000)
-    agg = q.noise_aggregates(data, theta, q.GaussianNLL(1.0))
-    assert abs(agg.eps_bar - math.sqrt(2.0 / math.pi)) < 0.01
-
-
-def test_xbar_concentration_envelope_holds():
-    rng = np.random.default_rng(3)
-    theta = random_theta(rng, 4, 2)
-    constants = _constants(d=4, k=2, X_max=float(np.sqrt(3.0)),
-                           sigma_min=0.8, sigma_max=1.5)
-    hits = 0
-    trials = 200
-    for seed in range(trials):
-        data = q.simulate(_dgp(theta, seed=(10, seed), design="bounded"), 500)
-        agg = q.noise_aggregates(data, theta, q.GaussianNLL(1.0),
-                                 delta=0.05, constants=constants)
-        hits += agg.xbar_norm <= agg.xbar_bound
-    assert hits / trials >= 0.95
-
-
-def test_eps_envelope_holds():
-    rng = np.random.default_rng(4)
-    theta = random_theta(rng, 3, 2)
-    data = q.simulate(_dgp(theta, seed=5), 2_000)
-    agg = q.noise_aggregates(data, theta, q.GaussianNLL(1.0), delta=0.05,
-                             constants=_constants(d=3, k=2, sigma_min=0.8,
-                                                  sigma_max=1.5))
-    for value in (agg.eps_bar, agg.eps1_bar, agg.eps2_bar):
-        assert value <= agg.eps_bound
-
-
-# ---------------------------------------------------------------------------
-# restricted design eigenvalue
-# ---------------------------------------------------------------------------
-
-def test_restricted_eigenvalue_population_isotropic():
-    assert q.restricted_eigenvalue_estimate("gaussian", 4,
-                                            population=True) == 1.0
-    assert q.restricted_eigenvalue_estimate("bounded", 4,
-                                            population=True) == 1.0
-
-
-def test_restricted_eigenvalue_population_symmetric_design_degenerate():
-    # skew matrices are invisible to a symmetric design
-    val = q.restricted_eigenvalue_estimate("symmetric", 3, population=True)
-    assert val == pytest.approx(0.0, abs=1e-12)
-
-
-def test_restricted_eigenvalue_population_values_need_no_form():
-    # with d = 1 there is no skew direction to hide
-    assert q.restricted_eigenvalue_estimate("symmetric", 1,
-                                            population=True) == 1.0
-    # exact values materialize nothing, so the size guard does not apply
-    assert q.restricted_eigenvalue_estimate("symmetric", 13,
-                                            population=True) == 0.0
-    assert q.restricted_eigenvalue_estimate("gaussian", 13,
-                                            population=True) == 1.0
-
-
-def test_restricted_eigenvalue_single_matrix_is_rank_one():
-    X = np.random.default_rng(6).standard_normal((3, 3))
-    assert q.restricted_eigenvalue_estimate(X, 3) < 1e-12
-
-
-def test_restricted_eigenvalue_monte_carlo_near_one():
-    val = q.restricted_eigenvalue_estimate("gaussian", 4, n_mc=10_000,
-                                           seed=7)
-    assert abs(val - 1.0) <= 0.1
-
-
-def test_restricted_eigenvalue_guard():
-    with pytest.raises(CapabilityError):
-        q.restricted_eigenvalue_estimate("gaussian", 13, n_mc=10)
-
-
-# ---------------------------------------------------------------------------
 # restricted curvature floor
 # ---------------------------------------------------------------------------
 
@@ -127,8 +32,7 @@ def test_lambda_min_matches_closed_form_at_scale():
     Hstar = q.restricted_population_hessian(_dgp(theta), theta, basis, loss)
     target = float(np.linalg.eigvalsh(Hstar)[0])
     data = q.simulate(_dgp(theta, seed=9), 100_000)
-    lam = q.minimizer_certificate(data, theta, loss,
-                                    basis).restricted_min_eigenvalue
+    lam = np.linalg.eigvalsh(q.restricted_hessian(data, theta, basis, loss))[0]
     assert lam == pytest.approx(target, rel=0.05)
 
 
@@ -145,31 +49,6 @@ def test_vertical_direction_kills_population_min_eigenvalue():
     H = q.restricted_population_hessian(_dgp(theta), theta, extended,
                                         q.GaussianNLL(1.0))
     assert abs(np.linalg.eigvalsh(H)[0]) <= 1e-10
-
-
-def test_lambda_min_above_certificate_floor_with_deviations():
-    # the concentration envelopes are loose, so the implied floor should be
-    # respected in nearly every trial
-    rng = np.random.default_rng(11)
-    theta = random_theta(rng, 4, 2, smin=0.8, smax=1.2)
-    basis = q.horizontal_basis(theta)
-    loss = q.GaussianNLL(1.0)
-    constants = _constants(d=4, k=2, X_max=float(np.sqrt(3.0)), sigma_min=0.8,
-                           sigma_max=1.2)
-    cert = q.theory_constants(constants, 0.05)
-    hits = 0
-    trials = 50
-    n = 1000
-    for seed in range(trials):
-        data = q.simulate(_dgp(theta, seed=(20, seed), design="bounded"), n)
-        lam = q.minimizer_certificate(data, theta, loss,
-                                      basis).restricted_min_eigenvalue
-        agg = q.noise_aggregates(data, theta, loss, delta=0.05,
-                                 constants=constants)
-        floor = (cert.lambda_min_population
-                 - 2.0 * agg.xbar_bound - agg.mbar_bound)
-        hits += lam >= floor
-    assert hits / trials >= 0.90
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +105,7 @@ def test_taylor_lhs_is_score_norm_at_truth():
     rep = q.taylor_residual_check(
         data, q.restricted_representation(data, theta, theta, basis, loss),
         loss)
-    g0 = q.restricted_score(data, theta, basis, loss)
+    g0 = q.represent(euclidean_gradient(data, theta, loss), basis)
     assert rep.lhs == pytest.approx(float(np.linalg.norm(g0)), rel=1e-12)
     assert rep.distance == pytest.approx(0.0, abs=1e-12)
     assert rep.ratio is None
@@ -295,65 +174,6 @@ def test_taylor_check_rejects_far_points():
                                       loss)
     with pytest.raises(OutOfInjectivityError):
         q.taylor_residual_check(data, rep, loss)
-
-
-# ---------------------------------------------------------------------------
-# curvature-Lipschitz probe
-# ---------------------------------------------------------------------------
-
-def test_probe_zero_for_zero_design():
-    theta = random_theta(np.random.default_rng(22), 3, 2)
-    data = Dataset(X=np.zeros((4, 3, 3)), y=np.ones(4), k=2)
-    val = q.hessian_lipschitz_probe(data, theta, 5, q.GaussianNLL(1.0))
-    assert val == 0.0
-
-
-def test_probe_below_certificate():
-    rng = np.random.default_rng(23)
-    theta = random_theta(rng, 4, 2, smin=0.8, smax=1.2)
-    data = q.simulate(_dgp(theta, seed=24, design="bounded"), 300)
-    loss = q.GaussianNLL(1.0)
-    probe = q.hessian_lipschitz_probe(data, theta, 10, loss, seed=1)
-    constants = _constants(d=4, k=2, X_max=float(np.sqrt(3.0)), sigma_min=0.8,
-                           sigma_max=1.2)
-    cert = q.theory_constants(constants, 0.05)
-    assert 0.0 < probe <= cert.K
-
-
-def test_projection_derivative_bound():
-    # the projector's directional derivative is bounded by 3 / sigma_min
-    rng = np.random.default_rng(25)
-    theta = random_theta(rng, 5, 3, smin=0.6, smax=1.5)
-    smin = q.injectivity_radius(theta)
-    for _ in range(10):
-        w = rng.standard_normal((5, 3))
-        w /= np.linalg.norm(w)
-        v = rng.standard_normal((5, 3))
-        v /= np.linalg.norm(v)
-        dp = projection_derivative(theta, w, v)
-        assert np.linalg.norm(dp) <= 3.0 / smin + 1e-6
-
-
-def test_projection_term_bounded_by_curvature_norm():
-    rng = np.random.default_rng(26)
-    theta = random_theta(rng, 4, 2, smin=0.7, smax=1.3)
-    data = q.simulate(_dgp(theta, seed=27), 200)
-    loss = q.GaussianNLL(1.0)
-    smin = q.injectivity_radius(theta)
-    # materialize the curvature as a dk x dk matrix for its operator norm
-    d, k = theta.shape
-    units = np.eye(d * k).reshape(d * k, d, k)
-    Hmat = np.array([hessian_operator(data, theta, u, loss).ravel()
-                     for u in units])
-    opnorm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (Hmat + Hmat.T)))))
-    for _ in range(5):
-        w = rng.standard_normal((d, k))
-        w /= np.linalg.norm(w)
-        v = rng.standard_normal((d, k))
-        v /= np.linalg.norm(v)
-        Hv = hessian_operator(data, theta, v, loss)
-        term = projection_derivative(theta, w, Hv)
-        assert np.linalg.norm(term) <= 3.0 / smin * opnorm + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import DegenerateFactorError, OutOfInjectivityError
-from qsense.geometry import GS_DROP_TOL
+from qsense.geometry import GS_DROP_TOL, check_within_radius
 
 from helpers import random_orthogonal, random_theta
 
@@ -350,11 +350,11 @@ def test_quotient_distance_symmetry_and_orbit_zero():
     rng = np.random.default_rng(21)
     theta = random_theta(rng, 4, 2)
     U0 = random_orthogonal(rng, 2)
-    assert q.quotient_distance(theta, theta @ U0) < 1e-10
+    assert q.align(theta, theta @ U0).distance < 1e-10
     for _ in range(5):
         a = random_theta(rng, 4, 2)
         b = random_theta(rng, 4, 2)
-        assert abs(q.quotient_distance(a, b) - q.quotient_distance(b, a)) < 1e-10
+        assert abs(q.align(a, b).distance - q.align(b, a).distance) < 1e-10
 
 
 def test_quotient_distance_triangle_inequality():
@@ -362,19 +362,19 @@ def test_quotient_distance_triangle_inequality():
     for _ in range(10):
         a, b, c = (random_theta(rng, 4, 2) + 0.3 * rng.standard_normal((4, 2))
                    for _ in range(3))
-        assert q.quotient_distance(a, c) <= (q.quotient_distance(a, b)
-                                             + q.quotient_distance(b, c) + 1e-10)
+        assert q.align(a, c).distance <= (q.align(a, b).distance
+                                          + q.align(b, c).distance + 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# log map and injectivity radius
+# aligned chord and injectivity radius
 # ---------------------------------------------------------------------------
 
 def test_log_map_zero_on_orbit():
     rng = np.random.default_rng(23)
     theta = random_theta(rng, 4, 2)
     U0 = random_orthogonal(rng, 2)
-    v = q.log_map(theta, theta @ U0)
+    v = q.align(theta @ U0, theta).aligned - theta
     assert np.linalg.norm(v) < 1e-10
 
 
@@ -386,7 +386,7 @@ def test_log_map_sign_alignment_k1():
     theta0 = -theta + delta
     # column oracle: the aligning sign is sign(theta0^T theta) = -1 here
     assert float((theta0.T @ theta)[0, 0]) < 0
-    v = q.log_map(theta, theta0)
+    v = q.align(theta0, theta).aligned - theta
     assert np.allclose(v, -delta, atol=1e-12)
 
 
@@ -395,9 +395,9 @@ def test_log_map_norm_equals_distance():
     theta = random_theta(rng, 5, 2)
     for _ in range(5):
         theta0 = theta + 0.2 * rng.standard_normal((5, 2))
-        v = q.log_map(theta, theta0)
+        v = q.align(theta0, theta).aligned - theta
         assert np.linalg.norm(v) == pytest.approx(
-            q.quotient_distance(theta, theta0), abs=1e-10)
+            q.align(theta, theta0).distance, abs=1e-10)
 
 
 def test_log_map_rejects_points_beyond_radius():
@@ -405,7 +405,7 @@ def test_log_map_rejects_points_beyond_radius():
     theta = random_theta(rng, 4, 2)
     far = random_theta(rng, 4, 2) * 15.0
     with pytest.raises(OutOfInjectivityError):
-        q.log_map(theta, far)
+        check_within_radius(theta, q.align(far, theta).distance)
 
 
 def test_injectivity_radius_construction():

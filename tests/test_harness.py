@@ -493,6 +493,8 @@ _ALL_ONES = {"d": 1, "k": 1, "X_max": 1, "sigma_min": 1, "sigma_max": 1,
     ({"constants": _ALL_ONES, "delta": [0.1]}, "'delta'"),
     ({"constants": _ALL_ONES, "n": True}, "'n'"),
     ({"constants": _ALL_ONES, "n": 0}, "'n'"),
+    ({"constants": _ALL_ONES, "detla": 0.5, "nn": 1000},
+     "unknown certificate config keys: ['detla', 'nn']"),
 ])
 def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
                                                         cfg, named):

@@ -20,16 +20,21 @@ from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
 
 
 # ---------------------------------------------------------------------------
-# predict
+# predictions
 # ---------------------------------------------------------------------------
 
+def _predict_one(X, theta):
+    """The prediction <X, theta theta^T> for one measurement matrix X."""
+    return predictions(Dataset(X=np.asarray(X)[None], y=[0.0]), theta)[0]
+
+
 def test_predict_identity_rank_one():
-    assert q.predict(np.eye(2), np.array([[1.0], [0.0]])) == pytest.approx(1.0)
+    assert _predict_one(np.eye(2), np.array([[1.0], [0.0]])) == pytest.approx(1.0)
 
 
 def test_predict_zero_factor():
     X = np.random.default_rng(0).standard_normal((3, 3))
-    assert q.predict(X, np.zeros((3, 2))) == 0.0
+    assert _predict_one(X, np.zeros((3, 2))) == 0.0
 
 
 def test_predict_matches_double_sum():
@@ -38,45 +43,46 @@ def test_predict_matches_double_sum():
     theta = rng.standard_normal((4, 2))
     M = theta @ theta.T
     expected = sum(X[i, j] * M[i, j] for i in range(4) for j in range(4))
-    assert q.predict(X, theta) == pytest.approx(expected, rel=1e-12)
+    assert _predict_one(X, theta) == pytest.approx(expected, rel=1e-12)
 
 
 def test_predict_shape_mismatch():
-    with pytest.raises(ValueError):
-        q.predict(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        _predict_one(np.eye(3), np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------------------
-# evaluate_loss
+# loss families
 # ---------------------------------------------------------------------------
 
 def test_gaussian_zero_residual():
-    assert q.evaluate_loss(q.GaussianNLL(1.0), 0.7, 0.7) == (0.0, 0.0, 1.0, 0.0)
+    loss = q.GaussianNLL(1.0)
+    assert (loss.value(0.7, 0.7), loss.d1(0.7, 0.7), loss.d2(0.7, 0.7),
+            loss.d3(0.7, 0.7)) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_logistic_at_origin():
-    v, d1, d2, d3 = q.evaluate_loss(q.Logistic(), 0.0, 1.0)
-    assert v == pytest.approx(math.log(2.0))
-    assert d1 == pytest.approx(-0.5)
-    assert d2 == pytest.approx(0.25)
-    assert d3 == pytest.approx(0.0, abs=1e-15)
+    loss = q.Logistic()
+    assert loss.value(0.0, 1.0) == pytest.approx(math.log(2.0))
+    assert loss.d1(0.0, 1.0) == pytest.approx(-0.5)
+    assert loss.d2(0.0, 1.0) == pytest.approx(0.25)
+    assert loss.d3(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_logistic_derivatives_match_finite_differences():
     loss = q.Logistic()
     z, y, h = 1.5, 0.0, 1e-5
-    _, d1, d2, d3 = q.evaluate_loss(loss, z, y)
     fd1 = (loss.value(z + h, y) - loss.value(z - h, y)) / (2 * h)
     fd2 = (loss.d1(z + h, y) - loss.d1(z - h, y)) / (2 * h)
     fd3 = (loss.d2(z + h, y) - loss.d2(z - h, y)) / (2 * h)
-    assert abs(d1 - fd1) < 1e-8
-    assert abs(d2 - fd2) < 1e-8
-    assert abs(d3 - fd3) < 1e-8
+    assert abs(loss.d1(z, y) - fd1) < 1e-8
+    assert abs(loss.d2(z, y) - fd2) < 1e-8
+    assert abs(loss.d3(z, y) - fd3) < 1e-8
 
 
 def test_logistic_rejects_non_binary_targets():
     with pytest.raises(ValueError):
-        q.evaluate_loss(q.Logistic(), 0.3, 0.5)
+        q.Logistic().validate_targets(np.array([0.5]))
 
 
 def test_logistic_curvature_bounded():
@@ -137,7 +143,7 @@ def test_empirical_loss_is_mean_of_per_sample_values():
     rng = np.random.default_rng(3)
     data, theta, loss = random_instance(rng, 3, 1, 3)
     z = predictions(data, theta)
-    per_sample = [q.evaluate_loss(loss, zi, yi)[0] for zi, yi in zip(z, data.y)]
+    per_sample = [loss.value(zi, yi) for zi, yi in zip(z, data.y)]
     assert q.empirical_loss(data, theta, loss) == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, inference
 from .jsonable import JsonFields
-from .model import euclidean_gradient, predictions, simulate
+from .model import data_route, predictions, simulate
 
 # Largest relative Frobenius gap between the restricted score covariance and
 # curvature that the Bartlett check accepts.
@@ -107,8 +107,10 @@ def taylor_residual_check(dataset, rep, loss, certificate_k=None):
 
     Reads the score and aligned chord of ``rep``, a
     ``restricted_representation`` whose basis is anchored at the truth, and
-    applies its curvature to the chord's coordinates (``curvature_times``,
-    two passes over the design; the full curvature is never built).
+    applies its curvature to the chord's coordinates (``curvature_times``;
+    the full curvature is never built).  The gradient at the aligned
+    estimate comes from one derivative pass through ``data_route(dataset,
+    loss)``, n-free on the moments.
     ``lhs`` is the norm of score + curvature x coordinate-error at the
     truth; ``remainder`` additionally subtracts the represented gradient at
     the aligned estimate, so it measures the genuine quadratic remainder
@@ -122,8 +124,9 @@ def taylor_residual_check(dataset, rep, loss, certificate_k=None):
     geometry.check_within_radius(theta_star, distance)
     first_order = rep.score + rep.curvature_times(
         inference.represent(rep.chord, rep.basis))
-    grad_at = inference.represent(
-        euclidean_gradient(dataset, theta_star + rep.chord, loss), rep.basis)
+    theta_at = theta_star + rep.chord
+    Sbar_at = data_route(dataset, loss).derivative_pass(theta_at)[1]
+    grad_at = inference.represent(Sbar_at @ theta_at, rep.basis)
     lhs = float(np.linalg.norm(first_order))
     remainder = float(np.linalg.norm(grad_at - first_order))
     # below float resolution the squared distance is pure rounding noise

@@ -1,35 +1,47 @@
 """Empirical-loss minimization over the factor matrix.
 
+The fit reads the data only through ``model.data_route``.  For the Gaussian
+loss with n >= 4 d^2 (``model.MOMENT_RATIO``) that is the moments
+(Sigma_hat, b, ybar2) = (X^T X / n, X^T y / n, y^T y / n), with X viewed as
+(n, d^2), built once per dataset: the start, every derivative pass, every
+curvature build and every line-search trial then cost O(d^4), whatever n
+is.  Otherwise, and for every other loss, it is the (n, d, d) stack X.
+
 The default start is the spectral initializer rescaled along its own ray:
 the loss at theta0 sqrt(tau) is a convex function of tau alone (the
 predictions are tau times those at theta0), so a safeguarded scalar Newton
-solve finds the best scale in O(n) per step, with no pass over the design.
-This corrects the spectral estimate's scale, which is off by the factor
-E[ell''(z*)] for losses other than the Gaussian.
+solve finds the best scale in O(n) per step, with no pass over the design
+(O(d^2) on the moments, where the first step is exact).  This corrects the
+spectral estimate's scale, which is off by the factor E[ell''(z*)] for
+losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
-iterate one derivative pass gives ell', ell'' and Sbar = pair_adjoint(X, ell')
-/ n; Sbar theta is the gradient the stop rule reads, and the same three give
-the loss's gradient and curvature in an orthonormal basis E of the horizontal
-space of R^(d x k) / O(k), where the curvature is invertible at a
+iterate one derivative pass gives ell'' and Sbar (pair_adjoint(X, ell') / n
+on the stack); Sbar theta is the gradient the stop rule reads, and the same
+two give the loss's gradient and curvature in an orthonormal basis E of the
+horizontal space of R^(d x k) / O(k), where the curvature is invertible at a
 nondegenerate minimizer.  The Newton step -H^(-1) g is taken back to a
 d x k direction.  Newton steps alone are drawn to saddle points as well as
 minimizers, so the step is used only when H is positive definite (its
 Cholesky factorization succeeds); otherwise, or at a rank-deficient iterate
 with no horizontal basis, the direction is the negative gradient, and the
 result counts these steps.  Either direction is searched by Armijo
-backtracking from unit length.
+backtracking from unit length.  On the moments the Armijo test reads the
+loss change as a quadratic form in the change of theta theta^T, never as
+the difference of two loss values, which would lose the change to rounding
+once it falls below the loss's float resolution.
 
-Building H takes a pass over the design with one column per basis direction,
-the most expensive step of an iterate, so E and the Cholesky factor of H are
-reused (the chord or Shamanskii variant of Newton's method; Kelley,
-Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).
-A factor serves at most two accepted steps (_REUSE_STEPS); it is rebuilt
-sooner when the gradient norm fails to halve from one iterate to the next
-(_CONTRACTION), and after every negative-gradient step.  An iterate that
-reuses the factor reads only g_j = <Sbar theta, E_j> from its own derivative
-pass, and its step -H^(-1) g is still a descent direction, since H is
-positive definite.
+On the stack, building H takes a pass over the design with one column per
+basis direction, the most expensive step of an iterate, so E and the
+Cholesky factor of H are reused (the chord or Shamanskii variant of
+Newton's method; Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, sec. 5.4).  A factor serves at most two accepted
+steps (_REUSE_STEPS); it is rebuilt sooner when the gradient norm fails to
+halve from one iterate to the next (_CONTRACTION), and after every
+negative-gradient step.  An iterate that reuses the factor reads only
+g_j = <Sbar theta, E_j> from its own derivative pass, and its step
+-H^(-1) g is still a descent direction, since H is positive definite.  Both
+routes share the rule.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ import numpy as np
 from . import geometry, inference
 from .errors import DegenerateFactorError, DivergenceError, InitializationError
 from .jsonable import JsonFields
-from .model import design_forward, pair_adjoint
+from .model import data_route
 
 # Backtracking line search: every search starts at unit length (the natural
 # length of a Newton step), shrinks by _SHRINK until the Armijo sufficient
@@ -93,6 +105,14 @@ class FitConfig:
 
 @dataclass
 class FitResult(JsonFields):
+    """The minimizer and how the descent got there.
+
+    ``loss_trace`` holds the loss at the start and after each accepted
+    step.  On the moment route each entry is the previous one plus the
+    step's loss change, floored at 0, so the trace never rises and stays
+    within rounding of ``empirical_loss`` at the same factor.
+    """
+
     theta0: np.ndarray
     grad_norm: float
     iterations: int
@@ -112,15 +132,15 @@ def spectral_init(dataset, k, loss):
     """Top-k eigenspace of the symmetrized response-weighted design mean.
 
     S = (1/n) sum_i y_i (X_i + X_i^T) / 2 is an unbiased estimate of
-    theta* theta*^T for the Gaussian loss under an isotropic design.
+    theta* theta*^T for the Gaussian loss under an isotropic design; the
+    loss's ``data_route`` computes it (sym(mat(b)) on the moments).
     Negative leading eigenvalues are clamped to a small floor; if no
     eigenvalue clears the floor the initializer fails and the caller should
     fall back to a random start.
     """
     if k < 1 or k > dataset.d:
         raise ValueError("k must lie in [1, d]")
-    S = pair_adjoint(dataset.X, dataset.y) / (2.0 * dataset.n)
-    lam, V = np.linalg.eigh(S)
+    lam, V = np.linalg.eigh(data_route(dataset, loss).spectral())
     top = np.argsort(lam)[::-1][:k]
     lam_top = lam[top]
     if np.all(lam_top <= _EIG_FLOOR):
@@ -131,25 +151,22 @@ def spectral_init(dataset, k, loss):
     return V[:, top] * np.sqrt(lam_top)[None, :]
 
 
-def _radial_scale(dataset, loss, theta):
-    """tau > 0 minimizing f(tau) = mean ell(tau z0, y), or None.
+def _radial_scale(route, theta, state):
+    """tau > 0 minimizing f(tau), the loss at theta sqrt(tau), or None.
 
-    z0 = <X_i, theta theta^T> are the predictions at theta, so tau z0 are
-    those at theta sqrt(tau).  f is convex (ell is convex in z), with
-    f' = mean(ell' z0) and f'' = mean(ell'' z0^2).  Scalar Newton steps from
+    ``state`` is ``route.state(theta)``; the state is linear in
+    theta theta^T, so tau times it is the state at theta sqrt(tau).  f is
+    convex (ell is convex in the predictions tau z0), with f' = mean(ell' z0)
+    and f'' = mean(ell'' z0^2) (``route.ray``).  Scalar Newton steps from
     tau = 1 keep a bracket on the root of f' and bisect whenever a step
     leaves it.  For the Gaussian loss the first step lands on the closed
-    form <z0, y> / <z0, z0>.  None when the ray is flat (f'' = 0, as for
-    z0 = 0 or a saturated logistic ray) or the solve does not settle in
-    _RADIAL_STEPS steps.
+    form <z0, y> / <z0, z0> = m0^T b / m0^T Sigma_hat m0.  None when the ray
+    is flat (f'' = 0, as for z0 = 0 or a saturated logistic ray) or the
+    solve does not settle in _RADIAL_STEPS steps.
     """
-    z0 = design_forward(dataset.X, theta @ theta.T)
-    z0_sq = z0 * z0
     lo, hi, tau = 0.0, np.inf, 1.0
     for _ in range(_RADIAL_STEPS):
-        d1, d2 = loss.d1_d2(tau * z0, dataset.y)
-        slope = float(np.mean(d1 * z0))
-        curv = float(np.mean(d2 * z0_sq))
+        slope, curv = route.ray(theta, state, tau)
         if not curv > 0.0:
             return None
         new = tau - slope / curv
@@ -165,7 +182,7 @@ def _radial_scale(dataset, loss, theta):
     return None
 
 
-def _newton_factor(dataset, loss, theta, terms):
+def _newton_factor(route, theta, terms):
     """(E, L): a horizontal basis at theta and the Cholesky factor of H there.
 
     H is the restricted curvature on E, built from the iterate's derivative
@@ -175,7 +192,7 @@ def _newton_factor(dataset, loss, theta, terms):
     """
     try:
         E = geometry.horizontal_basis(theta).elements
-        H = inference._restricted_terms(dataset, theta, E, loss, terms)[1]
+        H = inference._restricted_terms(route, theta, E, terms)[1]
         return E, np.linalg.cholesky(H)
     except (DegenerateFactorError, np.linalg.LinAlgError):
         return None
@@ -204,13 +221,15 @@ def fit(dataset, loss, config=None):
     warm start, which is used as given.  Otherwise the start is the
     spectral initializer, or a seeded random factor when the spectrum is
     uninformative, rescaled along its ray to the loss's minimum there
-    (``_radial_scale``).  The quotient distance of the result to a known
-    truth is ``geometry.align(result.theta0, truth).distance``.
+    (``_radial_scale``).  The data are read through ``data_route(dataset,
+    loss)``.  The quotient distance of the result to a known truth is
+    ``geometry.align(result.theta0, truth).distance``.
     """
     config = FitConfig() if config is None else config
     config.validate()
     loss.validate_targets(dataset.y)
     d = dataset.d
+    route = data_route(dataset, loss)
 
     if isinstance(config.init, str):
         if config.init != "spectral":
@@ -224,24 +243,20 @@ def fit(dataset, loss, config=None):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, 0xFA11)))
             theta = rng.standard_normal((d, dataset.k))
-        tau = _radial_scale(dataset, loss, theta)
+        state = route.state(theta)
+        tau = _radial_scale(route, theta, state)
         if tau is not None:
-            theta = theta * np.sqrt(tau)
+            theta, state = theta * np.sqrt(tau), tau * state
+        point = route.at(theta, state)
     else:
         theta = np.asarray(config.init, dtype=float)
         if theta.shape[0] != d:
             raise ValueError("warm start does not match the data dimension")
+        point = route.at(theta)
 
-    def loss_at(th):
-        # non-finite values are handled by the divergence/backtracking logic
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = design_forward(dataset.X, th @ th.T)
-            return float(np.mean(loss.value(z, dataset.y))), z
-
-    f, z = loss_at(theta)
-    if not np.isfinite(f):
-        raise DivergenceError("non-finite loss at the initial point", [f])
-    trace = [f]
+    if not np.isfinite(point.f):
+        raise DivergenceError("non-finite loss at the initial point", [point.f])
+    trace = [point.f]
     grad_norm = np.inf
     converged = False
     iterations = 0
@@ -249,28 +264,29 @@ def fit(dataset, loss, config=None):
     null_steps = 0
     factor, uses = None, 0
     for _ in range(config.max_iters):
-        terms = inference._derivative_pass(dataset, z, loss)
-        G = terms[2] @ theta
+        theta = point.theta
+        terms = route.derivative_pass(theta, point.state)
+        G = terms[1] @ theta
         prev_norm, grad_norm = grad_norm, np.sqrt(float(np.sum(G * G)))
         if grad_norm <= config.grad_tol:
             converged = True
             break
         if (factor is None or uses >= _REUSE_STEPS
                 or grad_norm > _CONTRACTION * prev_norm):
-            factor, uses = _newton_factor(dataset, loss, theta, terms), 0
+            factor, uses = _newton_factor(route, theta, terms), 0
         D, rate, fallback = _search_direction(theta, G, terms, factor)
         step = 1.0
         accepted = False
         while step >= _STEP_FLOOR:
-            cand = theta + step * D
-            fc, zc = loss_at(cand)
-            if np.isfinite(fc) and fc <= f - _ARMIJO * step * rate:
-                accepted = True
+            cand = route.at(theta + step * D, base=point)
+            accepted, descended = route.compare(point, cand,
+                                                _ARMIJO * step * rate)
+            if accepted:
                 break
             step *= _SHRINK
         if not accepted:
             break
-        if fc >= f:
+        if not descended:
             # the Armijo decrease rounded below the loss's float resolution:
             # the step was accepted without representable descent
             null_steps += 1
@@ -278,12 +294,11 @@ def fit(dataset, loss, config=None):
                 break
         else:
             null_steps = 0
-        theta, f, z = cand, fc, zc
-        trace.append(f)
+        point = cand
+        trace.append(point.f)
         iterations += 1
         gradient_steps += fallback
         uses += 1
-    return FitResult(theta0=theta, grad_norm=float(grad_norm),
+    return FitResult(theta0=point.theta, grad_norm=float(grad_norm),
                      iterations=iterations, gradient_steps=gradient_steps,
                      loss_trace=np.array(trace), converged=converged)
-

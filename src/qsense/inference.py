@@ -4,6 +4,12 @@ All inference happens in the coordinates of an orthonormal horizontal basis
 at the (aligned) truth: estimates and scores become vectors, curvature
 becomes a symmetric matrix whose inverse is the asymptotic covariance of
 sqrt(n) times the coordinate error.
+
+The score, the curvature-vector product and the curvature matrix at the
+truth read the data through ``model.data_route``, as the fit does: from the
+moments (X^T X / n, X^T y / n, y^T y / n) for the Gaussian loss with
+n >= 4 d^2, with no pass over the samples, and from the X stack otherwise.
+``per_sample_scores`` stays on X, since it needs every sample.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from scipy.special import ndtri
 from . import geometry
 from .errors import DegenerateHessianError
 from .jsonable import JsonFields
-from .model import (Dataset, curvature_apply, pair_adjoint, pair_coordinates,
+from .model import (Dataset, curvature_apply, data_route, pair_coordinates,
                     population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
@@ -34,50 +40,43 @@ def represent(M, basis):
     return np.einsum("mik,ik->m", basis.elements, M)
 
 
-def _derivative_pass(dataset, z, loss):
-    """(d1, d2, Sbar) at the predictions z, with Sbar = pair_adjoint(X, d1) / n.
-
-    Sbar theta is the Euclidean gradient at the factor theta behind z.  The
-    restricted gradient, the restricted curvature and its product with a
-    vector are all built from the same three, so one pass serves them all.
-    """
-    d1, d2 = loss.d1_d2(z, dataset.y)
-    return d1, d2, pair_adjoint(dataset.X, d1) / dataset.n
-
-
 def _restricted_gradient(terms, theta, E):
     """g_j = <Sbar theta, E_j> from a derivative pass ``terms`` at theta.
 
-    This equals A^T d1 / n with A = pair_coordinates(X, theta, E), at the
-    cost of one small matrix product instead of a pass over the design.
+    On the stack this equals A^T ell' / n with A = pair_coordinates(X,
+    theta, E), at the cost of one small matrix product instead of a pass
+    over the design.
     """
-    return np.einsum("mik,ik->m", E, terms[2] @ theta)
+    return np.einsum("mik,ik->m", E, terms[1] @ theta)
 
 
-def _restricted_terms(dataset, theta, E, loss, terms=None):
+def _restricted_terms(route, theta, E, terms=None):
     """Restricted gradient and curvature at theta along a (m, d, k) stack E.
 
-    With A = pair_coordinates(X, theta, E) and ``terms`` = (d1, d2, Sbar)
-    from ``_derivative_pass`` at theta (computed when not supplied), returns
-    g = ``_restricted_gradient`` and H = A^T diag(d2) A / n + <E, Sbar E>.
-    In an orthonormal horizontal basis g represents the gradient and H the
-    curvature.  H costs a pass over the design with m columns, one product
-    H v two single passes (``RestrictedRepresentation.curvature_times``).
+    With ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)`` (computed
+    when not supplied), returns g = ``_restricted_gradient`` and
+    H = ``route.curvature(theta, E, d2)`` + <E, Sbar E>: A^T diag(d2) A / n
+    for A = pair_coordinates(X, theta, E) on the stack, C Sigma_hat C^T /
+    sigma^2 for C = vec(theta E_j^T + E_j theta^T) on the moments.  In an
+    orthonormal horizontal basis g represents the gradient and H the
+    curvature.  On the stack H costs a pass over the design with m columns,
+    one product H v two single passes
+    (``RestrictedRepresentation.curvature_times``).
     """
     theta = np.asarray(theta, dtype=float)
     if terms is None:
-        terms = _derivative_pass(dataset, predictions(dataset, theta), loss)
-    d2, Sbar = terms[1], terms[2]
-    A = pair_coordinates(dataset.X, theta, E)
+        terms = route.derivative_pass(theta)
+    d2, Sbar = terms
     m = E.shape[0]
-    H = ((A * d2[:, None]).T @ A / dataset.n
+    H = (route.curvature(theta, E, d2)
          + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
     return _restricted_gradient(terms, theta, E), 0.5 * (H + H.T)
 
 
 def restricted_hessian(dataset, theta_star, basis, loss):
     """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    return _restricted_terms(dataset, theta_star, basis.elements, loss)[1]
+    return _restricted_terms(data_route(dataset, loss), theta_star,
+                             basis.elements)[1]
 
 
 def per_sample_scores(dataset, theta_star, basis, loss):
@@ -109,8 +108,8 @@ class RestrictedRepresentation(JsonFields):
     ``distance`` its norm, the quotient distance.  ``score`` is the
     restricted gradient at the truth.  The restricted curvature there is
     computed on demand: ``curvature_times(v)`` applies it to one vector
-    with two passes over the design, and ``hessian``, the full matrix, is
-    built when first read.
+    (two passes over the design on the stack, none on the moments), and
+    ``hessian``, the full matrix, is built when first read.
     """
 
     basis: object = field(repr=False)
@@ -119,22 +118,20 @@ class RestrictedRepresentation(JsonFields):
     score: np.ndarray
     chord: np.ndarray = field(repr=False)
     distance: float = field(repr=False)
-    # the data and its derivative pass at the truth, for the curvature
-    dataset: Dataset = field(repr=False)
+    # the data route and its derivative pass at the truth, for the curvature
+    route: object = field(repr=False)
     terms: tuple = field(repr=False)
 
     def curvature_times(self, v):
         """H v: the curvature operator on sum_j v_j e_j, represented."""
-        _, d2, Sbar = self.terms
         V = np.tensordot(v, self.basis.elements, axes=1)
-        return represent(curvature_apply(self.dataset.X, self.basis.anchor,
-                                         V, d2, Sbar), self.basis)
+        return represent(curvature_apply(self.route, self.basis.anchor, V,
+                                         self.terms), self.basis)
 
     @cached_property
     def hessian(self):
-        return _restricted_terms(self.dataset, self.basis.anchor,
-                                 self.basis.elements, loss=None,
-                                 terms=self.terms)[1]
+        return _restricted_terms(self.route, self.basis.anchor,
+                                 self.basis.elements, self.terms)[1]
 
     def to_json_dict(self):
         # the basis is identified by its tag and a digest of the anchor's
@@ -154,8 +151,9 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
     theta_star once; the representation is defined at any distance, but
     the aligned chord is a chart of the quotient only below the injectivity
     radius, which ``diagnostics.taylor_residual_check`` enforces.  One
-    derivative pass at the truth gives the score and, on demand, the
-    curvature (see ``RestrictedRepresentation``).
+    derivative pass at the truth, through ``data_route(dataset, loss)``,
+    gives the score and, on demand, the curvature (see
+    ``RestrictedRepresentation``).
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if not np.array_equal(basis.anchor, theta_star):
@@ -163,7 +161,8 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
     al = geometry.align(theta0, theta_star)
     chord = al.aligned - theta_star
     phi_star = represent(theta_star, basis)
-    terms = _derivative_pass(dataset, predictions(dataset, theta_star), loss)
+    route = data_route(dataset, loss)
+    terms = route.derivative_pass(theta_star)
     return RestrictedRepresentation(
         basis=basis,
         phi_star=phi_star,
@@ -171,7 +170,7 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
         score=_restricted_gradient(terms, theta_star, basis.elements),
         chord=chord,
         distance=al.distance,
-        dataset=dataset,
+        route=route,
         terms=terms)
 
 
@@ -251,7 +250,7 @@ def _single_sample_objects(data, theta, basis, loss):
     a = pair_coordinates(data.X, theta, basis.elements)[0]
     mu1 = loss.d2(predictions(data, theta), data.y)[0]
     # the conditional mean kills the score term of the population curvature
-    return (*_restricted_terms(data, theta, basis.elements, loss),
+    return (*_restricted_terms(data_route(data, loss), theta, basis.elements),
             mu1 * np.outer(a, a))
 
 

@@ -6,6 +6,14 @@ where ``X_i`` is a d x d measurement matrix, ``theta`` is a d x k factor and
 of a scalar loss ``ell(z_i, y_i)``; everything downstream (gradient, curvature,
 third derivative) is computed from the analytic derivatives of ``ell`` in its
 first argument.
+
+The fit and the inference at the truth read the data through a route
+(``data_route``): the X stack for any loss, or, for the Gaussian loss with
+n >= MOMENT_RATIO d^2 (4 d^2), the moments ``Dataset.moments``, built once
+per dataset, after which no operation touches the n samples.  The public
+derivative functions below (``empirical_loss``, ``euclidean_gradient``,
+``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) stay on X:
+they are the finite-difference oracles the routes are checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -197,6 +206,26 @@ class Dataset:
     def d(self):
         return self.X.shape[1]
 
+    @cached_property
+    def moments(self):
+        """(Sigma_hat, b, ybar2) = (A^T A / n, A^T y / n, y^T y / n).
+
+        A is the design viewed as (n, d^2).  These are all the Gaussian loss
+        reads of the data (``MomentRoute``); built on first use, then kept.
+        """
+        n, y = self.n, self.y
+        A = self.X.reshape(n, -1)
+        # A^T y block by block, then over the blocks: one matrix-vector
+        # product sums all n terms in sequence, and the loss value
+        # (ybar2 - 2 m^T b + m^T Sigma_hat m) / 2 sigma^2 magnifies that
+        # rounding by about |M|^2 / sigma^2 (up to 9e-13 relative at the
+        # criterion-5 config, 1.7e-13 in blocks)
+        h = n - n % _XY_BLOCK
+        xy = ((y[:h].reshape(-1, 1, _XY_BLOCK)
+               @ A[:h].reshape(-1, _XY_BLOCK, A.shape[1])).sum(axis=0)[0]
+              + y[h:] @ A[h:])
+        return A.T @ A / n, xy / n, float(y @ y) / n
+
     def to_json(self):
         return json.dumps({
             "d": self.d,
@@ -277,6 +306,176 @@ def pair_coordinates(X, theta, directions):
 
 
 # ---------------------------------------------------------------------------
+# Data routes
+# ---------------------------------------------------------------------------
+# The fit and the inference at the truth reach the data through three
+# operations: the loss at a factor and its change along a line search, the
+# derivative pass (ell'', Sbar), and the design part of the curvature on
+# pair matrices.  StackRoute computes them from X for any loss.  Under the
+# Gaussian loss the empirical loss is a quadratic in m = vec(theta theta^T),
+# so MomentRoute computes them from Dataset.moments alone, with no pass over
+# the n samples.  The moments cost one (d^2 x d^2) Gram product over the
+# design, which the saved passes repay from n >= MOMENT_RATIO d^2 on.
+
+MOMENT_RATIO = 4
+
+# Samples per block of the sum A^T y in Dataset.moments.
+_XY_BLOCK = 256
+
+
+def data_route(dataset, loss):
+    """The route the fit and the inference read ``dataset`` through.
+
+    MomentRoute for the Gaussian loss with n >= MOMENT_RATIO d^2, StackRoute
+    otherwise.
+    """
+    if (isinstance(loss, GaussianNLL)
+            and dataset.n >= MOMENT_RATIO * dataset.d ** 2):
+        return MomentRoute(dataset, loss)
+    return StackRoute(dataset, loss)
+
+
+@dataclass(frozen=True, eq=False)
+class Iterate:
+    """A factor, its loss and its route's ``state``, linear in theta theta^T.
+
+    ``change`` is the loss change from the iterate it was tried against, on
+    a route that computes it without subtracting two loss values.
+    """
+
+    theta: np.ndarray
+    f: float
+    state: np.ndarray
+    change: float = math.nan
+
+
+class StackRoute:
+    """The data operations on the (n, d, d) stack X, for any loss.
+
+    The state of a factor is its prediction vector z.
+    """
+
+    def __init__(self, dataset, loss):
+        self.X, self.y, self.n, self.loss = dataset.X, dataset.y, dataset.n, loss
+
+    def spectral(self):
+        """(1/n) sum_i y_i (X_i + X_i^T) / 2."""
+        return pair_adjoint(self.X, self.y) / (2.0 * self.n)
+
+    def state(self, theta):
+        return design_forward(self.X, theta @ theta.T)
+
+    def at(self, theta, state=None, base=None):
+        """The Iterate at theta (``base`` is not needed on this route)."""
+        # non-finite values are handled by the divergence/backtracking logic
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.state(theta) if state is None else state
+            return Iterate(theta, float(np.mean(self.loss.value(z, self.y))), z)
+
+    def ray(self, theta, state, tau):
+        """(f'(tau), f''(tau)) for f(tau) the loss at theta sqrt(tau)."""
+        d1, d2 = self.loss.d1_d2(tau * state, self.y)
+        return (float(np.mean(d1 * state)),
+                float(np.mean(d2 * (state * state))))
+
+    def compare(self, base, cand, bound):
+        """(f(cand) <= f(base) - bound with f(cand) finite, f(cand) < f(base))."""
+        return (bool(np.isfinite(cand.f)) and cand.f <= base.f - bound,
+                cand.f < base.f)
+
+    def derivative_pass(self, theta, state=None):
+        """(ell''(z), Sbar) with Sbar = pair_adjoint(X, ell'(z)) / n."""
+        z = self.state(theta) if state is None else state
+        d1, d2 = self.loss.d1_d2(z, self.y)
+        return d2, pair_adjoint(self.X, d1) / self.n
+
+    def curvature(self, theta, E, d2):
+        """A^T diag(d2) A / n for A = pair_coordinates(X, theta, E)."""
+        A = pair_coordinates(self.X, theta, E)
+        return (A * d2[:, None]).T @ A / self.n
+
+    def curvature_times(self, theta, Z, d2):
+        """pair_adjoint(X, d2 a) theta / n for a_i = <X_i, theta Z^T + Z theta^T>."""
+        a = design_forward(self.X, _pair(theta, Z))
+        return pair_adjoint(self.X, d2 * a) @ theta / self.n
+
+
+class MomentRoute:
+    """The same operations from (Sigma_hat, b, ybar2), for the Gaussian loss.
+
+    With m = vec(theta theta^T), the state of a factor is q = Sigma_hat m,
+    the loss is (m^T (q - 2 b) + ybar2) / (2 sigma^2), Sbar = R + R^T for
+    R = mat(q - b) / sigma^2, and ell'' = 1 / sigma^2.  The loss change to
+    a candidate is the quadratic form
+    (dm^T Sigma_hat dm / 2 + dm^T (q - b)) / sigma^2 in
+    dm = theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T, which avoids
+    the cancellation of two loss values far above their difference.
+    """
+
+    def __init__(self, dataset, loss):
+        self.gram, self.xy, self.yy = dataset.moments
+        self.d = dataset.d
+        self.inv_var = loss._inv_var
+
+    def spectral(self):
+        B = self.xy.reshape(self.d, self.d)
+        return 0.5 * (B + B.T)
+
+    def state(self, theta):
+        return self.gram @ (theta @ theta.T).ravel()
+
+    def at(self, theta, state=None, base=None):
+        """The Iterate at theta; with ``base``, its loss is base's plus the
+        change, so a trace of accepted steps never rises."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = self.state(theta) if state is None else state
+            if base is None:
+                m = (theta @ theta.T).ravel()
+                f = 0.5 * self.inv_var * float(m @ (q - 2.0 * self.xy) + self.yy)
+                # the form rounds slightly below 0 at an exact fit
+                return Iterate(theta, max(f, 0.0), q)
+            step = theta - base.theta
+            dm = (_pair(base.theta, step) + step @ step.T).ravel()
+            change = self.inv_var * float(
+                dm @ (0.5 * (self.gram @ dm) + base.state - self.xy))
+            return Iterate(theta, max(base.f + change, 0.0), q, change)
+
+    def ray(self, theta, state, tau):
+        m = (theta @ theta.T).ravel()
+        curv = float(m @ state)
+        return (self.inv_var * (tau * curv - float(m @ self.xy)),
+                self.inv_var * curv)
+
+    def compare(self, base, cand, bound):
+        return (bool(np.isfinite(cand.change)) and cand.change <= -bound,
+                cand.change < 0.0)
+
+    def derivative_pass(self, theta, state=None):
+        q = self.state(theta) if state is None else state
+        R = (q - self.xy).reshape(self.d, self.d) * self.inv_var
+        return self.inv_var, R + R.T
+
+    def curvature(self, theta, E, d2):
+        C = _pair(theta, E).reshape(E.shape[0], -1)
+        return d2 * (C @ self.gram @ C.T)
+
+    def curvature_times(self, theta, Z, d2):
+        W = (self.gram @ _pair(theta, Z).ravel()).reshape(self.d, self.d)
+        return d2 * ((W + W.T) @ theta)
+
+
+def curvature_apply(route, theta, Z, terms):
+    """The curvature operator at theta applied to Z, from a derivative pass.
+
+    ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)``; the result is
+    the route's design part plus Sbar Z (the exact curvature-vector product,
+    two passes over X on the stack).
+    """
+    d2, Sbar = terms
+    return route.curvature_times(theta, Z, d2) + Sbar @ Z
+
+
+# ---------------------------------------------------------------------------
 # Core predictions and derivatives
 # ---------------------------------------------------------------------------
 
@@ -321,22 +520,9 @@ def hessian_operator(dataset, theta, Z, loss):
     Z = np.asarray(Z, dtype=float)
     if Z.shape != theta.shape:
         raise ValueError("Z must match the factor shape")
-    z = predictions(dataset, theta)
-    d1, d2 = loss.d1_d2(z, dataset.y)
-    return curvature_apply(dataset.X, theta, Z, d2,
-                           pair_adjoint(dataset.X, d1) / dataset.n)
-
-
-def curvature_apply(X, theta, Z, d2, Sbar):
-    """The curvature operator at theta applied to Z, from a derivative pass.
-
-    With d2 = ell''(z) at theta's predictions and Sbar = pair_adjoint(X,
-    ell'(z)) / n, this is pair_adjoint(X, d2 a) theta / n + Sbar Z for
-    a = <X_i, theta Z^T + Z theta^T>: two passes over the design, one
-    forward and one adjoint (the exact curvature-vector product).
-    """
-    a = design_forward(X, _pair(theta, Z))
-    return pair_adjoint(X, d2 * a) @ theta / X.shape[0] + Sbar @ Z
+    route = StackRoute(dataset, loss)
+    terms = route.derivative_pass(theta, predictions(dataset, theta))
+    return curvature_apply(route, theta, Z, terms)
 
 
 def third_derivative(dataset, theta, Z, W, V, loss):

@@ -1,13 +1,22 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import qsense as q
+import qsense.estimator as estimator
 from qsense.errors import DivergenceError, InitializationError
 from qsense.estimator import _radial_scale
-from qsense.harness import ExperimentConfig, make_truth
-from qsense.model import Dataset, design_forward, euclidean_gradient
+from qsense.harness import ExperimentConfig, make_truth, run_replications
+from qsense.model import (Dataset, MomentRoute, StackRoute, data_route,
+                         design_forward, empirical_loss, euclidean_gradient)
 
 from helpers import random_orthogonal, random_theta
+
+
+def _tau(data, loss, start):
+    route = data_route(data, loss)
+    return _radial_scale(route, start, route.state(start))
 
 
 def _noiseless(theta, n, seed=0, design="gaussian"):
@@ -181,6 +190,78 @@ def test_fit_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# the moment route
+# ---------------------------------------------------------------------------
+
+def _criterion5_gaussian():
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
+                           replications=1, seed=2024)
+    data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
+    return data, cfg.make_loss(), cfg.fit_config(cfg.seed * 1_000_003)
+
+
+def _noiseless_minimum(warm):
+    # the quadratic form of the loss reads -8.9e-16 at this fit's minimum,
+    # the truth
+    rng = np.random.default_rng(14)
+    theta = random_theta(rng, 4, 2)
+    data = _noiseless(theta, 80, seed=15)
+    return data, q.GaussianNLL(1.0), q.FitConfig(
+        init=theta if warm else "spectral", grad_tol=1e-12, max_iters=50_000)
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: _noiseless_minimum(warm=False),
+    lambda: _noiseless_minimum(warm=True),
+    _criterion5_gaussian,
+], ids=["noiseless", "noiseless-warm-at-truth", "criterion-5-gaussian"])
+def test_reported_losses_are_true_values(problem):
+    data, loss, cfg = problem()
+    assert isinstance(data_route(data, loss), MomentRoute)
+    res = q.fit(data, loss, cfg)
+    assert res.converged
+    assert np.all(res.loss_trace >= 0.0)
+    assert np.all(np.diff(res.loss_trace) <= 0.0)
+    true = empirical_loss(data, res.theta0, loss)
+    assert abs(res.final_loss - true) <= max(1e-12 * true, 1e-14)
+
+
+def test_moment_and_stack_fits_agree(monkeypatch):
+    data, loss, cfg = _criterion5_gaussian()
+    moments = q.fit(data, loss, cfg)
+    monkeypatch.setattr(estimator, "data_route", StackRoute)
+    stack = q.fit(data, loss, cfg)
+    assert moments.converged and stack.converged
+    assert moments.iterations == stack.iterations
+    assert (np.linalg.norm(moments.theta0 - stack.theta0)
+            <= 1e-10 * np.linalg.norm(stack.theta0))
+
+
+@pytest.mark.parametrize("loss, n, builds", [
+    ("logistic", 400, 0),
+    ("gaussian", 4 * 36 - 1, 0),  # one sample short of MOMENT_RATIO d^2
+    ("gaussian", 4 * 36, 3),      # once per replicate's dataset
+])
+def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
+                                                    builds):
+    built = []
+    original = Dataset.moments.func
+
+    def counting(dataset):
+        built.append(dataset)
+        return original(dataset)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Dataset, "moments")
+    monkeypatch.setattr(Dataset, "moments", prop)
+    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
+                           replications=3, seed=5)
+    records, _ = run_replications(cfg)
+    assert not any(rec.diverged for rec in records)
+    assert len(built) == builds == len({id(data) for data in built})
+
+
+# ---------------------------------------------------------------------------
 # radial start
 # ---------------------------------------------------------------------------
 
@@ -192,7 +273,7 @@ def test_radial_scale_is_the_least_squares_ratio_for_gaussian_loss():
     data = q.simulate(dgp, 300)
     start = 3.0 * q.spectral_init(data, 2, q.GaussianNLL(0.4))
     z0 = design_forward(data.X, start @ start.T)
-    tau = _radial_scale(data, q.GaussianNLL(0.4), start)
+    tau = _tau(data, q.GaussianNLL(0.4), start)
     assert tau == pytest.approx(z0 @ data.y / (z0 @ z0), rel=1e-12, abs=0)
 
 
@@ -205,7 +286,7 @@ def test_radial_scale_zeroes_the_ray_derivative_for_logistic_loss():
     loss = q.Logistic()
     start = q.spectral_init(data, 2, loss)
     z0 = design_forward(data.X, start @ start.T)
-    tau = _radial_scale(data, loss, start)
+    tau = _tau(data, loss, start)
     d1 = loss.d1(tau * z0, data.y)
     assert abs(np.mean(d1 * z0)) <= 1e-9 * np.mean(np.abs(d1 * z0))
     # the response-weighted mean shrinks the logistic factor's scale
@@ -220,7 +301,7 @@ def test_separable_ray_keeps_the_start_and_fit_runs():
     loss = q.Logistic()
     start = q.spectral_init(data, 1, loss)
     assert np.all(design_forward(data.X, start @ start.T) > 0.0)
-    assert _radial_scale(data, loss, start) is None
+    assert _tau(data, loss, start) is None
     res = q.fit(data, loss, q.FitConfig(max_iters=50))
     assert np.all(np.isfinite(res.theta0))
     assert res.final_loss < res.loss_trace[0]
@@ -239,7 +320,7 @@ def test_saturated_ray_has_no_scale_and_a_finite_loss(scale):
     start = np.array([[1.0], [0.0], [0.0]])
     z0 = design_forward(data.X, start @ start.T)
     assert np.all(loss.d2(z0, y) == 0.0)
-    assert _radial_scale(data, loss, start) is None
+    assert _tau(data, loss, start) is None
     value = loss.value(z0, y)
     assert np.all(np.isfinite(value))
     assert np.all(np.abs(value - (np.logaddexp(0.0, z0) - y * z0))

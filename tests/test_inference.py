@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import qsense as q
 from qsense.errors import DegenerateHessianError
 from qsense.inference import _restricted_terms, per_sample_scores
-from qsense.model import euclidean_gradient, pair_coordinates, predictions
+from qsense.model import (data_route, euclidean_gradient, pair_coordinates,
+                          predictions)
 
 from helpers import random_instance, random_orthogonal, random_theta, rel_err
 
@@ -396,7 +397,7 @@ def test_score_and_curvature_product_match_the_full_curvature(seed, loss_kind):
     # at the anchor and at the anchor rotated by U, in the pushed-forward basis
     for anchor, b in ((theta, basis), (theta @ U, q.rotate_basis(basis, U))):
         rep = q.restricted_representation(data, anchor, theta0, b, loss)
-        g, H = _restricted_terms(data, anchor, b.elements, loss)
+        g, H = _restricted_terms(data_route(data, loss), anchor, b.elements)
         # an independent form of the score: A^T ell' / n
         A = pair_coordinates(data.X, anchor, b.elements)
         d1 = loss.d1(predictions(data, anchor), data.y)

@@ -10,8 +10,10 @@ from scipy.integrate import IntegrationWarning
 
 import qsense as q
 from qsense.errors import ConfigurationError
-from qsense.model import (Dataset, _stein_moments, design_forward,
-                          pair_adjoint, pair_coordinates,
+from qsense.inference import _restricted_terms
+from qsense.model import (MOMENT_RATIO, Dataset, MomentRoute, StackRoute,
+                          _stein_moments, curvature_apply, data_route,
+                          design_forward, pair_adjoint, pair_coordinates,
                           population_curvature, predictions,
                           third_derivative_operator)
 
@@ -327,6 +329,50 @@ def test_design_maps_agree_with_hand_built_sums():
     for j in range(m):
         assert np.allclose(stacked[:, j], design_forward(X, M[j]),
                            rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# data routes
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_stack_and_moment_routes_agree(seed):
+    # n from MOMENT_RATIO d^2 up, so both sides of the blocked A^T y occur
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    k = int(rng.integers(1, min(d, 3) + 1))
+    n = MOMENT_RATIO * d * d + int(rng.integers(0, 600))
+    data, theta, loss = random_instance(rng, d, k, n, "gaussian")
+    stack, moments = StackRoute(data, loss), MomentRoute(data, loss)
+    assert isinstance(data_route(data, loss), MomentRoute)
+    # the loss change: two values subtracted on the stack, a quadratic form
+    # in dm on the moments; the stack's own resolution is about eps f
+    cand = theta + 0.3 * rng.standard_normal((d, k))
+    start = stack.at(theta)
+    change_x = stack.at(cand).f - start.f
+    change_m = moments.at(cand, base=moments.at(theta)).change
+    assert abs(change_m - change_x) <= 1e-10 * abs(change_x) + 1e-14 * start.f
+    assert moments.at(theta).f == pytest.approx(start.f, rel=1e-10)
+    # Sbar theta, the restricted curvature on a horizontal basis and H v
+    terms_x = stack.derivative_pass(theta)
+    terms_m = moments.derivative_pass(theta)
+    assert rel_err(terms_x[1] @ theta, terms_m[1] @ theta) <= 1e-10
+    E = q.horizontal_basis(theta).elements
+    assert rel_err(_restricted_terms(stack, theta, E)[1],
+                   _restricted_terms(moments, theta, E)[1]) <= 1e-10
+    V = rng.standard_normal((d, k))
+    assert rel_err(curvature_apply(stack, theta, V, terms_x),
+                   curvature_apply(moments, theta, V, terms_m)) <= 1e-10
+    # the gradient at a perturbed point, against the public oracle
+    far = theta + 0.1 * rng.standard_normal((d, k))
+    assert rel_err(q.euclidean_gradient(data, far, loss),
+                   moments.derivative_pass(far)[1] @ far) <= 1e-10
+    # and the starts: the spectral matrix and the ray's derivatives
+    assert rel_err(stack.spectral(), moments.spectral()) <= 1e-10
+    for tau in (0.5, 1.0, 2.0):
+        assert rel_err(stack.ray(theta, start.state, tau),
+                       moments.ray(theta, moments.state(theta), tau)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, inference
 from .jsonable import JsonFields
-from .model import data_route, predictions, simulate
+from .model import predictions, simulate
 
 # Largest relative Frobenius gap between the restricted score covariance and
 # curvature that the Bartlett check accepts.
@@ -102,15 +102,15 @@ class TaylorResidualReport(JsonFields):
     grad_at_estimate_norm: float
 
 
-def taylor_residual_check(dataset, rep, loss, certificate_k=None):
+def taylor_residual_check(rep, certificate_k=None):
     """First-order expansion residual of the represented gradient.
 
     Reads the score and aligned chord of ``rep``, a
     ``restricted_representation`` whose basis is anchored at the truth, and
     applies its curvature to the chord's coordinates (``curvature_times``;
     the full curvature is never built).  The gradient at the aligned
-    estimate comes from one derivative pass through ``data_route(dataset,
-    loss)``, n-free on the moments.
+    estimate comes from one derivative pass through ``rep.route``, n-free
+    on the moments.
     ``lhs`` is the norm of score + curvature x coordinate-error at the
     truth; ``remainder`` additionally subtracts the represented gradient at
     the aligned estimate, so it measures the genuine quadratic remainder
@@ -125,7 +125,7 @@ def taylor_residual_check(dataset, rep, loss, certificate_k=None):
     first_order = rep.score + rep.curvature_times(
         inference.represent(rep.chord, rep.basis))
     theta_at = theta_star + rep.chord
-    Sbar_at = data_route(dataset, loss).derivative_pass(theta_at)[1]
+    Sbar_at = rep.route.derivative_pass(theta_at)[1]
     grad_at = inference.represent(Sbar_at @ theta_at, rep.basis)
     lhs = float(np.linalg.norm(first_order))
     remainder = float(np.linalg.norm(grad_at - first_order))

@@ -5,7 +5,9 @@ loss with n >= 4 d^2 (``model.MOMENT_RATIO``) that is the moments
 (Sigma_hat, b, ybar2) = (X^T X / n, X^T y / n, y^T y / n), with X viewed as
 (n, d^2), built once per dataset: the start, every derivative pass, every
 curvature build and every line-search trial then cost O(d^4), whatever n
-is.  Otherwise, and for every other loss, it is the (n, d, d) stack X.
+is.  Only the reported loss, at the start and after each accepted step,
+takes one forward pass over X (``MomentRoute.value``).  Otherwise, and for
+every other loss, it is the (n, d, d) stack X.
 
 The default start is the spectral initializer rescaled along its own ray:
 the loss at theta0 sqrt(tau) is a convex function of tau alone (the
@@ -107,10 +109,11 @@ class FitConfig:
 class FitResult(JsonFields):
     """The minimizer and how the descent got there.
 
-    ``loss_trace`` holds the loss at the start and after each accepted
-    step.  On the moment route each entry is the previous one plus the
-    step's loss change, floored at 0, so the trace never rises and stays
-    within rounding of ``empirical_loss`` at the same factor.
+    ``loss_trace`` holds the empirical loss at the start and after each
+    accepted step, computed as ``empirical_loss`` computes it.  On the
+    moment route the line search accepts a step by its loss change, not by
+    these values, so once the change falls below their float resolution
+    the trace may rise by a rounding unit.
     """
 
     theta0: np.ndarray
@@ -254,9 +257,9 @@ def fit(dataset, loss, config=None):
             raise ValueError("warm start does not match the data dimension")
         point = route.at(theta)
 
-    if not np.isfinite(point.f):
-        raise DivergenceError("non-finite loss at the initial point", [point.f])
-    trace = [point.f]
+    trace = [route.value(point)]
+    if not np.isfinite(trace[0]):
+        raise DivergenceError("non-finite loss at the initial point", trace)
     grad_norm = np.inf
     converged = False
     iterations = 0
@@ -295,7 +298,7 @@ def fit(dataset, loss, config=None):
         else:
             null_steps = 0
         point = cand
-        trace.append(point.f)
+        trace.append(route.value(point))
         iterations += 1
         gradient_steps += fallback
         uses += 1

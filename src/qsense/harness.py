@@ -307,7 +307,7 @@ def _replicate(ctx, r):
     ci = inference.wald_intervals(rep.phi0, ctx.covariance, ctx.n,
                                   ctx.config.alpha, phi_star=rep.phi_star)
     try:
-        taylor = diagnostics.taylor_residual_check(data, rep, loss)
+        taylor = diagnostics.taylor_residual_check(rep)
         t_lhs, t_rem = taylor.lhs, taylor.remainder
         t_ratio = float("nan") if taylor.ratio is None else taylor.ratio
     except geometry.OutOfInjectivityError:

@@ -10,7 +10,8 @@ first argument.
 The fit and the inference at the truth read the data through a route
 (``data_route``): the X stack for any loss, or, for the Gaussian loss with
 n >= MOMENT_RATIO d^2 (4 d^2), the moments ``Dataset.moments``, built once
-per dataset, after which no operation touches the n samples.  The public
+per dataset, after which only the reported loss values touch the n
+samples (one forward pass each).  The public
 derivative functions below (``empirical_loss``, ``euclidean_gradient``,
 ``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) stay on X:
 they are the finite-difference oracles the routes are checked against.
@@ -215,16 +216,7 @@ class Dataset:
         """
         n, y = self.n, self.y
         A = self.X.reshape(n, -1)
-        # A^T y block by block, then over the blocks: one matrix-vector
-        # product sums all n terms in sequence, and the loss value
-        # (ybar2 - 2 m^T b + m^T Sigma_hat m) / 2 sigma^2 magnifies that
-        # rounding by about |M|^2 / sigma^2 (up to 9e-13 relative at the
-        # criterion-5 config, 1.7e-13 in blocks)
-        h = n - n % _XY_BLOCK
-        xy = ((y[:h].reshape(-1, 1, _XY_BLOCK)
-               @ A[:h].reshape(-1, _XY_BLOCK, A.shape[1])).sum(axis=0)[0]
-              + y[h:] @ A[h:])
-        return A.T @ A / n, xy / n, float(y @ y) / n
+        return A.T @ A / n, A.T @ y / n, float(y @ y) / n
 
     def to_json(self):
         return json.dumps({
@@ -313,14 +305,12 @@ def pair_coordinates(X, theta, directions):
 # derivative pass (ell'', Sbar), and the design part of the curvature on
 # pair matrices.  StackRoute computes them from X for any loss.  Under the
 # Gaussian loss the empirical loss is a quadratic in m = vec(theta theta^T),
-# so MomentRoute computes them from Dataset.moments alone, with no pass over
-# the n samples.  The moments cost one (d^2 x d^2) Gram product over the
-# design, which the saved passes repay from n >= MOMENT_RATIO d^2 on.
+# so MomentRoute computes them from Dataset.moments alone; it reads the n
+# samples only for the loss value the fit reports (``value``).  The moments
+# cost one (d^2 x d^2) Gram product over the design, which the saved passes
+# repay from n >= MOMENT_RATIO d^2 on.
 
 MOMENT_RATIO = 4
-
-# Samples per block of the sum A^T y in Dataset.moments.
-_XY_BLOCK = 256
 
 
 def data_route(dataset, loss):
@@ -337,15 +327,16 @@ def data_route(dataset, loss):
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
-    """A factor, its loss and its route's ``state``, linear in theta theta^T.
+    """A factor and its route's ``state``, linear in theta theta^T.
 
-    ``change`` is the loss change from the iterate it was tried against, on
-    a route that computes it without subtracting two loss values.
+    The stack route also holds the loss ``f``; the moment route holds the
+    ``change`` of the loss from the iterate it was tried against.  Either
+    route's ``value`` gives the loss the fit reports.
     """
 
     theta: np.ndarray
-    f: float
     state: np.ndarray
+    f: float = math.nan
     change: float = math.nan
 
 
@@ -370,7 +361,11 @@ class StackRoute:
         # non-finite values are handled by the divergence/backtracking logic
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.state(theta) if state is None else state
-            return Iterate(theta, float(np.mean(self.loss.value(z, self.y))), z)
+            return Iterate(theta, z, float(np.mean(self.loss.value(z, self.y))))
+
+    def value(self, point):
+        """The empirical loss at ``point``."""
+        return point.f
 
     def ray(self, theta, state, tau):
         """(f'(tau), f''(tau)) for f(tau) the loss at theta sqrt(tau)."""
@@ -404,17 +399,21 @@ class MomentRoute:
     """The same operations from (Sigma_hat, b, ybar2), for the Gaussian loss.
 
     With m = vec(theta theta^T), the state of a factor is q = Sigma_hat m,
-    the loss is (m^T (q - 2 b) + ybar2) / (2 sigma^2), Sbar = R + R^T for
-    R = mat(q - b) / sigma^2, and ell'' = 1 / sigma^2.  The loss change to
-    a candidate is the quadratic form
+    Sbar = R + R^T for R = mat(q - b) / sigma^2, and ell'' = 1 / sigma^2.
+    The loss change to a candidate is the quadratic form
     (dm^T Sigma_hat dm / 2 + dm^T (q - b)) / sigma^2 in
     dm = theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T, which avoids
     the cancellation of two loss values far above their difference.
+
+    The loss itself, (m^T (q - 2 b) + ybar2) / (2 sigma^2), cancels terms
+    about |M|^2 / sigma^2 times larger than its result, so ``value`` takes
+    it from one forward pass over X instead: the one operation here that
+    reads the samples, once per reported iterate.
     """
 
     def __init__(self, dataset, loss):
         self.gram, self.xy, self.yy = dataset.moments
-        self.d = dataset.d
+        self.X, self.y, self.d, self.loss = dataset.X, dataset.y, dataset.d, loss
         self.inv_var = loss._inv_var
 
     def spectral(self):
@@ -425,20 +424,22 @@ class MomentRoute:
         return self.gram @ (theta @ theta.T).ravel()
 
     def at(self, theta, state=None, base=None):
-        """The Iterate at theta; with ``base``, its loss is base's plus the
-        change, so a trace of accepted steps never rises."""
+        """The Iterate at theta, with its loss change from ``base`` if given."""
         with np.errstate(over="ignore", invalid="ignore"):
             q = self.state(theta) if state is None else state
             if base is None:
-                m = (theta @ theta.T).ravel()
-                f = 0.5 * self.inv_var * float(m @ (q - 2.0 * self.xy) + self.yy)
-                # the form rounds slightly below 0 at an exact fit
-                return Iterate(theta, max(f, 0.0), q)
+                return Iterate(theta, q)
             step = theta - base.theta
             dm = (_pair(base.theta, step) + step @ step.T).ravel()
             change = self.inv_var * float(
                 dm @ (0.5 * (self.gram @ dm) + base.state - self.xy))
-            return Iterate(theta, max(base.f + change, 0.0), q, change)
+            return Iterate(theta, q, change=change)
+
+    def value(self, point):
+        """The empirical loss at ``point``: one forward pass over X."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = design_forward(self.X, point.theta @ point.theta.T)
+            return float(np.mean(self.loss.value(z, self.y)))
 
     def ray(self, theta, state, tau):
         m = (theta @ theta.T).ravel()

@@ -243,9 +243,9 @@ def test_criterion_7_taylor_residual():
     dists, rems, ratios_ok = [], [], True
     for r in radii:
         rep = q.taylor_residual_check(
-            data, q.restricted_representation(data, theta, theta + r * W,
-                                              basis, loss),
-            loss, certificate_k=cert.K)
+            q.restricted_representation(data, theta, theta + r * W, basis,
+                                        loss),
+            certificate_k=cert.K)
         dists.append(rep.distance)
         rems.append(rep.remainder)
         ratios_ok &= rep.ratio <= cert.K / 2.0

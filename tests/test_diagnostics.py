@@ -103,8 +103,7 @@ def test_taylor_lhs_is_score_norm_at_truth():
     loss = q.GaussianNLL(0.5)
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        data, q.restricted_representation(data, theta, theta, basis, loss),
-        loss)
+        q.restricted_representation(data, theta, theta, basis, loss))
     g0 = q.represent(euclidean_gradient(data, theta, loss), basis)
     assert rep.lhs == pytest.approx(float(np.linalg.norm(g0)), rel=1e-12)
     assert rep.distance == pytest.approx(0.0, abs=1e-12)
@@ -119,8 +118,7 @@ def test_taylor_residual_tiny_at_noiseless_minimizer():
     res = q.fit(data, loss, q.FitConfig(grad_tol=1e-12, max_iters=50_000))
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        data, q.restricted_representation(data, theta, res.theta0, basis,
-                                          loss), loss)
+        q.restricted_representation(data, theta, res.theta0, basis, loss))
     assert rep.lhs <= 1e-8
 
 
@@ -135,8 +133,8 @@ def test_taylor_remainder_scales_quadratically():
     radii = 0.15 * q.injectivity_radius(theta) * 0.5 ** np.arange(6)
     dists, rems = [], []
     for r in radii:
-        rep = q.taylor_residual_check(data, q.restricted_representation(
-            data, theta, theta + r * W, basis, loss), loss)
+        rep = q.taylor_residual_check(q.restricted_representation(
+            data, theta, theta + r * W, basis, loss))
         dists.append(rep.distance)
         rems.append(rep.remainder)
     slope = np.polyfit(np.log(dists), np.log(rems), 1)[0]
@@ -157,9 +155,9 @@ def test_taylor_remainder_below_certificate():
     W /= np.linalg.norm(W)
     for r in 0.1 * 0.5 ** np.arange(5):
         rep = q.taylor_residual_check(
-            data, q.restricted_representation(data, theta, theta + r * W,
-                                              basis, loss),
-            loss, certificate_k=cert.K)
+            q.restricted_representation(data, theta, theta + r * W, basis,
+                                        loss),
+            certificate_k=cert.K)
         assert rep.remainder <= rep.certificate_rhs
         assert rep.ratio <= cert.K / 2.0
 
@@ -173,7 +171,7 @@ def test_taylor_check_rejects_far_points():
     rep = q.restricted_representation(data, theta, 10.0 * theta + 1.0, basis,
                                       loss)
     with pytest.raises(OutOfInjectivityError):
-        q.taylor_residual_check(data, rep, loss)
+        q.taylor_residual_check(rep)
 
 
 # ---------------------------------------------------------------------------

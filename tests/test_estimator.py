@@ -193,8 +193,8 @@ def test_fit_config_validation():
 # the moment route
 # ---------------------------------------------------------------------------
 
-def _criterion5_gaussian():
-    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
+def _criterion5_gaussian(sigma=0.1):
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma, n=8000,
                            replications=1, seed=2024)
     data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
     return data, cfg.make_loss(), cfg.fit_config(cfg.seed * 1_000_003)
@@ -214,14 +214,19 @@ def _noiseless_minimum(warm):
     lambda: _noiseless_minimum(warm=False),
     lambda: _noiseless_minimum(warm=True),
     _criterion5_gaussian,
-], ids=["noiseless", "noiseless-warm-at-truth", "criterion-5-gaussian"])
+    # the quadratic form cancels terms about |M*|^2 / sigma^2 times the loss
+    lambda: _criterion5_gaussian(sigma=0.01),
+], ids=["noiseless", "noiseless-warm-at-truth", "criterion-5-gaussian",
+        "criterion-5-gaussian-sigma-0.01"])
 def test_reported_losses_are_true_values(problem):
     data, loss, cfg = problem()
     assert isinstance(data_route(data, loss), MomentRoute)
     res = q.fit(data, loss, cfg)
     assert res.converged
-    assert np.all(res.loss_trace >= 0.0)
-    assert np.all(np.diff(res.loss_trace) <= 0.0)
+    trace = res.loss_trace
+    assert np.all(trace >= 0.0)
+    # accepted by its loss change, a step may raise the value by rounding
+    assert np.all(np.diff(trace) <= np.maximum(1e-12 * trace[:-1], 1e-14))
     true = empirical_loss(data, res.theta0, loss)
     assert abs(res.final_loss - true) <= max(1e-12 * true, 1e-14)
 

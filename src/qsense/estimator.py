@@ -2,10 +2,9 @@
 
 The fit reads the data only through ``model.data_route``.  For the Gaussian
 loss with n >= 4 d^2 (``model.MOMENT_RATIO``) that is the moments
-(Sigma_hat, b, ybar2) = (X^T X / n, X^T y / n, y^T y / n), with X viewed as
-(n, d^2), built once per dataset: the start, every derivative pass, every
-curvature build and every line-search trial then cost O(d^4), whatever n
-is.  Only the reported loss, at the start and after each accepted step,
+(Sigma_hat, b) = (X^T X / n, X^T y / n), with X viewed as (n, d^2), built
+once per dataset: the start, every derivative pass, every curvature build
+and every line-search trial then cost O(d^4), whatever n is.  Only the reported loss, at the start and after each accepted step,
 takes one forward pass over X (``MomentRoute.value``).  Otherwise, and for
 every other loss, it is the (n, d, d) stack X.
 

@@ -7,8 +7,8 @@ sqrt(n) times the coordinate error.
 
 The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.data_route``, as the fit does: from the
-moments (X^T X / n, X^T y / n, y^T y / n) for the Gaussian loss with
-n >= 4 d^2, with no pass over the samples, and from the X stack otherwise.
+moments (X^T X / n, X^T y / n) for the Gaussian loss with n >= 4 d^2, with
+no pass over the samples, and from the X stack otherwise.
 ``per_sample_scores`` stays on X, since it needs every sample.
 """
 

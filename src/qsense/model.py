@@ -209,14 +209,14 @@ class Dataset:
 
     @cached_property
     def moments(self):
-        """(Sigma_hat, b, ybar2) = (A^T A / n, A^T y / n, y^T y / n).
+        """(Sigma_hat, b) = (A^T A / n, A^T y / n).
 
-        A is the design viewed as (n, d^2).  These are all the Gaussian loss
-        reads of the data (``MomentRoute``); built on first use, then kept.
+        A is the design viewed as (n, d^2).  These are all the Gaussian
+        loss's derivatives read of the data (``MomentRoute``); built on
+        first use, then kept.
         """
-        n, y = self.n, self.y
-        A = self.X.reshape(n, -1)
-        return A.T @ A / n, A.T @ y / n, float(y @ y) / n
+        A = self.X.reshape(self.n, -1)
+        return A.T @ A / self.n, A.T @ self.y / self.n
 
     def to_json(self):
         return json.dumps({
@@ -396,7 +396,7 @@ class StackRoute:
 
 
 class MomentRoute:
-    """The same operations from (Sigma_hat, b, ybar2), for the Gaussian loss.
+    """The same operations from (Sigma_hat, b), for the Gaussian loss.
 
     With m = vec(theta theta^T), the state of a factor is q = Sigma_hat m,
     Sbar = R + R^T for R = mat(q - b) / sigma^2, and ell'' = 1 / sigma^2.
@@ -405,14 +405,14 @@ class MomentRoute:
     dm = theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T, which avoids
     the cancellation of two loss values far above their difference.
 
-    The loss itself, (m^T (q - 2 b) + ybar2) / (2 sigma^2), cancels terms
-    about |M|^2 / sigma^2 times larger than its result, so ``value`` takes
-    it from one forward pass over X instead: the one operation here that
-    reads the samples, once per reported iterate.
+    The loss itself would be (m^T (q - 2 b) + y^T y / n) / (2 sigma^2),
+    which cancels terms about |M|^2 / sigma^2 times larger than its result,
+    so ``value`` takes it from one forward pass over X instead: the one
+    operation here that reads the samples, once per reported iterate.
     """
 
     def __init__(self, dataset, loss):
-        self.gram, self.xy, self.yy = dataset.moments
+        self.gram, self.xy = dataset.moments
         self.X, self.y, self.d, self.loss = dataset.X, dataset.y, dataset.d, loss
         self.inv_var = loss._inv_var
 

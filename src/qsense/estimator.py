@@ -193,7 +193,7 @@ def _newton_factor(route, theta, terms):
     basis.
     """
     try:
-        E = geometry.horizontal_basis(theta).elements
+        E = geometry.newton_basis(theta)
         H = inference._restricted_terms(route, theta, E, terms)[1]
         return E, np.linalg.cholesky(H)
     except (DegenerateFactorError, np.linalg.LinAlgError):

@@ -155,6 +155,28 @@ def horizontal_basis(theta, order="lex"):
                            tag=order)
 
 
+def newton_basis(theta):
+    """An orthonormal (m, d, k) basis of the horizontal space at theta.
+
+    The last m columns of one complete QR factorization of the vertical
+    directions theta A, A in ``skew_basis(k)``.  It spans the space
+    ``horizontal_basis`` spans, in other coordinates, at a tenth of the
+    cost; the fit's Newton step does not depend on the basis, while the
+    reported coordinates are those of ``horizontal_basis``.  Raises
+    DegenerateFactorError at a rank-deficient theta, or when a diagonal
+    entry of R falls below ``GS_DROP_TOL`` relative to theta's scale.
+    """
+    theta = np.asarray(theta, dtype=float)
+    d, k = theta.shape
+    sv = _check_full_rank(theta)
+    vertical = (theta @ skew_basis(k)).reshape(-1, d * k)
+    Q, R = np.linalg.qr(vertical.T, mode="complete")
+    if np.any(np.abs(np.diagonal(R)) < GS_DROP_TOL * sv[0]):
+        raise DegenerateFactorError(
+            "vertical directions are numerically dependent")
+    return Q[:, vertical.shape[0]:].T.reshape(-1, d, k)
+
+
 def rotate_basis(basis, U):
     """Push a horizontal basis at theta forward to one at theta U."""
     U = np.asarray(U, dtype=float)

@@ -2,7 +2,12 @@
 
 Every replicate draws its own RNG stream from (seed, tag, index), so results
 are bit-identical for a fixed seed regardless of how many workers execute
-them.  Aggregation walks records in index order.
+them.  Where the fit would read the data only through the moments (the
+Gaussian loss with n >= 4 d^2, ``model.uses_moments``) and the design and
+noise are Gaussian, a replicate draws those statistics directly
+(``model.draw_statistics``) instead of n measurement matrices; everywhere
+else it draws X (``model.simulate``).  A run's records come back in
+columns (``ReplicationRecords``), read in index order.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 from scipy import stats
 
-from . import __version__, diagnostics, geometry, inference
+from . import __version__, diagnostics, geometry, inference, model
 from .errors import (ConfigurationError, DivergenceError, HarnessAbort,
                      InitializationError)
 from .estimator import FitConfig, fit
 from .jsonable import JsonFields
 from .model import (BOUNDED_XMAX, DataGeneratingProcess, GaussianNLL,
-                    Logistic, ProblemConstants, has_closed_form, simulate)
+                    Logistic, ProblemConstants, has_closed_form)
 
 VERSION_STRING = f"qsense-{__version__}"
 
@@ -293,10 +298,68 @@ class ReplicationRecord(JsonFields):
     taylor_ratio: float = float("nan")
 
 
+class ReplicationRecords:
+    """The records of one run in columns, one array per record field.
+
+    ``len()`` and iteration give ``ReplicationRecord`` rows in index order,
+    so the store reads like the list of records it replaces, at a few
+    hundred bytes per replicate.  The vector fields ``phi0``, ``z`` and
+    ``ci_hits`` are (R, m) arrays whose diverged rows read None; ``message``
+    is a list.
+    """
+
+    _SCALARS = {"index": int, "diverged": bool, "converged": bool,
+                "iterations": int, "grad_norm": float, "final_loss": float,
+                "distance": float, "taylor_lhs": float,
+                "taylor_remainder": float, "taylor_ratio": float}
+    _VECTORS = {"phi0": float, "z": float, "ci_hits": bool}
+
+    def __init__(self, records, size, m):
+        """Store ``size`` records, taken from the iterable ``records``."""
+        for name, kind in self._SCALARS.items():
+            setattr(self, name, np.empty(size, kind))
+        for name, kind in self._VECTORS.items():
+            setattr(self, name, np.zeros((size, m), kind))
+        self.message = [""] * size
+        for row, rec in enumerate(records):
+            for name in self._SCALARS:
+                getattr(self, name)[row] = getattr(rec, name)
+            if not rec.diverged:
+                for name in self._VECTORS:
+                    getattr(self, name)[row] = getattr(rec, name)
+            self.message[row] = rec.message
+
+    def __len__(self):
+        return len(self.message)
+
+    def __iter__(self):
+        columns = [getattr(self, name).tolist() for name in self._SCALARS]
+        for row, values in enumerate(zip(*columns)):
+            rec = ReplicationRecord(**dict(zip(self._SCALARS, values)),
+                                    message=self.message[row])
+            if not rec.diverged:
+                for name in self._VECTORS:
+                    setattr(rec, name, getattr(self, name)[row].copy())
+            yield rec
+
+
+def simulate(dgp, n, loss):
+    """One replicate's data: drawn statistics or the n samples.
+
+    ``model.draw_statistics`` where the fit reads only the moments
+    (``model.uses_moments``) and the design and noise are Gaussian, the
+    law that draw follows; ``model.simulate`` otherwise.
+    """
+    if (dgp.design == dgp.noise == "gaussian"
+            and model.uses_moments(loss, n, dgp.d)):
+        return model.draw_statistics(dgp, n)
+    return model.simulate(dgp, n)
+
+
 def _replicate(ctx, r):
     loss = ctx.config.make_loss()
     dgp = ctx.config.make_dgp(ctx.theta_star, ctx.stream_tag, r)
-    data = simulate(dgp, ctx.n)
+    data = simulate(dgp, ctx.n, loss)
     try:
         res = fit(data, loss,
                   ctx.config.fit_config(ctx.config.seed * 1_000_003 + r))
@@ -434,10 +497,11 @@ def _usable_cpus():
 def run_replications(config, n=None, stream_tag=_RUN_TAG):
     """Fit ``config.replications`` simulated datasets and record each result.
 
-    Records are bit-identical across thread counts for a fixed seed: the
-    replicates run with single-threaded BLAS, serial or pooled.  A pool
-    has at most one worker per replicate and per usable CPU.  More than
-    20% divergent replicates aborts the run.
+    Returns (``ReplicationRecords``, ``RunContext``).  Records are
+    bit-identical across thread counts for a fixed seed: the replicates run
+    with single-threaded BLAS, serial or pooled.  A pool has at most one
+    worker per replicate and per usable CPU.  More than 20% divergent
+    replicates aborts the run.
     """
     if n is None:
         if config.n is None:
@@ -453,10 +517,13 @@ def run_replications(config, n=None, stream_tag=_RUN_TAG):
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_init_worker,
                                      initargs=(context,)) as ex:
-                records = list(ex.map(_worker, range(R), chunksize=chunk))
+                records = ReplicationRecords(
+                    ex.map(_worker, range(R), chunksize=chunk), R,
+                    context.basis.m)
         else:
-            records = [_replicate(context, r) for r in range(R)]
-    n_div = sum(rec.diverged for rec in records)
+            records = ReplicationRecords(
+                (_replicate(context, r) for r in range(R)), R, context.basis.m)
+    n_div = int(records.diverged.sum())
     if n_div > 0.2 * R:
         raise HarnessAbort(
             f"{n_div}/{R} replicates diverged; check the configuration "
@@ -497,10 +564,10 @@ def normality_experiment(config):
         raise ConfigurationError(
             "normality experiment requires replications >= 2")
     records, context = run_replications(config)
-    good = [rec for rec in records if not rec.diverged]
-    Z = np.array([rec.z for rec in good])
-    hits = np.array([rec.ci_hits for rec in good])
-    distances = np.array([rec.distance for rec in good])
+    good = ~records.diverged
+    Z = records.z[good]
+    hits = records.ci_hits[good]
+    distances = records.distance[good]
     m = Z.shape[1]
     cov = np.cov(Z, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
@@ -509,7 +576,7 @@ def normality_experiment(config):
     coverage = hits.mean(axis=0)
     return NormalityReport(
         n=context.n, replications=config.replications,
-        excluded=len(records) - len(good),
+        excluded=len(records) - Z.shape[0],
         hstar_source=context.hstar_source,
         coordinate_means=Z.mean(axis=0),
         coordinate_variances=Z.var(axis=0, ddof=1),
@@ -551,7 +618,7 @@ def rate_experiment(config):
     for i, n in enumerate(grid):
         records, _ = run_replications(config, n=n,
                                       stream_tag=_RATE_TAG_BASE + i)
-        dist = np.array([rec.distance for rec in records if not rec.diverged])
+        dist = records.distance[~records.diverged]
         excluded.append(config.replications - dist.size)
         medians.append(float(np.median(dist)))
         q25.append(float(np.percentile(dist, 25)))

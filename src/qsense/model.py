@@ -9,9 +9,14 @@ first argument.
 
 The fit and the inference at the truth read the data through a route
 (``data_route``): the X stack for any loss, or, for the Gaussian loss with
-n >= MOMENT_RATIO d^2 (4 d^2), the moments ``Dataset.moments``, built once
-per dataset, after which only the reported loss values touch the n
-samples (one forward pass each).  The public
+n >= MOMENT_RATIO d^2 (4 d^2, ``uses_moments``), the moments
+(Sigma_hat, b) = (X^T X / n, X^T y / n).  A ``Dataset`` builds them once
+(``Dataset.moments``), after which only the reported loss values touch
+the n samples (one forward pass each).  Under the Gaussian design and
+noise the moments and the least-squares residual can also be drawn
+directly, without X (``draw_statistics``, Bartlett's decomposition of the
+Wishart law), which is how the Monte Carlo harness draws its replicates
+wherever the route reads the moments.  The public
 derivative functions below (``empirical_loss``, ``euclidean_gradient``,
 ``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) stay on X:
 they are the finite-difference oracles the routes are checked against.
@@ -26,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from .errors import ConfigurationError
@@ -249,6 +255,43 @@ class Dataset:
         return cls(X=X, y=y, k=k)
 
 
+@dataclass(frozen=True, eq=False)
+class SufficientStatistics:
+    """What the Gaussian loss reads of n samples, without the samples.
+
+    ``gram`` and ``xy`` are the moments (Sigma_hat, b) = (A^T A / n,
+    A^T y / n) of ``Dataset.moments``, ``anchor`` the least-squares fit
+    m_hat = Sigma_hat^-1 b and ``residual`` its residual |y - A m_hat|^2,
+    for A the design viewed as (n, d^2).  The loss at m = vec(theta
+    theta^T) is then ((m - m_hat)^T Sigma_hat (m - m_hat) + residual / n)
+    / (2 sigma^2).  ``X`` and ``y`` are empty (0, d, d) and (0,) arrays:
+    nothing here reads a sample.
+    """
+
+    gram: np.ndarray
+    xy: np.ndarray
+    anchor: np.ndarray
+    residual: float
+    n: int
+    k: int | None = None
+
+    @property
+    def d(self):
+        return math.isqrt(self.xy.size)
+
+    @property
+    def moments(self):
+        return self.gram, self.xy
+
+    @property
+    def X(self):
+        return np.empty((0, self.d, self.d))
+
+    @property
+    def y(self):
+        return np.empty(0)
+
+
 # ---------------------------------------------------------------------------
 # Design maps
 # ---------------------------------------------------------------------------
@@ -305,22 +348,34 @@ def pair_coordinates(X, theta, directions):
 # derivative pass (ell'', Sbar), and the design part of the curvature on
 # pair matrices.  StackRoute computes them from X for any loss.  Under the
 # Gaussian loss the empirical loss is a quadratic in m = vec(theta theta^T),
-# so MomentRoute computes them from Dataset.moments alone; it reads the n
-# samples only for the loss value the fit reports (``value``).  The moments
-# cost one (d^2 x d^2) Gram product over the design, which the saved passes
-# repay from n >= MOMENT_RATIO d^2 on.
+# so MomentRoute computes them from the moments alone; from a Dataset it
+# reads the n samples only for the loss value the fit reports (``value``).
+# The moments cost one (d^2 x d^2) Gram product over the design, which the
+# saved passes repay from n >= MOMENT_RATIO d^2 on.
 
 MOMENT_RATIO = 4
+
+
+def uses_moments(loss, n, d):
+    """Whether the fit reads n samples of dimension d through the moments.
+
+    True for the Gaussian loss with n >= MOMENT_RATIO d^2.
+    """
+    return isinstance(loss, GaussianNLL) and n >= MOMENT_RATIO * d ** 2
 
 
 def data_route(dataset, loss):
     """The route the fit and the inference read ``dataset`` through.
 
-    MomentRoute for the Gaussian loss with n >= MOMENT_RATIO d^2, StackRoute
-    otherwise.
+    MomentRoute where ``uses_moments`` holds or for drawn
+    ``SufficientStatistics``, which hold no samples, StackRoute otherwise.
     """
-    if (isinstance(loss, GaussianNLL)
-            and dataset.n >= MOMENT_RATIO * dataset.d ** 2):
+    if isinstance(dataset, SufficientStatistics):
+        if not isinstance(loss, GaussianNLL):
+            raise ValueError("drawn statistics hold only what the Gaussian "
+                             "loss reads")
+        return MomentRoute(dataset, loss)
+    if uses_moments(loss, dataset.n, dataset.d):
         return MomentRoute(dataset, loss)
     return StackRoute(dataset, loss)
 
@@ -408,13 +463,17 @@ class MomentRoute:
     The loss itself would be (m^T (q - 2 b) + y^T y / n) / (2 sigma^2),
     which cancels terms about |M|^2 / sigma^2 times larger than its result,
     so ``value`` takes it from one forward pass over X instead: the one
-    operation here that reads the samples, once per reported iterate.
+    operation here that reads the samples, once per reported iterate.  On
+    ``SufficientStatistics`` it is the anchored form, a sum of two terms
+    >= 0 that do not cancel.
     """
 
     def __init__(self, dataset, loss):
         self.gram, self.xy = dataset.moments
         self.X, self.y, self.d, self.loss = dataset.X, dataset.y, dataset.d, loss
         self.inv_var = loss._inv_var
+        self.drawn = dataset if isinstance(dataset, SufficientStatistics) \
+            else None
 
     def spectral(self):
         B = self.xy.reshape(self.d, self.d)
@@ -436,8 +495,14 @@ class MomentRoute:
             return Iterate(theta, q, change=change)
 
     def value(self, point):
-        """The empirical loss at ``point``: one forward pass over X."""
+        """The empirical loss at ``point``: one forward pass over X, or the
+        anchored form on drawn statistics."""
         with np.errstate(over="ignore", invalid="ignore"):
+            if self.drawn is not None:
+                r = (point.theta @ point.theta.T).ravel() - self.drawn.anchor
+                return 0.5 * self.inv_var * (
+                    float(r @ (self.gram @ r))
+                    + self.drawn.residual / self.drawn.n)
             z = design_forward(self.X, point.theta @ point.theta.T)
             return float(np.mean(self.loss.value(z, self.y)))
 
@@ -628,7 +693,7 @@ class DataGeneratingProcess:
         seed = (tuple(self.seed) if isinstance(self.seed, (tuple, list))
                 else (int(self.seed),))
         ss = np.random.SeedSequence(seed + tuple(extra))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def simulate(dgp, n):
@@ -643,6 +708,44 @@ def simulate(dgp, n):
     else:
         y = (rng.random(n) < expit(z)).astype(float)
     return Dataset(X=X, y=y, k=dgp.k)
+
+
+def draw_statistics(dgp, n):
+    """Draw the ``SufficientStatistics`` of n samples without drawing X.
+
+    For the Gaussian design and noise, with p = d^2, m* = vec(M*) and
+    s = dgp.sigma (Bartlett's decomposition; Odell and Feiveson, JASA 1966):
+    W = n Sigma_hat = L L^T ~ Wishart(n, I_p) for L lower triangular with
+    L_ii = sqrt(chi^2_{n-i}), i = 0 ... p - 1, and N(0, 1) entries below
+    the diagonal.  Writing the design as A = Q L^T, with Q (n x p)
+    orthonormal, Haar-distributed and independent of L, and
+    xi = Q^T eps ~ N(0, I_p):
+
+        n b = W m* + s L xi,   m_hat = m* + s L^-T xi,
+        |y - A m_hat|^2 = s^2 chi^2_{n-p}, independent of both.
+
+    The stream is drawn in that order: the p diagonal chi^2, the
+    p (p - 1) / 2 entries below it row by row, xi, the residual's chi^2.
+    Bit-identical for equal (seed, n).
+    """
+    if dgp.design != "gaussian" or dgp.noise != "gaussian":
+        raise ConfigurationError(
+            "statistics are drawn only for the gaussian design and noise")
+    p = dgp.d ** 2
+    if n <= p:
+        raise ValueError("drawing the statistics needs n > d^2")
+    rng = dgp.rng()
+    L = np.diag(np.sqrt(rng.chisquare(n - np.arange(p))))
+    L[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    xi = rng.standard_normal(p)
+    residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
+    W = L @ L.T
+    m_star = (dgp.theta_star @ dgp.theta_star.T).ravel()
+    anchor = m_star + dgp.sigma * solve_triangular(L, xi, lower=True,
+                                                   trans="T")
+    return SufficientStatistics(
+        gram=W / n, xy=(W @ m_star + dgp.sigma * (L @ xi)) / n,
+        anchor=anchor, residual=residual, n=n, k=dgp.k)
 
 
 def has_closed_form(design, loss):

@@ -5,6 +5,7 @@ import pytest
 
 import qsense as q
 import qsense.estimator as estimator
+import qsense.model as model
 from qsense.errors import DivergenceError, InitializationError
 from qsense.estimator import _radial_scale
 from qsense.harness import ExperimentConfig, make_truth, run_replications
@@ -242,13 +243,38 @@ def test_moment_and_stack_fits_agree(monkeypatch):
             <= 1e-10 * np.linalg.norm(stack.theta0))
 
 
-@pytest.mark.parametrize("loss, n, builds", [
-    ("logistic", 400, 0),
-    ("gaussian", 4 * 36 - 1, 0),  # one sample short of MOMENT_RATIO d^2
-    ("gaussian", 4 * 36, 3),      # once per replicate's dataset
-])
+@pytest.mark.parametrize("loss, n, builds, draws", [
+    ("logistic", 400, 0, 3),
+    ("gaussian", 4 * 36 - 1, 0, 3),  # one sample short of MOMENT_RATIO d^2
+    # the harness draws the statistics: no X, so nothing to build them from
+    ("gaussian", 4 * 36, 0, 0),
+], ids=["logistic-400-0", "gaussian-143-0", "gaussian-144-0"])
 def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
-                                                    builds):
+                                                    builds, draws):
+    built, simulated = [], []
+    original = Dataset.moments.func
+
+    def counting(dataset):
+        built.append(dataset)
+        return original(dataset)
+
+    def counting_simulate(dgp, size):
+        simulated.append(size)
+        return q.simulate(dgp, size)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Dataset, "moments")
+    monkeypatch.setattr(Dataset, "moments", prop)
+    monkeypatch.setattr(model, "simulate", counting_simulate)
+    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
+                           replications=3, seed=5)
+    records, _ = run_replications(cfg)
+    assert not any(rec.diverged for rec in records)
+    assert len(built) == builds
+    assert len(simulated) == draws
+
+
+def test_library_fit_builds_the_moments_once(monkeypatch):
     built = []
     original = Dataset.moments.func
 
@@ -259,11 +285,15 @@ def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
     prop = cached_property(counting)
     prop.__set_name__(Dataset, "moments")
     monkeypatch.setattr(Dataset, "moments", prop)
-    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
-                           replications=3, seed=5)
-    records, _ = run_replications(cfg)
-    assert not any(rec.diverged for rec in records)
-    assert len(built) == builds == len({id(data) for data in built})
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=4 * 36,
+                           replications=1, seed=5)
+    truth, loss = make_truth(cfg), cfg.make_loss()
+    data = q.simulate(cfg.make_dgp(truth, 1, 0), cfg.n)
+    res = q.fit(data, loss, cfg.fit_config(0))
+    q.restricted_representation(data, truth, res.theta0,
+                                q.horizontal_basis(truth), loss)
+    assert res.converged
+    assert built == [data]
 
 
 # ---------------------------------------------------------------------------

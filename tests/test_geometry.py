@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import DegenerateFactorError, OutOfInjectivityError
-from qsense.geometry import GS_DROP_TOL, check_within_radius
+from qsense.geometry import GS_DROP_TOL, check_within_radius, newton_basis
 
 from helpers import random_orthogonal, random_theta
 
@@ -245,6 +245,25 @@ def test_vertical_projection_of_a_stack_matches_each_slice():
     stacked = q.vertical_project(theta, Z)
     for Zi, Vi in zip(Z, stacked):
         assert np.max(np.abs(q.vertical_project(theta, Zi) - Vi)) < 1e-12
+
+
+@pytest.mark.parametrize("d, k", [(6, 1), (6, 2), (5, 3), (3, 3)])
+def test_newton_basis_spans_the_horizontal_space(d, k):
+    rng = np.random.default_rng(102)
+    theta = random_theta(rng, d, k)
+    m = q.horizontal_dim(d, k)
+    E = newton_basis(theta).reshape(m, -1)
+    F = q.horizontal_basis(theta).elements.reshape(m, -1)
+    assert np.max(np.abs(E @ E.T - np.eye(m))) < 1e-12
+    assert np.max(np.abs(E.T @ E - F.T @ F)) < 1e-12
+
+
+def test_newton_basis_rejects_a_zero_column():
+    rng = np.random.default_rng(103)
+    theta = random_theta(rng, 4, 2)
+    theta[:, 1] = 0.0
+    with pytest.raises(DegenerateFactorError):
+        newton_basis(theta)
 
 
 def test_horizontal_basis_full_rank_square_case():

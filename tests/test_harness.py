@@ -109,6 +109,92 @@ def test_divergence_handling(monkeypatch):
         run_replications(cfg)
 
 
+def _same_record(a, b):
+    """Field by field, arrays and floats bit for bit."""
+    for f in dataclasses.fields(q.harness.ReplicationRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and x.dtype == y.dtype and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()):
+                return False
+        elif isinstance(x, float):
+            if type(y) is not float or \
+                    np.float64(x).tobytes() != np.float64(y).tobytes():
+                return False
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+def test_record_store_rows_are_the_replicates_records(monkeypatch):
+    import qsense.harness as h
+
+    real = h._replicate
+
+    def flaky(ctx, r):
+        if r in (1, 4):
+            return h.ReplicationRecord(index=r, diverged=True,
+                                       message=f"boom {r}")
+        return real(ctx, r)
+
+    monkeypatch.setattr(h, "_replicate", flaky)
+    # sigma = 3 at n = 20 puts some replicates beyond the injectivity
+    # radius, whose Taylor fields are NaN
+    cfg = _config(sigma=3.0, n=20, replications=12)
+    records, ctx = run_replications(cfg)
+    direct = [flaky(ctx, r) for r in range(cfg.replications)]
+    rows = list(records)
+    assert len(records) == len(rows) == cfg.replications
+    assert all(_same_record(a, b) for a, b in zip(rows, direct))
+    assert rows[1].z is None and rows[4].message == "boom 4"
+    assert any(math.isnan(rec.taylor_ratio) for rec in rows
+               if not rec.diverged)
+
+
+def test_record_store_takes_at_most_500_bytes_per_replicate():
+    import tracemalloc
+
+    R, m = 200, 11
+    rng = np.random.default_rng(0)
+    records = [q.harness.ReplicationRecord(
+        index=r, converged=True, iterations=4, grad_norm=1e-8,
+        final_loss=0.5, distance=0.01, phi0=rng.standard_normal(m),
+        z=rng.standard_normal(m), ci_hits=rng.random(m) < 0.95,
+        taylor_lhs=1e-3, taylor_remainder=1e-4, taylor_ratio=1.0)
+        for r in range(R)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = q.harness.ReplicationRecords(records, R, m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == R
+    assert held / R <= 500
+
+
+def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch):
+    # criterion-5 Gaussian replicates from the drawn statistics against
+    # replicates from X, on the same truth and disjoint streams; each of
+    # the 11 coordinates of z passes a two-sample KS test at 0.01 / 11
+    import qsense.harness as h
+    import qsense.model as model
+    from scipy import stats
+
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
+                           replications=300, seed=2024, threads=2)
+    drawn, _ = run_replications(cfg, stream_tag=11)
+    monkeypatch.setattr(h, "simulate",
+                        lambda dgp, n, loss: model.simulate(dgp, n))
+    from_x, _ = run_replications(cfg, stream_tag=12)
+    assert not (drawn.diverged.any() or from_x.diverged.any())
+    m = drawn.z.shape[1]
+    pvalues = [stats.ks_2samp(drawn.z[:, j], from_x.z[:, j]).pvalue
+               for j in range(m)]
+    assert min(pvalues) >= 0.01 / m
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
 

@@ -12,8 +12,9 @@ import qsense as q
 from qsense.errors import ConfigurationError
 from qsense.inference import _restricted_terms
 from qsense.model import (MOMENT_RATIO, Dataset, MomentRoute, StackRoute,
-                          _stein_moments, curvature_apply, data_route,
-                          design_forward, pair_adjoint, pair_coordinates,
+                          SufficientStatistics, _stein_moments,
+                          curvature_apply, data_route, design_forward,
+                          draw_statistics, pair_adjoint, pair_coordinates,
                           population_curvature, predictions,
                           third_derivative_operator)
 
@@ -522,6 +523,103 @@ def test_simulate_rejects_nonpositive_n():
     theta = np.ones((2, 1))
     with pytest.raises(ValueError):
         q.simulate(_dgp(theta), 0)
+
+
+# ---------------------------------------------------------------------------
+# drawn statistics
+# ---------------------------------------------------------------------------
+
+def test_anchored_loss_equals_the_empirical_loss():
+    # (Sigma_hat, b), m_hat and the residual of a simulated dataset give the
+    # loss as ((m - m_hat)^T Sigma_hat (m - m_hat) + residual / n) / 2 sigma^2
+    rng = np.random.default_rng(30)
+    theta = random_theta(rng, 4, 2)
+    data = q.simulate(_dgp(theta, sigma=0.3, seed=31), 300)
+    gram, xy = data.moments
+    anchor = np.linalg.solve(gram, xy)
+    resid = data.y - data.X.reshape(data.n, -1) @ anchor
+    stats = SufficientStatistics(gram=gram, xy=xy, anchor=anchor,
+                                 residual=float(resid @ resid), n=data.n, k=2)
+    loss = q.GaussianNLL(0.3)
+    route = MomentRoute(stats, loss)
+    for _ in range(20):
+        at = theta + rng.standard_normal(theta.shape) * rng.choice([0.01, 1.0])
+        true = q.empirical_loss(data, at, loss)
+        assert abs(route.value(route.at(at)) - true) <= 1e-12 * true
+
+
+def test_drawn_statistics_satisfy_the_normal_equations():
+    rng = np.random.default_rng(32)
+    theta = random_theta(rng, 3, 2)
+    for sigma in (0.0, 0.1, 2.0):
+        stats = draw_statistics(_dgp(theta, sigma=sigma, seed=33), 200)
+        W, nb = stats.n * stats.gram, stats.n * stats.xy
+        assert np.linalg.norm(W @ stats.anchor - nb) <= \
+            1e-12 * np.linalg.norm(nb)
+        assert stats.X.shape == (0, 3, 3) and stats.y.shape == (0,)
+        assert (stats.n, stats.d, stats.k) == (200, 3, 2)
+        assert stats.residual >= 0.0 and (stats.residual == 0.0) == (sigma == 0)
+    again = draw_statistics(_dgp(theta, sigma=2.0, seed=33), 200)
+    assert again.xy.tobytes() == stats.xy.tobytes()
+
+
+def test_drawn_statistics_take_the_moment_route_below_its_ratio():
+    # they hold no samples for the stack route to read
+    rng = np.random.default_rng(35)
+    theta = random_theta(rng, 3, 2)
+    stats = draw_statistics(_dgp(theta, sigma=0.1, seed=36), 20)
+    loss = q.GaussianNLL(0.1)
+    assert stats.n < MOMENT_RATIO * stats.d ** 2
+    assert isinstance(data_route(stats, loss), MomentRoute)
+    assert q.fit(stats, loss).converged
+    with pytest.raises(ValueError, match="Gaussian"):
+        q.fit(stats, q.Logistic())
+
+
+def _moment_check(draws, mean, var):
+    """|sample mean - mean| and |sample variance - var| in standard errors."""
+    N = draws.shape[0]
+    centered = draws - draws.mean(axis=0)
+    s2 = np.mean(centered**2, axis=0) * N / (N - 1)
+    m4 = np.mean(centered**4, axis=0)
+    return (np.abs(draws.mean(axis=0) - mean) / np.sqrt(var / N),
+            np.abs(s2 - var) / np.sqrt((m4 - s2**2) / N))
+
+
+def test_drawn_statistics_follow_the_wishart_and_chi_square_laws():
+    # n Sigma_hat ~ Wishart(n, I_p); n b = A^T y has mean n m* and
+    # per-sample covariance (|m*|^2 + sigma^2) I + m* m*^T (Isserlis); the
+    # residual is sigma^2 chi^2_{n - p}
+    theta = np.array([[0.9, 0.1], [-0.4, 0.7]])
+    sigma, n, N = 0.5, 24, 4000
+    p = theta.size
+    m_star = (theta @ theta.T).ravel()
+    draws = [draw_statistics(_dgp(theta, sigma=sigma, seed=(34, i)), n)
+             for i in range(N)]
+    upper = np.triu_indices(p)
+    gram = np.array([s.gram[upper] for s in draws])
+    xy = np.array([s.xy for s in draws])
+    resid = np.array([s.residual for s in draws])
+    diag = (upper[0] == upper[1]).astype(float)
+    checks = [
+        _moment_check(gram, diag, (1.0 + diag) / n),
+        _moment_check(xy, m_star, (m_star @ m_star + sigma**2 + m_star**2) / n),
+        _moment_check(resid[:, None], sigma**2 * (n - p),
+                      2.0 * sigma**4 * (n - p)),
+    ]
+    for mean_se, var_se in checks:
+        assert np.all(mean_se <= 5.0) and np.all(var_se <= 5.0)
+
+
+def test_statistics_are_drawn_only_for_gaussian_design_and_noise():
+    theta = np.ones((2, 1))
+    for design, noise in (("bounded", "gaussian"), ("gaussian", "bernoulli")):
+        dgp = q.DataGeneratingProcess(theta_star=theta, design=design,
+                                      noise=noise, seed=0)
+        with pytest.raises(ConfigurationError):
+            draw_statistics(dgp, 100)
+    with pytest.raises(ValueError):
+        draw_statistics(_dgp(theta), 4)
 
 
 def test_score_mean_law_of_large_numbers():

@@ -4,9 +4,11 @@ The loss depends on theta only through theta theta^T, so factors that differ
 by an orthogonal k x k rotation are indistinguishable.  Directions of the
 form theta A with A skew-symmetric ("vertical") are collapsed by that
 symmetry; their Frobenius-orthogonal complement ("horizontal") is where
-estimation error lives.  This module provides the skew basis, the two
-projections, orthonormal horizontal bases, Procrustes alignment and the
-quotient distance it induces, and the injectivity radius (the smallest
+estimation error lives.  One complete QR of the vertical directions at
+theta, the vertical frame, splits R^{d k} into the two; the projections,
+the fit's Newton basis and the reported (Gram-Schmidt) horizontal basis all
+read it.  The module also provides the skew basis, Procrustes alignment and
+the quotient distance it induces, and the injectivity radius (the smallest
 singular value of the anchor factor).
 """
 
@@ -20,10 +22,11 @@ from .errors import DegenerateFactorError, OutOfInjectivityError
 from .jsonable import JsonFields
 
 # Relative singular-value cutoff below which a factor is treated as rank
-# deficient by the projection solvers.
+# deficient by the vertical frame.
 RANK_RTOL = 1e-10
 
-# Gram-Schmidt drop tolerance for horizontal basis construction.
+# Relative floor on the vertical frame's R diagonal, and the Gram-Schmidt
+# drop tolerance for horizontal basis construction.
 GS_DROP_TOL = 1e-8
 
 
@@ -87,31 +90,38 @@ def _check_full_rank(theta):
     return sv
 
 
+def _vertical_frame(theta):
+    """One complete QR of the vertical directions theta A, A in skew_basis(k).
+
+    Returns (Q, s): Q is an orthonormal basis of R^{d k} (vec row-major)
+    whose first s = k (k - 1) / 2 columns span the vertical space at theta
+    and whose last d k - s span the horizontal space.  Raises
+    DegenerateFactorError at a rank-deficient theta, or when a diagonal
+    entry of R falls below ``GS_DROP_TOL`` relative to theta's scale.
+    """
+    d, k = theta.shape
+    sv = _check_full_rank(theta)
+    vertical = (theta @ skew_basis(k)).reshape(-1, d * k)
+    Q, R = np.linalg.qr(vertical.T, mode="complete")
+    if np.any(np.abs(np.diagonal(R)) < GS_DROP_TOL * sv[0]):
+        raise DegenerateFactorError(
+            "vertical directions are numerically dependent")
+    return Q, vertical.shape[0]
+
+
 def vertical_project(theta, Z):
     """Orthogonal projection of Z onto the vertical space {theta A, A skew}.
 
-    Z is one d x k matrix or an (m, d, k) stack, projected slice by slice.
-    The minimizing skew A solves M A + A M = theta^T Z - Z^T theta with
-    M = theta^T theta; solved in the eigenbasis of M, where the entrywise
-    denominators lambda_i + lambda_j are bounded below by twice the squared
-    smallest singular value of theta.
+    Z is one d x k matrix or an (m, d, k) stack, projected slice by slice
+    as V V^T vec Z, V the vertical block of ``_vertical_frame``.
     """
     theta = np.asarray(theta, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim not in (2, 3) or Z.shape[-2:] != theta.shape:
         raise ValueError("Z must match the factor shape")
-    _check_full_rank(theta)
-    k = theta.shape[1]
-    if k == 1:
-        return np.zeros_like(Z)
-    M = theta.T @ theta
-    lam, Q = np.linalg.eigh(M)
-    S = theta.T @ Z
-    S = S - np.swapaxes(S, -1, -2)
-    St = Q.T @ S @ Q
-    At = St / (lam[:, None] + lam[None, :])
-    A = Q @ At @ Q.T
-    return theta @ A
+    Q, s = _vertical_frame(theta)
+    V = Q[:, :s]
+    return (Z.reshape(-1, theta.size) @ V @ V.T).reshape(Z.shape)
 
 
 def horizontal_project(theta, Z):
@@ -120,26 +130,22 @@ def horizontal_project(theta, Z):
     return Z - vertical_project(theta, Z)
 
 
-def horizontal_basis(theta, order="lex"):
+def horizontal_basis(theta):
     """Deterministic orthonormal basis of the horizontal space at theta.
 
-    Projects the canonical d x k unit matrices (in lexicographic or reverse
-    lexicographic order) onto the horizontal space in one call and
-    orthonormalizes them in that order by two-pass Gram-Schmidt, dropping
-    directions with residual norm below ``GS_DROP_TOL``.
+    Orthonormalizes the horizontal projections of the canonical d x k unit
+    matrices, the rows of I - V V^T, in lexicographic order by two-pass
+    Gram-Schmidt, dropping directions with residual norm below
+    ``GS_DROP_TOL``.  These are the coordinates the package reports.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
     target = horizontal_dim(d, k)
-    units = np.eye(d * k)
-    if order == "revlex":
-        units = units[::-1]
-    elif order != "lex":
-        raise ValueError(f"unknown basis order {order!r}")
-    projected = horizontal_project(theta, units.reshape(d * k, d, k))
+    Q, s = _vertical_frame(theta)
+    V = Q[:, :s]
     kept = np.empty((d * k, d * k))
     m = 0
-    for v in projected.reshape(d * k, d * k):
+    for v in np.eye(d * k) - V @ V.T:
         # two orthogonalization passes keep the Gram matrix at ~1e-15
         for _ in range(2):
             v = v - kept[:m].T @ (kept[:m] @ v)
@@ -151,30 +157,21 @@ def horizontal_basis(theta, order="lex"):
         raise DegenerateFactorError(
             f"horizontal basis construction found {m} directions, "
             f"expected {target}")
-    return HorizontalBasis(anchor=theta, elements=kept[:m].reshape(m, d, k),
-                           tag=order)
+    return HorizontalBasis(anchor=theta, elements=kept[:m].reshape(m, d, k))
 
 
 def newton_basis(theta):
     """An orthonormal (m, d, k) basis of the horizontal space at theta.
 
-    The last m columns of one complete QR factorization of the vertical
-    directions theta A, A in ``skew_basis(k)``.  It spans the space
-    ``horizontal_basis`` spans, in other coordinates, at a tenth of the
-    cost; the fit's Newton step does not depend on the basis, while the
-    reported coordinates are those of ``horizontal_basis``.  Raises
-    DegenerateFactorError at a rank-deficient theta, or when a diagonal
-    entry of R falls below ``GS_DROP_TOL`` relative to theta's scale.
+    The horizontal block of ``_vertical_frame``: it spans the space
+    ``horizontal_basis`` spans, in other coordinates, without the
+    Gram-Schmidt loop.  The fit's Newton step does not depend on the basis,
+    while the reported coordinates are those of ``horizontal_basis``.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
-    sv = _check_full_rank(theta)
-    vertical = (theta @ skew_basis(k)).reshape(-1, d * k)
-    Q, R = np.linalg.qr(vertical.T, mode="complete")
-    if np.any(np.abs(np.diagonal(R)) < GS_DROP_TOL * sv[0]):
-        raise DegenerateFactorError(
-            "vertical directions are numerically dependent")
-    return Q[:, vertical.shape[0]:].T.reshape(-1, d, k)
+    Q, s = _vertical_frame(theta)
+    return Q[:, s:].T.reshape(-1, d, k)
 
 
 def rotate_basis(basis, U):

@@ -736,7 +736,7 @@ def draw_statistics(dgp, n):
         raise ValueError("drawing the statistics needs n > d^2")
     rng = dgp.rng()
     L = np.diag(np.sqrt(rng.chisquare(n - np.arange(p))))
-    L[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    L[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     xi = rng.standard_normal(p)
     residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
     W = L @ L.T

@@ -101,7 +101,7 @@ def test_criterion_2_geometry_suite():
         ls_worst = max(ls_worst, float(np.linalg.norm(
             q.vertical_project(theta, Z) - oracle)))
     ok &= ls_worst <= 1e-8
-    detail.append(f"sylvester-vs-ls {ls_worst:.1e}")
+    detail.append(f"frame-vs-ls {ls_worst:.1e}")
 
     # alignment beats 200 random rotations and the k=2 angle grid
     theta_a = random_theta(rng, 5, 2)

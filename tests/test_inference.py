@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qsense as q
 from qsense.errors import DegenerateHessianError
+from qsense.geometry import newton_basis
 from qsense.inference import _restricted_terms, per_sample_scores
 from qsense.model import (data_route, euclidean_gradient, pair_coordinates,
                           predictions)
@@ -303,8 +304,9 @@ def test_standardized_norm_is_basis_invariant():
     theta0 = theta + 0.05 * rng.standard_normal((5, 2))
     loss = q.GaussianNLL(1.0)
     norms = []
-    for order in ("lex", "revlex"):
-        basis = q.horizontal_basis(theta, order=order)
+    for basis in (q.horizontal_basis(theta),
+                  q.HorizontalBasis(anchor=theta, elements=newton_basis(theta),
+                                    tag="newton")):
         H = q.restricted_population_hessian(_dgp(theta), theta, basis, loss)
         phi0 = q.represent(theta0, basis)
         phi_star = q.represent(theta, basis)

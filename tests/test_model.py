@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
+from scipy.linalg import solve_triangular
 
 import qsense as q
 from qsense.errors import ConfigurationError
@@ -561,6 +562,32 @@ def test_drawn_statistics_satisfy_the_normal_equations():
         assert stats.residual >= 0.0 and (stats.residual == 0.0) == (sigma == 0)
     again = draw_statistics(_dgp(theta, sigma=2.0, seed=33), 200)
     assert again.xy.tobytes() == stats.xy.tobytes()
+
+
+def test_drawn_statistics_follow_the_documented_stream_order():
+    # the p diagonal chi^2, the entries below the diagonal row by row, xi,
+    # then the residual's chi^2, all from one dgp.rng() stream
+    theta = np.array([[0.9, 0.1], [-0.4, 0.7], [0.2, -0.3]])
+    dgp = _dgp(theta, sigma=0.7, seed=37)
+    n, p = 40, theta.shape[0] ** 2
+    rng = dgp.rng()
+    chi2 = rng.chisquare(n - np.arange(p))
+    below = iter(rng.standard_normal(p * (p - 1) // 2))
+    xi = rng.standard_normal(p)
+    residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
+    L = np.diag(np.sqrt(chi2))
+    for i in range(p):
+        for j in range(i):
+            L[i, j] = next(below)
+    W = L @ L.T
+    m_star = (theta @ theta.T).ravel()
+    stats = draw_statistics(dgp, n)
+    assert stats.gram.tobytes() == (W / n).tobytes()
+    assert stats.xy.tobytes() == (
+        (W @ m_star + dgp.sigma * (L @ xi)) / n).tobytes()
+    assert stats.anchor.tobytes() == (m_star + dgp.sigma * solve_triangular(
+        L, xi, lower=True, trans="T")).tobytes()
+    assert stats.residual == residual
 
 
 def test_drawn_statistics_take_the_moment_route_below_its_ratio():

@@ -135,8 +135,9 @@ def horizontal_basis(theta):
 
     Orthonormalizes the horizontal projections of the canonical d x k unit
     matrices, the rows of I - V V^T, in lexicographic order by two-pass
-    Gram-Schmidt, dropping directions with residual norm below
-    ``GS_DROP_TOL``.  These are the coordinates the package reports.
+    Gram-Schmidt, dropping residuals whose horizontal part is below
+    ``GS_DROP_TOL`` and stopping once m = d k - k (k - 1) / 2 are kept.
+    These are the coordinates the package reports.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
@@ -146,12 +147,15 @@ def horizontal_basis(theta):
     kept = np.empty((d * k, d * k))
     m = 0
     for v in np.eye(d * k) - V @ V.T:
+        if m == target:
+            break
         # two orthogonalization passes keep the Gram matrix at ~1e-15
         for _ in range(2):
             v = v - kept[:m].T @ (kept[:m] @ v)
-        norm = np.linalg.norm(v)
-        if norm > GS_DROP_TOL:
-            kept[m] = v / norm
+        # the kept rows' rounding, divided by small residuals, leaks into
+        # the vertical space; a residual made of that leak is no direction
+        if np.linalg.norm(v - V @ (V.T @ v)) > GS_DROP_TOL:
+            kept[m] = v / np.linalg.norm(v)
             m += 1
     if m != target:
         raise DegenerateFactorError(

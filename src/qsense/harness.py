@@ -7,7 +7,8 @@ Gaussian loss with n >= 4 d^2, ``model.uses_moments``) and the design and
 noise are Gaussian, a replicate draws those statistics directly
 (``model.draw_statistics``) instead of n measurement matrices; everywhere
 else it draws X (``model.simulate``).  A run's records come back in
-columns (``ReplicationRecords``), read in index order.
+columns (``ReplicationRecords``), read in index order.  H* is exact and
+draws nothing; the normality report carries its condition number.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from .errors import (ConfigurationError, DivergenceError, HarnessAbort,
 from .estimator import FitConfig, fit
 from .jsonable import JsonFields
 from .model import (BOUNDED_XMAX, DataGeneratingProcess, GaussianNLL,
-                    Logistic, ProblemConstants, has_closed_form)
+                    Logistic, ProblemConstants)
 
 VERSION_STRING = f"qsense-{__version__}"
 
-# Stream tags keep the truth draw, the covariance Monte Carlo, and each
-# experiment's replicate streams disjoint.
+# Stream tags keep the truth draw and each experiment's replicate streams
+# disjoint.
 _TRUTH_TAG = 7
-_HSTAR_TAG = 3
 _RUN_TAG = 1
 _RATE_TAG_BASE = 100
 
@@ -67,7 +67,6 @@ class ExperimentConfig:
     threads: int = 1
     grad_tol: float = 1e-6
     max_iters: int = 20000
-    hstar_mc_factor: int = 50
     n_mc: int = 100_000
     debug_include_vertical: bool = False
 
@@ -90,7 +89,7 @@ class ExperimentConfig:
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
         for key, least in (("replications", 1), ("threads", 1), ("seed", 0),
-                           ("hstar_mc_factor", 1), ("n_mc", 2)):
+                           ("n_mc", 2)):
             if getattr(self, key) < least:
                 raise ConfigurationError(f"{key} must be >= {least}")
         if self.truth is None:
@@ -277,7 +276,6 @@ class RunContext:
     basis: geometry.HorizontalBasis
     hstar: np.ndarray
     covariance: inference.CovarianceEstimate
-    hstar_source: str
 
 
 @dataclass
@@ -419,17 +417,13 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     basis = geometry.horizontal_basis(theta_star)
     if config.debug_include_vertical:
         basis = _with_debug_vertical(basis)
-    loss = config.make_loss()
-    exact = has_closed_form(config.design, loss)
     hstar = inference.restricted_population_hessian(
-        config.make_dgp(theta_star, _HSTAR_TAG), theta_star, basis, loss,
-        n_mc=None if exact else config.hstar_mc_factor * n)
+        config.make_dgp(theta_star), theta_star, basis, config.make_loss())
     return RunContext(config=config, n=n, stream_tag=stream_tag,
                       theta_star=theta_star, basis=basis, hstar=hstar,
                       # raises DegenerateHessianError if a vertical
                       # direction leaked in
-                      covariance=inference.asymptotic_covariance(hstar),
-                      hstar_source="closed-form" if exact else "monte-carlo")
+                      covariance=inference.asymptotic_covariance(hstar))
 
 
 # Thread-count entry points of OpenBLAS, "%s" standing for set or get: the
@@ -540,8 +534,8 @@ class NormalityReport(JsonFields):
     n: int
     replications: int
     excluded: int
-    # "closed-form" (exact: closed form or 1-D quadrature) or "monte-carlo"
-    hstar_source: str
+    # largest over smallest eigenvalue of H*
+    hstar_condition_number: float
     coordinate_means: np.ndarray
     coordinate_variances: np.ndarray
     covariance: np.ndarray
@@ -577,7 +571,7 @@ def normality_experiment(config):
     return NormalityReport(
         n=context.n, replications=config.replications,
         excluded=len(records) - Z.shape[0],
-        hstar_source=context.hstar_source,
+        hstar_condition_number=context.covariance.condition_number,
         coordinate_means=Z.mean(axis=0),
         coordinate_variances=Z.var(axis=0, ddof=1),
         covariance=cov, covariance_rel_error=rel_err,

@@ -9,7 +9,8 @@ The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.data_route``, as the fit does: from the
 moments (X^T X / n, X^T y / n) for the Gaussian loss with n >= 4 d^2, with
 no pass over the samples, and from the X stack otherwise.
-``per_sample_scores`` stays on X, since it needs every sample.
+``per_sample_scores`` stays on X, since it needs every sample.  H*
+(``restricted_population_hessian``) is exact and reads no data.
 """
 
 from __future__ import annotations
@@ -87,14 +88,12 @@ def per_sample_scores(dataset, theta_star, basis, loss):
     return A * loss.d1(z, dataset.y)[:, None]
 
 
-def restricted_population_hessian(dgp, theta_star, basis, loss, n_mc=None):
-    """H*: ``population_curvature`` on the basis elements.
-
-    Exact wherever ``has_closed_form`` holds, otherwise (or when n_mc is
-    passed) a Monte Carlo average over n_mc design draws.  Its inverse and
-    root come from ``asymptotic_covariance``.
+def restricted_population_hessian(dgp, theta_star, basis, loss):
+    """H*: ``population_curvature`` on the basis elements, exact for every
+    design and loss the package draws.  Its inverse and root come from
+    ``asymptotic_covariance``.
     """
-    return population_curvature(dgp, theta_star, basis.elements, loss, n_mc)
+    return population_curvature(dgp, theta_star, basis.elements, loss)
 
 
 @dataclass

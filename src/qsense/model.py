@@ -20,6 +20,10 @@ wherever the route reads the moments.  The public
 derivative functions below (``empirical_loss``, ``euclidean_gradient``,
 ``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) stay on X:
 they are the finite-difference oracles the routes are checked against.
+
+The population curvature H* (``population_curvature``) is exact, without
+design draws, for every design and loss: Stein's identity, second moments,
+or a Fourier trapezoid rule whose step and range follow from the truth.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
-from scipy.special import expit
+from scipy.special import expit, spherical_jn
 
 from .errors import ConfigurationError
 from .jsonable import JsonFields
@@ -627,19 +631,12 @@ def third_derivative_operator(dataset, theta, V, W, loss):
 # Data generating processes
 # ---------------------------------------------------------------------------
 
-# Designs with iid zero-mean unit-variance entries satisfy
-# E[<X, A><X, B>] = <A, B> for arbitrary A, B.  The symmetrized design does
-# so only for symmetric A, B, the only kind the population curvature pairs.
-ISOTROPIC_DESIGNS = ("gaussian", "bounded")
 DESIGNS = ("gaussian", "symmetric", "bounded")
 NOISES = ("gaussian", "bernoulli")
 
 # Bounded design draws entries uniform on [-sqrt(3), sqrt(3)]: unit variance,
 # hard entry bound sqrt(3).
 BOUNDED_XMAX = float(np.sqrt(3.0))
-
-# Design draws per batch of the population-curvature Monte Carlo.
-MC_BATCH = 65536
 
 
 def sample_design(design, rng, n, d):
@@ -748,16 +745,6 @@ def draw_statistics(dgp, n):
         anchor=anchor, residual=residual, n=n, k=dgp.k)
 
 
-def has_closed_form(design, loss):
-    """Whether the population curvature is exact: no design draws.
-
-    Stein's identity gives it for any loss under the two Gaussian designs;
-    the Gaussian loss needs only an isotropic design's second moments.
-    """
-    return (design in ("gaussian", "symmetric")
-            or (design in ISOTROPIC_DESIGNS and isinstance(loss, GaussianNLL)))
-
-
 def _stein_moments(loss, s):
     """(E[ell''(s u)], E[ell''(s u) u^2]) for u ~ N(0, 1).
 
@@ -776,60 +763,70 @@ def _stein_moments(loss, s):
     return tuple(moments)
 
 
-def population_curvature(dgp, theta_star, directions, loss, n_mc=None,
-                         return_se=False):
+def _bounded_logistic_moments(w, refine=1):
+    """G = E[ell''(w^T x) x x^T] for the logistic loss, x uniform on [-a, a]^p.
+
+    a = BOUNDED_XMAX.  With ghat(t) = pi t / sinh(pi t), the Fourier
+    transform of ell'', and the uniform law's phi0(u) = E[cos ux],
+    phi1(u) = E[x sin ux], phi2(u) = E[x^2 cos ux] (spherical Bessel
+    functions of a u, which do not cancel digits at small a u), G_kl is
+    (1/pi) int_0^inf ghat(t) f_kl(t) dt for f_kk = phi2(t w_k) prod_{j != k}
+    phi0(t w_j) and f_kl = -phi1(t w_k) phi1(t w_l) prod_{j != k, l}
+    phi0(t w_j).  phi0 has zeros, so the products leave factors out.
+    """
+    a = BOUNDED_XMAX
+    # the trapezoid rule aliases the law of w^T x, on [-a |w|_1, a |w|_1],
+    # against ell'' ~ e^-|z| at period 2 pi / h: an error of about e^-40;
+    # ghat falls to 1.5e-16 at t = 13
+    h = 2.0 * math.pi / (a * float(np.abs(w).sum()) + 40.0) / refine
+    t = h * np.arange(math.ceil(13.0 / h) + 1)
+    weight = h / np.pi * np.append(0.5, np.pi * t[1:] / np.sinh(np.pi * t[1:]))
+    v = a * np.outer(t, w)
+    f0 = spherical_jn(0, v)
+    f1 = a * spherical_jn(1, v)
+    f2 = a * a * (f0 - 2.0 * spherical_jn(2, v)) / 3.0
+    ones = np.ones((t.size, 1))
+    G = np.empty((w.size, w.size))
+    for k in range(w.size):
+        rest = f0.copy()
+        rest[:, k] = 1.0
+        # products over j != k, l: prefix times suffix
+        rest = (np.cumprod(np.hstack([ones, rest[:, :-1]]), axis=1)
+                * np.cumprod(np.hstack([ones, rest[:, :0:-1]]), axis=1)[:, ::-1])
+        G[k] = -(weight * f1[:, k]) @ (f1 * rest)
+        G[k, k] = (weight * f2[:, k]) @ rest[:, k]
+    return G
+
+
+def population_curvature(dgp, theta_star, directions, loss):
     """Population curvature E[ell''(z*) a_i a_j] on a (m, d, k) direction stack.
 
-    a_i = <X, C_i> with C_i = theta D_i^T + D_i theta^T.  When
-    ``has_closed_form`` holds and ``n_mc`` is None it is exact (Stein's
-    identity): with s^2 = ||M*||_F^2, b_i = <C_i, M*> and u ~ N(0, 1),
+    a_i = <X, C_i> with C_i = theta D_i^T + D_i theta^T, exact on every
+    design for the Gaussian loss and on the two Gaussian designs for any
+    loss (Stein's identity): with s^2 = ||M*||_F^2, b_i = <C_i, M*> and
+    u ~ N(0, 1),
 
         H = E[ell''(s u)] (C C^T - b b^T / s^2) + E[ell''(s u) u^2] b b^T / s^2,
 
-    which is C C^T / sigma^2 for the Gaussian loss.  Otherwise it is a
-    Monte Carlo average over ``n_mc`` >= 1 fresh design draws, taken
-    ``MC_BATCH`` draws at a time.  With ``return_se`` the entrywise Monte
-    Carlo standard errors (zero when exact; ``n_mc`` >= 2) come back too.
+    which is C C^T / sigma^2 for the Gaussian loss.  The logistic loss under
+    the bounded design gives C G C^T, G = ``_bounded_logistic_moments`` at
+    vec(M*); any other loss there raises ConfigurationError.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     C = _pair(theta_star, np.asarray(directions, dtype=float))
-    m = C.shape[0]
+    C = C.reshape(C.shape[0], -1)
     M = theta_star @ theta_star.T
-    se = np.zeros((m, m))
-    if has_closed_form(dgp.design, loss) and n_mc is None:
+    if dgp.design != "bounded" or isinstance(loss, GaussianNLL):
         # a = b z* / s^2 + r, with r independent of z* ~ N(0, s^2)
-        C = C.reshape(m, -1)
         s2 = float(np.sum(M * M))
         mean, tail = _stein_moments(loss, math.sqrt(s2))
         H = mean * (C @ C.T)
         if s2 > 0.0:
             b = C @ M.ravel()
             H += (tail - mean) / s2 * np.outer(b, b)
-    elif n_mc is None:
-        raise ConfigurationError("no exact form for this design/loss; "
-                                 "supply a Monte Carlo budget n_mc")
+    elif isinstance(loss, Logistic):
+        H = C @ _bounded_logistic_moments(M.ravel()) @ C.T
     else:
-        least = 2 if return_se else 1
-        if n_mc < least:
-            raise ValueError(f"Monte Carlo budget n_mc must be >= {least}")
-        rng = dgp.rng(0x9E5)
-        H = np.zeros((m, m))
-        H2 = np.zeros((m, m))
-        remaining = int(n_mc)
-        while remaining > 0:
-            nb = min(MC_BATCH, remaining)
-            X = sample_design(dgp.design, rng, nb, dgp.d)
-            mu1 = loss.d2(design_forward(X, M), None)
-            A = design_forward(X, C)
-            H += (A * mu1[:, None]).T @ A
-            if return_se:
-                A2 = A * A
-                H2 += (A2 * (mu1 * mu1)[:, None]).T @ A2
-            remaining -= nb
-        H /= n_mc
-        if return_se:
-            var = np.maximum(H2 / n_mc - H * H, 0.0) * n_mc / (n_mc - 1)
-            se = np.sqrt(var / n_mc)
-    H = 0.5 * (H + H.T)
-    return (H, se) if return_se else H
-
+        raise ConfigurationError(
+            f"no population curvature for {loss!r} under the bounded design")
+    return 0.5 * (H + H.T)

@@ -3,7 +3,8 @@
 import numpy as np
 
 import qsense as q
-from qsense.model import Dataset, empirical_loss, euclidean_gradient, hessian_bilinear
+from qsense.model import (Dataset, _pair, design_forward, empirical_loss,
+                          euclidean_gradient, hessian_bilinear, sample_design)
 
 
 def random_orthogonal(rng, k):
@@ -67,3 +68,26 @@ def rel_err(a, b, floor=1e-10):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), floor))
+
+
+def sampled_curvature(dgp, theta, directions, loss, draws, batch=65536):
+    """Monte Carlo mean and entrywise standard error of E[ell''(z*) a_i a_j].
+
+    a_i = <X, theta D_i^T + D_i theta^T> over ``draws`` fresh designs of
+    ``dgp``, the oracle for ``population_curvature``.
+    """
+    C = _pair(theta, np.asarray(directions, dtype=float))
+    M = theta @ theta.T
+    rng = dgp.rng(0x9E5)
+    total = np.zeros((len(C), len(C)))
+    squares = np.zeros_like(total)
+    for start in range(0, draws, batch):
+        X = sample_design(dgp.design, rng, min(batch, draws - start), dgp.d)
+        mu = loss.d2(design_forward(X, M), None)
+        A = design_forward(X, C)
+        total += (A * mu[:, None]).T @ A
+        A2 = A * A
+        squares += (A2 * (mu * mu)[:, None]).T @ A2
+    mean = total / draws
+    var = np.maximum(squares / draws - mean * mean, 0.0) * draws / (draws - 1)
+    return mean, np.sqrt(var / draws)

@@ -248,7 +248,7 @@ def test_normality_report_shapes():
     assert rep.covariance.shape == (m, m)
     assert rep.coverage_per_coordinate.shape == (m,)
     assert 0.0 <= rep.coverage_rate <= 1.0
-    assert rep.hstar_source == "closed-form"
+    assert rep.hstar_condition_number >= 1.0
 
 
 def test_normality_covariance_error_improves_with_n():
@@ -263,39 +263,38 @@ def test_normality_covariance_error_improves_with_n():
     assert np.median(small) > np.median(large)
 
 
-def test_normality_monte_carlo_source_for_logistic():
-    # the bounded design is not Gaussian, so the logistic H* is sampled
+def test_normality_bounded_logistic_runs_on_exact_hstar():
+    # the bounded design is not Gaussian; its logistic H* is a quadrature
     cfg = _config(loss="logistic", sigma=0.1, design="bounded", n=500,
-                  replications=6, hstar_mc_factor=5)
+                  replications=6)
     rep = normality_experiment(cfg)
-    assert rep.hstar_source == "monte-carlo"
     assert rep.z_matrix.shape[0] == 6
-    cfg = _config(loss="logistic", sigma=0.1, n=500, replications=6)
-    assert normality_experiment(cfg).hstar_source == "closed-form"
+    ctx = build_context(cfg, cfg.n)
+    assert rep.hstar_condition_number == ctx.covariance.condition_number
+    lam = np.linalg.eigvalsh(ctx.hstar)
+    assert rep.hstar_condition_number == pytest.approx(lam[-1] / lam[0])
 
 
-@pytest.mark.parametrize("design, loss, budget", [
-    ("gaussian", "gaussian", None), ("gaussian", "logistic", None),
-    ("symmetric", "gaussian", None), ("symmetric", "logistic", None),
-    ("bounded", "gaussian", None), ("bounded", "logistic", 7 * 400),
+@pytest.mark.parametrize("design, loss", [
+    ("gaussian", "gaussian"), ("gaussian", "logistic"),
+    ("symmetric", "gaussian"), ("symmetric", "logistic"),
+    ("bounded", "gaussian"), ("bounded", "logistic"),
 ])
-def test_build_context_samples_designs_only_without_exact_form(
-        monkeypatch, design, loss, budget):
+def test_build_context_reads_hstar_through_the_module(monkeypatch, design,
+                                                      loss):
+    # the benchmark wraps inference.restricted_population_hessian by name
     import qsense.inference as inf
 
     seen = []
     original = inf.restricted_population_hessian
 
-    # n_mc must arrive as a keyword: the benchmark's span reads it there
-    def recording(*args, n_mc):
-        seen.append(n_mc)
-        return original(*args, n_mc=n_mc)
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(inf, "restricted_population_hessian", recording)
-    ctx = build_context(_config(design=design, loss=loss,
-                                hstar_mc_factor=7), 400)
-    assert seen == [budget]
-    assert ctx.hstar_source == ("monte-carlo" if budget else "closed-form")
+    build_context(_config(design=design, loss=loss), 400)
+    assert seen == [{}]
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +596,13 @@ _BOUNDED_LOGISTIC = {"d": 3, "k": 1, "loss": "logistic", "design": "bounded",
 
 
 @pytest.mark.parametrize("command, cfg, named", [
-    ("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": 0},
-     "hstar_mc_factor"),
-    ("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": -1},
-     "hstar_mc_factor"),
+    # the H* budget is gone with the Monte Carlo route: an unknown key
+    pytest.param("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": 0},
+                 "unknown config keys: ['hstar_mc_factor']",
+                 id="verify-normality-cfg0-hstar_mc_factor"),
+    pytest.param("verify-normality", {**_BOUNDED_LOGISTIC, "hstar_mc_factor": -1},
+                 "unknown config keys: ['hstar_mc_factor']",
+                 id="verify-normality-cfg1-hstar_mc_factor"),
     ("verify-normality", {"d": 3, "k": 1, "n": 200, "replications": 1},
      "replications"),
     ("check-assumptions", {"d": 3, "k": 1, "n_mc": 1}, "n_mc"),

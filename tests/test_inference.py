@@ -139,19 +139,6 @@ def test_restricted_population_hessian_min_eigenvalue_bound():
     assert np.linalg.eigvalsh(H)[0] >= 2.0 * smin**2 - 1e-10
 
 
-def test_population_hessian_monte_carlo_can_be_forced():
-    # an explicit budget must actually trigger sampling, not the closed form
-    rng = np.random.default_rng(60)
-    theta = random_theta(rng, 3, 2)
-    basis = q.horizontal_basis(theta)
-    loss = q.GaussianNLL(1.0)
-    exact = q.restricted_population_hessian(_dgp(theta), theta, basis, loss)
-    mc = q.restricted_population_hessian(_dgp(theta), theta, basis, loss,
-                                         n_mc=50_000)
-    assert not np.array_equal(mc, exact)
-    assert rel_err(exact, mc) < 0.1
-
-
 def test_restricted_hessian_converges_to_population():
     rng = np.random.default_rng(8)
     theta = random_theta(rng, 4, 2)
@@ -471,17 +458,17 @@ def test_basis_anchor_hash_is_stable_across_processes():
     assert len(digests.pop()) == 16
 
 
-@pytest.mark.parametrize("n_mc", [None, 20_000])
-def test_population_curvature_wrappers_agree(n_mc):
+@pytest.mark.parametrize("design, loss", [("gaussian", q.GaussianNLL(1.0)),
+                                          ("bounded", q.Logistic())],
+                         ids=["gaussian", "bounded-logistic"])
+def test_population_curvature_wrappers_agree(design, loss):
     rng = np.random.default_rng(70)
     theta = random_theta(rng, 4, 2)
     basis = q.horizontal_basis(theta)
-    loss = q.GaussianNLL(1.0)
-    dgp = _dgp(theta, seed=71)
-    H = q.restricted_population_hessian(dgp, theta, basis, loss, n_mc=n_mc)
+    dgp = _dgp(theta, seed=71, design=design)
+    H = q.restricted_population_hessian(dgp, theta, basis, loss)
     E = basis.elements
     for i, j in ((0, 0), (0, 3), (5, 2)):
-        value, se = q.population_curvature(dgp, theta, np.stack([E[i], E[j]]),
-                                           loss, n_mc=n_mc, return_se=True)
+        value = q.population_curvature(dgp, theta, np.stack([E[i], E[j]]),
+                                       loss)
         assert value[0, 1] == pytest.approx(H[i, j], rel=1e-12, abs=1e-12)
-        assert se[0, 1] > 0.0 if n_mc else se[0, 1] == 0.0

@@ -12,15 +12,18 @@ from scipy.linalg import solve_triangular
 import qsense as q
 from qsense.errors import ConfigurationError
 from qsense.inference import _restricted_terms
-from qsense.model import (MOMENT_RATIO, Dataset, MomentRoute, StackRoute,
-                          SufficientStatistics, _stein_moments,
-                          curvature_apply, data_route, design_forward,
-                          draw_statistics, pair_adjoint, pair_coordinates,
-                          population_curvature, predictions,
+from qsense.harness import ExperimentConfig, make_truth
+from qsense.model import (MOMENT_RATIO, Dataset, LossModel, MomentRoute,
+                          StackRoute, SufficientStatistics,
+                          _bounded_logistic_moments, _pair,
+                          _stein_moments, curvature_apply, data_route,
+                          design_forward, draw_statistics, pair_adjoint,
+                          pair_coordinates, population_curvature, predictions,
                           third_derivative_operator)
 
 from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
-                     random_instance, random_orthogonal, random_theta, rel_err)
+                     random_instance, random_orthogonal, random_theta, rel_err,
+                     sampled_curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -412,42 +415,32 @@ def test_population_hessian_monte_carlo_matches_closed_form():
     loss = q.GaussianNLL(1.0)
     dgp = _dgp(theta, seed=42)
     exact = population_curvature(dgp, theta, np.stack([Z, W]), loss)
-    mc, se = population_curvature(dgp, theta, np.stack([Z, W]), loss,
-                                  n_mc=200_000, return_se=True)
+    mc, se = sampled_curvature(dgp, theta, np.stack([Z, W]), loss, 200_000)
     assert abs(mc[0, 1] - exact[0, 1]) <= 3.0 * se[0, 1]
 
 
-def test_population_hessian_needs_budget_for_bounded_logistic():
-    # uniform entries are not Gaussian and the logistic curvature is not
-    # constant: no exact form, so a Monte Carlo budget is required
+def test_population_hessian_rejects_other_losses_on_bounded_design():
     rng = np.random.default_rng(19)
     theta = random_theta(rng, 3, 1)
     dgp = _dgp(theta, design="bounded", noise="bernoulli")
     with pytest.raises(ConfigurationError):
         population_curvature(dgp, theta, np.stack([theta, theta]),
-                             q.Logistic())
+                             LossModel())
 
 
-@pytest.mark.parametrize("n_mc, return_se", [(0, False), (-3, False),
-                                              (1, True)])
-def test_population_hessian_rejects_tiny_budgets(n_mc, return_se):
-    # a mean needs one draw and a standard error two; below that the
-    # estimate or its error is NaN
-    rng = np.random.default_rng(20)
-    theta = random_theta(rng, 3, 1)
-    dgp = _dgp(theta, design="bounded", noise="bernoulli")
-    with pytest.raises(ValueError, match="n_mc must be >= "):
-        population_curvature(dgp, theta, np.stack([theta, theta]),
-                             q.Logistic(), n_mc=n_mc, return_se=return_se)
-
-
-def test_population_hessian_mean_from_one_draw():
-    rng = np.random.default_rng(21)
-    theta = random_theta(rng, 3, 1)
-    dgp = _dgp(theta, design="bounded", noise="bernoulli")
-    val = population_curvature(dgp, theta, np.stack([theta, theta]),
-                               q.Logistic(), n_mc=1)[0, 1]
-    assert math.isfinite(val)
+@pytest.mark.parametrize("scale", [1.0, 5.0])
+def test_bounded_logistic_quadrature_converges(scale):
+    # the step follows |w|_1; halving it must not move H* (the trapezoid
+    # rule converges geometrically for this integrand)
+    cfg = ExperimentConfig(d=6, k=2, loss="logistic", design="bounded",
+                           n=16000, seed=2024)
+    theta = scale * make_truth(cfg)
+    E = q.horizontal_basis(theta).elements
+    C = _pair(theta, E).reshape(len(E), -1)
+    w = (theta @ theta.T).ravel()
+    H = population_curvature(cfg.make_dgp(theta), theta, E, q.Logistic())
+    G = _bounded_logistic_moments(w, refine=2)
+    assert rel_err(H, C @ G @ C.T) <= 1e-12
 
 
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.6, 5.0, 13.5, 30.0])
@@ -468,15 +461,14 @@ def test_logistic_stein_moments_match_monte_carlo(s):
     assert np.all(np.abs(np.array([mean, tail]) - mc) <= 4.0 * se)
 
 
-@pytest.mark.parametrize("design", ["gaussian", "symmetric"])
+@pytest.mark.parametrize("design", ["gaussian", "symmetric", "bounded"])
 def test_logistic_exact_population_curvature_matches_monte_carlo(design):
     rng = np.random.default_rng(23)
     theta = random_theta(rng, 4, 2)
     E = q.horizontal_basis(theta).elements
     dgp = _dgp(theta, seed=24, design=design, noise="bernoulli")
     exact = population_curvature(dgp, theta, E, q.Logistic())
-    mc, se = population_curvature(dgp, theta, E, q.Logistic(),
-                                  n_mc=200_000, return_se=True)
+    mc, se = sampled_curvature(dgp, theta, E, q.Logistic(), 200_000)
     assert np.all(np.abs(exact - mc) <= 4.0 * se)
 
 

@@ -136,8 +136,8 @@ def horizontal_basis(theta):
     Orthonormalizes the horizontal projections of the canonical d x k unit
     matrices, the rows of I - V V^T, in lexicographic order by two-pass
     Gram-Schmidt, dropping residuals whose horizontal part is below
-    ``GS_DROP_TOL`` and stopping once m = d k - k (k - 1) / 2 are kept.
-    These are the coordinates the package reports.
+    ``GS_DROP_TOL`` and stopping once m = d k - k (k - 1) / 2 are kept, each
+    within 1e-9 of horizontal.  These are the coordinates the package reports.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
@@ -152,10 +152,14 @@ def horizontal_basis(theta):
         # two orthogonalization passes keep the Gram matrix at ~1e-15
         for _ in range(2):
             v = v - kept[:m].T @ (kept[:m] @ v)
-        # the kept rows' rounding, divided by small residuals, leaks into
-        # the vertical space; a residual made of that leak is no direction
-        if np.linalg.norm(v - V @ (V.T @ v)) > GS_DROP_TOL:
-            kept[m] = v / np.linalg.norm(v)
+        # earlier rows' rounding, divided by small residuals, leaks into the
+        # vertical space: drop a residual made of leak, and keep only the
+        # horizontal part of one whose leak passes 1e-9 of it
+        h = v - V @ (V.T @ v)
+        norm = np.linalg.norm(h)
+        if norm > GS_DROP_TOL:
+            leaky = np.linalg.norm(v - h) > 1e-9 * norm
+            kept[m] = h / norm if leaky else v / np.linalg.norm(v)
             m += 1
     if m != target:
         raise DegenerateFactorError(

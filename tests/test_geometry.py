@@ -295,12 +295,13 @@ def test_near_rank_deficient_factors(k, extra, log_s, log_scale, seed):
         E = newton_basis(theta).reshape(-1, d * k)
     except DegenerateFactorError:
         return
-    # wherever the frame holds, the reported basis exists and spans the
-    # same space; below s_min / s_max = 1e-6 it keeps residuals near
-    # GS_DROP_TOL, whose rounding it divides by, and agrees only to ~1e-5
-    F = q.horizontal_basis(theta).elements.reshape(-1, d * k)
-    tol = 1e-9 if s[-1] >= 1e-6 * s[0] else 1e-3
-    assert np.max(np.abs(E.T @ E - F.T @ F)) < tol
+    # wherever the frame holds, the reported basis exists, is orthonormal,
+    # leans no element out of the horizontal space and spans the same space
+    F = q.horizontal_basis(theta).elements
+    assert np.max(np.abs(q.vertical_project(theta, F))) < 1e-9
+    F = F.reshape(-1, d * k)
+    assert np.allclose(F @ F.T, np.eye(len(F)), atol=1e-12)
+    assert np.max(np.abs(E.T @ E - F.T @ F)) < 1e-9
 
 
 def test_horizontal_basis_full_rank_square_case():

@@ -102,15 +102,17 @@ class TaylorResidualReport(JsonFields):
     grad_at_estimate_norm: float
 
 
-def taylor_residual_check(rep, certificate_k=None):
+def taylor_residual_check(rep, sbar, certificate_k=None):
     """First-order expansion residual of the represented gradient.
 
     Reads the score and aligned chord of ``rep``, a
     ``restricted_representation`` whose basis is anchored at the truth, and
     applies its curvature to the chord's coordinates (``curvature_times``;
-    the full curvature is never built).  The gradient at the aligned
-    estimate comes from one derivative pass through ``rep.route``, n-free
-    on the moments.
+    the full curvature is never built).  ``sbar`` is Sbar at the estimate
+    (``FitResult.sbar`` for a fitted one, or
+    ``rep.route.derivative_pass(theta0)[1]``); Sbar depends on the factor
+    only through theta theta^T, so ``sbar`` times the aligned estimate is
+    the gradient there, with no pass over the data.
     ``lhs`` is the norm of score + curvature x coordinate-error at the
     truth; ``remainder`` additionally subtracts the represented gradient at
     the aligned estimate, so it measures the genuine quadratic remainder
@@ -124,9 +126,7 @@ def taylor_residual_check(rep, certificate_k=None):
     geometry.check_within_radius(theta_star, distance)
     first_order = rep.score + rep.curvature_times(
         inference.represent(rep.chord, rep.basis))
-    theta_at = theta_star + rep.chord
-    Sbar_at = rep.route.derivative_pass(theta_at)[1]
-    grad_at = inference.represent(Sbar_at @ theta_at, rep.basis)
+    grad_at = inference.represent(sbar @ (theta_star + rep.chord), rep.basis)
     lhs = float(np.linalg.norm(first_order))
     remainder = float(np.linalg.norm(grad_at - first_order))
     # below float resolution the squared distance is pure rounding noise

@@ -2,11 +2,13 @@
 
 The fit reads the data only through ``model.data_route``.  For the Gaussian
 loss with n >= 4 d^2 (``model.MOMENT_RATIO``) that is the moments
-(Sigma_hat, b) = (X^T X / n, X^T y / n), with X viewed as (n, d^2), built
-once per dataset: the start, every derivative pass, every curvature build
-and every line-search trial then cost O(d^4), whatever n is.  Only the reported loss, at the start and after each accepted step,
-takes one forward pass over X (``MomentRoute.value``).  Otherwise, and for
-every other loss, it is the (n, d, d) stack X.
+(Sigma_hat, b) = (U^T U / n, U^T y / n), p x p for U the (n, p) design in
+half-vectorized coordinates (``model.Dataset``), built once per dataset:
+the start, every derivative pass, every curvature build and every
+line-search trial then cost O(d^4), whatever n is.  Only the reported
+loss, at the start and after each accepted step, takes one forward pass
+over U (``MomentRoute.value``).  Otherwise, and for every other loss, it
+is U itself.
 
 The default start is the spectral initializer rescaled along its own ray:
 the loss at theta0 sqrt(tau) is a convex function of tau alone (the
@@ -17,7 +19,7 @@ spectral estimate's scale, which is off by the factor E[ell''(z*)] for
 losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
-iterate one derivative pass gives ell'' and Sbar (pair_adjoint(X, ell') / n
+iterate one derivative pass gives ell'' and Sbar (pair_adjoint(U, ell') / n
 on the stack); Sbar theta is the gradient the stop rule reads, and the same
 two give the loss's gradient and curvature in an orthonormal basis E of the
 horizontal space of R^(d x k) / O(k), where the curvature is invertible at a
@@ -112,7 +114,9 @@ class FitResult(JsonFields):
     accepted step, computed as ``empirical_loss`` computes it.  On the
     moment route the line search accepts a step by its loss change, not by
     these values, so once the change falls below their float resolution
-    the trace may rise by a rounding unit.
+    the trace may rise by a rounding unit.  ``sbar`` is Sbar at theta0,
+    from the fit's last derivative pass; it depends on theta0 only through
+    theta0 theta0^T, so it is also Sbar at every rotation theta0 Q.
     """
 
     theta0: np.ndarray
@@ -121,6 +125,7 @@ class FitResult(JsonFields):
     gradient_steps: int
     loss_trace: np.ndarray
     converged: bool
+    sbar: np.ndarray
 
     @property
     def final_loss(self):
@@ -301,6 +306,11 @@ def fit(dataset, loss, config=None):
         iterations += 1
         gradient_steps += fallback
         uses += 1
+    else:
+        # out of iterations: the last derivative pass was at the previous
+        # iterate
+        terms = route.derivative_pass(point.theta, point.state)
     return FitResult(theta0=point.theta, grad_norm=float(grad_norm),
                      iterations=iterations, gradient_steps=gradient_steps,
-                     loss_trace=np.array(trace), converged=converged)
+                     loss_trace=np.array(trace), converged=converged,
+                     sbar=terms[1])

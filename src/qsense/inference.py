@@ -7,9 +7,9 @@ sqrt(n) times the coordinate error.
 
 The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.data_route``, as the fit does: from the
-moments (X^T X / n, X^T y / n) for the Gaussian loss with n >= 4 d^2, with
-no pass over the samples, and from the X stack otherwise.
-``per_sample_scores`` stays on X, since it needs every sample.  H*
+moments (U^T U / n, U^T y / n) for the Gaussian loss with n >= 4 d^2, with
+no pass over the samples, and from the design U otherwise.
+``per_sample_scores`` stays on U, since it needs every sample.  H*
 (``restricted_population_hessian``) is exact and reads no data.
 """
 
@@ -44,7 +44,7 @@ def represent(M, basis):
 def _restricted_gradient(terms, theta, E):
     """g_j = <Sbar theta, E_j> from a derivative pass ``terms`` at theta.
 
-    On the stack this equals A^T ell' / n with A = pair_coordinates(X,
+    On the stack this equals A^T ell' / n with A = pair_coordinates(U,
     theta, E), at the cost of one small matrix product instead of a pass
     over the design.
     """
@@ -57,8 +57,8 @@ def _restricted_terms(route, theta, E, terms=None):
     With ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)`` (computed
     when not supplied), returns g = ``_restricted_gradient`` and
     H = ``route.curvature(theta, E, d2)`` + <E, Sbar E>: A^T diag(d2) A / n
-    for A = pair_coordinates(X, theta, E) on the stack, C Sigma_hat C^T /
-    sigma^2 for C = vec(theta E_j^T + E_j theta^T) on the moments.  In an
+    for A = pair_coordinates(U, theta, E) on the stack, C Sigma_hat C^T /
+    sigma^2 for C = svec(theta E_j^T + E_j theta^T) on the moments.  In an
     orthonormal horizontal basis g represents the gradient and H the
     curvature.  On the stack H costs a pass over the design with m columns,
     one product H v two single passes
@@ -84,7 +84,7 @@ def per_sample_scores(dataset, theta_star, basis, loss):
     """(n, d') matrix whose rows represent each sample's loss gradient."""
     theta_star = np.asarray(theta_star, dtype=float)
     z = predictions(dataset, theta_star)
-    A = pair_coordinates(dataset.X, theta_star, basis.elements)
+    A = pair_coordinates(dataset.U, theta_star, basis.elements)
     return A * loss.d1(z, dataset.y)[:, None]
 
 
@@ -246,7 +246,7 @@ def wald_intervals(phi0, cov, n, alpha, phi_star=None):
 
 def _single_sample_objects(data, theta, basis, loss):
     """Score, curvature and population curvature of a 1-sample dataset."""
-    a = pair_coordinates(data.X, theta, basis.elements)[0]
+    a = pair_coordinates(data.U, theta, basis.elements)[0]
     mu1 = loss.d2(predictions(data, theta), data.y)[0]
     # the conditional mean kills the score term of the population curvature
     return (*_restricted_terms(data_route(data, loss), theta, basis.elements),

@@ -7,19 +7,28 @@ of a scalar loss ``ell(z_i, y_i)``; everything downstream (gradient, curvature,
 third derivative) is computed from the analytic derivatives of ``ell`` in its
 first argument.
 
+The loss reads each X_i only through <X_i, M> with M symmetric, so a
+``Dataset`` stores the design as U, the (n, p) matrix whose rows are
+u_i = svec(sym X_i), p = d (d + 1) / 2 (21 numbers at d = 6, where X_i
+has 36): u_ii = X_ii, u_ij = (X_ij + X_ji) / sqrt 2 for i < j, and
+<X_i, M> = u_i^T svec(M).  Every design map is one BLAS call on U
+(``design_forward``, ``design_adjoint``); the stack X is derived from U
+when read, symmetric, and never stored.
+
 The fit and the inference at the truth read the data through a route
-(``data_route``): the X stack for any loss, or, for the Gaussian loss with
-n >= MOMENT_RATIO d^2 (4 d^2, ``uses_moments``), the moments
-(Sigma_hat, b) = (X^T X / n, X^T y / n).  A ``Dataset`` builds them once
+(``data_route``): U for any loss, or, for the Gaussian loss with
+n >= MOMENT_RATIO d^2 (4 d^2, ``uses_moments``), the p x p moments
+(Sigma_hat, b) = (U^T U / n, U^T y / n).  A ``Dataset`` builds them once
 (``Dataset.moments``), after which only the reported loss values touch
-the n samples (one forward pass each).  Under the Gaussian design and
-noise the moments and the least-squares residual can also be drawn
-directly, without X (``draw_statistics``, Bartlett's decomposition of the
-Wishart law), which is how the Monte Carlo harness draws its replicates
-wherever the route reads the moments.  The public
+the n samples (one forward pass each).  Under Gaussian noise and a
+Gaussian design the moments and the least-squares residual can also be
+drawn directly, without U (``draw_statistics``, Bartlett's decomposition
+of the Wishart law), which is how the Monte Carlo harness draws its
+replicates wherever the route reads the moments.  The public
 derivative functions below (``empirical_loss``, ``euclidean_gradient``,
-``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) stay on X:
-they are the finite-difference oracles the routes are checked against.
+``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) read the
+derived X: they are the finite-difference oracles the routes are checked
+against.
 
 The population curvature H* (``population_curvature``) is exact, without
 design draws, for every design and loss: Stein's identity, second moments,
@@ -28,6 +37,7 @@ or a Fourier trapezoid rule whose step and range follow from the truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -184,49 +194,118 @@ class ProblemConstants(JsonFields):
 
 
 # ---------------------------------------------------------------------------
+# Half-vectorized coordinates
+# ---------------------------------------------------------------------------
+# The loss reads a measurement X only through <X, M> for symmetric M, so a
+# sample enters only through u = svec(sym X): u_ii = X_ii and
+# u_ij = (X_ij + X_ji) / sqrt 2 for i < j, the upper triangle row by row.
+# Then <X, M> = u^T svec(M), an isometry of the symmetric matrices onto
+# R^p, p = d (d + 1) / 2 (Vandenberghe and Boyd, SIAM Rev. 1996).
+
+@functools.cache
+def _svec_basis(d):
+    """(K, K^T) for the (p, d^2) matrix K with svec(M) = K vec(M).
+
+    Row (i, i) of K is vec(e_i e_i^T), row (i, j), i < j, is
+    vec(e_i e_j^T + e_j e_i^T) / sqrt 2: K K^T = I_p, K^T svec(M) = vec(M)
+    for symmetric M, and K vec(M) = svec(sym M) for any M.
+    """
+    rows, cols = np.triu_indices(d)
+    K = np.zeros((rows.size, d, d))
+    scale = np.where(rows == cols, 1.0, math.sqrt(0.5))
+    K[np.arange(rows.size), rows, cols] = scale
+    K[np.arange(rows.size), cols, rows] = scale
+    K = K.reshape(rows.size, d * d)
+    Kt = np.ascontiguousarray(K.T)
+    K.flags.writeable = Kt.flags.writeable = False
+    return K, Kt
+
+
+@functools.cache
+def _svec_order(p):
+    """The d with d (d + 1) / 2 = p; ValueError if p is no such number."""
+    d = (math.isqrt(8 * p + 1) - 1) // 2
+    if p < 1 or d * (d + 1) // 2 != p:
+        raise ValueError(f"{p} coordinates are no half-vectorized matrix")
+    return d
+
+
+def svec(M):
+    """svec(sym M) of a d x d matrix (result (p,)) or a (..., d, d) stack."""
+    d = M.shape[-1]
+    return np.dot(M.reshape(M.shape[:-2] + (d * d,)), _svec_basis(d)[1])
+
+
+def smat(v):
+    """The symmetric matrix (or (..., d, d) stack) whose svec is v."""
+    d = _svec_order(v.shape[-1])
+    return np.dot(v, _svec_basis(d)[0]).reshape(v.shape[:-1] + (d, d))
+
+
+# ---------------------------------------------------------------------------
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """n measurement pairs: X is (n, d, d), y is (n,).  k is the target rank."""
+    """n measurement pairs: the (n, p) design U and the targets y (n,).
 
-    X: np.ndarray
+    Row i of U is svec(sym X_i), everything the loss reads of X_i.
+    ``Dataset(X=X, y=y, k=k)`` folds an (n, d, d) stack of any matrices
+    into U; ``Dataset(U=U, y=y, k=k)`` takes U as it is.  ``X`` is the
+    symmetric stack sym X_i, derived from U on every read and never stored.
+    k is the target rank.
+    """
+
+    U: np.ndarray
     y: np.ndarray
     k: int | None = None
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if X.ndim != 3 or X.shape[1] != X.shape[2]:
-            raise ValueError(f"X must be (n, d, d), got {X.shape}")
-        if y.shape != (X.shape[0],):
+    def __init__(self, X=None, y=None, k=None, *, U=None):
+        if (X is None) == (U is None):
+            raise ValueError("a dataset takes exactly one of X and U")
+        if X is not None:
+            X = np.asarray(X, dtype=float)
+            if X.ndim != 3 or X.shape[1] != X.shape[2]:
+                raise ValueError(f"X must be (n, d, d), got {X.shape}")
+            if not np.all(np.isfinite(X)):
+                raise ValueError("dataset entries must be finite")
+            U = svec(X)
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2:
+            raise ValueError(f"U must be (n, p), got {U.shape}")
+        _svec_order(U.shape[1])
+        y = np.asarray(y, dtype=float)
+        if y.shape != (U.shape[0],):
             raise ValueError("y must have one entry per measurement matrix")
-        if X.shape[0] < 1:
+        if U.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
             raise ValueError("dataset entries must be finite")
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "U", U)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self):
-        return self.X.shape[0]
+        return self.U.shape[0]
 
     @property
     def d(self):
-        return self.X.shape[1]
+        return _svec_order(self.U.shape[1])
+
+    @property
+    def X(self):
+        return smat(self.U)
 
     @cached_property
     def moments(self):
-        """(Sigma_hat, b) = (A^T A / n, A^T y / n).
+        """(Sigma_hat, b) = (U^T U / n, U^T y / n).
 
-        A is the design viewed as (n, d^2).  These are all the Gaussian
-        loss's derivatives read of the data (``MomentRoute``); built on
-        first use, then kept.
+        These are all the Gaussian loss's derivatives read of the data
+        (``MomentRoute``); built on first use, then kept.
         """
-        A = self.X.reshape(self.n, -1)
-        return A.T @ A / self.n, A.T @ self.y / self.n
+        return self.U.T @ self.U / self.n, self.U.T @ self.y / self.n
 
     def to_json(self):
         return json.dumps({
@@ -263,13 +342,12 @@ class Dataset:
 class SufficientStatistics:
     """What the Gaussian loss reads of n samples, without the samples.
 
-    ``gram`` and ``xy`` are the moments (Sigma_hat, b) = (A^T A / n,
-    A^T y / n) of ``Dataset.moments``, ``anchor`` the least-squares fit
-    m_hat = Sigma_hat^-1 b and ``residual`` its residual |y - A m_hat|^2,
-    for A the design viewed as (n, d^2).  The loss at m = vec(theta
-    theta^T) is then ((m - m_hat)^T Sigma_hat (m - m_hat) + residual / n)
-    / (2 sigma^2).  ``X`` and ``y`` are empty (0, d, d) and (0,) arrays:
-    nothing here reads a sample.
+    ``gram`` and ``xy`` are the moments (Sigma_hat, b) = (U^T U / n,
+    U^T y / n) of ``Dataset.moments``, ``anchor`` the least-squares fit
+    m_hat = Sigma_hat^-1 b and ``residual`` its residual |y - U m_hat|^2.
+    The loss at m = svec(theta theta^T) is then ((m - m_hat)^T Sigma_hat
+    (m - m_hat) + residual / n) / (2 sigma^2).  ``X`` and ``y`` are empty
+    (0, d, d) and (0,) arrays: nothing here reads a sample.
     """
 
     gram: np.ndarray
@@ -281,7 +359,7 @@ class SufficientStatistics:
 
     @property
     def d(self):
-        return math.isqrt(self.xy.size)
+        return _svec_order(self.xy.size)
 
     @property
     def moments(self):
@@ -299,25 +377,23 @@ class SufficientStatistics:
 # ---------------------------------------------------------------------------
 # Design maps
 # ---------------------------------------------------------------------------
-# The (n, d, d) stack X is the only representation of the design.  Every
-# derivative, curvature and the fit are built from the maps below, each one
-# BLAS call on the stack viewed as 2-D.
+# U is the only stored form of the design.  Every derivative, curvature and
+# the fit are built from the maps below, each one BLAS call on U.
 
-def design_forward(X, M):
-    """<X_i, M> for every matrix of the (n, d, d) stack X.
+def design_forward(U, M):
+    """<X_i, M> = u_i^T svec(M) for every sample, M symmetric.
 
-    M is one d x d matrix (result (n,)) or an (m, d, d) stack (result (n, m)).
+    M is one d x d matrix (result (n,)) or an (m, d, d) stack (result
+    (n, m)); a non-symmetric M is read as sym M.
     """
-    Xf = X.reshape(X.shape[0], -1)
     if M.ndim == 2:
-        return Xf @ M.ravel()
-    return Xf @ M.reshape(M.shape[0], -1).T
+        return U @ svec(M)
+    return U @ svec(M).T
 
 
-def design_adjoint(X, w):
-    """Matrix sum_i w_i X_i: the adjoint of the forward map."""
-    n, d, _ = X.shape
-    return (X.reshape(n, d * d).T @ w).reshape(d, d)
+def design_adjoint(U, w):
+    """sum_i w_i sym X_i = smat(U^T w), the adjoint of the forward map."""
+    return smat(U.T @ w)
 
 
 def _pair(A, B):
@@ -330,18 +406,17 @@ def _pair(A, B):
     return AB + np.swapaxes(AB, -1, -2)
 
 
-def pair_adjoint(X, w):
+def pair_adjoint(U, w):
     """Matrix sum_i w_i (X_i + X_i^T), the adjoint of the tangent coordinates."""
-    S = design_adjoint(X, w)
-    return S + S.T
+    return 2.0 * design_adjoint(U, w)
 
 
-def pair_coordinates(X, theta, directions):
+def pair_coordinates(U, theta, directions):
     """(n, m) matrix of <X_i, theta D_j^T + D_j theta^T> for a (m, d, k) stack.
 
     Entry (i, j) is the first-order change of the prediction z_i along D_j.
     """
-    return design_forward(X, _pair(theta, directions))
+    return design_forward(U, _pair(theta, directions))
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +425,11 @@ def pair_coordinates(X, theta, directions):
 # The fit and the inference at the truth reach the data through three
 # operations: the loss at a factor and its change along a line search, the
 # derivative pass (ell'', Sbar), and the design part of the curvature on
-# pair matrices.  StackRoute computes them from X for any loss.  Under the
-# Gaussian loss the empirical loss is a quadratic in m = vec(theta theta^T),
+# pair matrices.  StackRoute computes them from U for any loss.  Under the
+# Gaussian loss the empirical loss is a quadratic in m = svec(theta theta^T),
 # so MomentRoute computes them from the moments alone; from a Dataset it
 # reads the n samples only for the loss value the fit reports (``value``).
-# The moments cost one (d^2 x d^2) Gram product over the design, which the
+# The moments cost one (p x p) Gram product over the design, which the
 # saved passes repay from n >= MOMENT_RATIO d^2 on.
 
 MOMENT_RATIO = 4
@@ -400,20 +475,20 @@ class Iterate:
 
 
 class StackRoute:
-    """The data operations on the (n, d, d) stack X, for any loss.
+    """The data operations on the (n, p) design U, for any loss.
 
     The state of a factor is its prediction vector z.
     """
 
     def __init__(self, dataset, loss):
-        self.X, self.y, self.n, self.loss = dataset.X, dataset.y, dataset.n, loss
+        self.U, self.y, self.n, self.loss = dataset.U, dataset.y, dataset.n, loss
 
     def spectral(self):
-        """(1/n) sum_i y_i (X_i + X_i^T) / 2."""
-        return pair_adjoint(self.X, self.y) / (2.0 * self.n)
+        """(1/n) sum_i y_i sym X_i."""
+        return design_adjoint(self.U, self.y) / self.n
 
     def state(self, theta):
-        return design_forward(self.X, theta @ theta.T)
+        return design_forward(self.U, theta @ theta.T)
 
     def at(self, theta, state=None, base=None):
         """The Iterate at theta (``base`` is not needed on this route)."""
@@ -438,35 +513,35 @@ class StackRoute:
                 cand.f < base.f)
 
     def derivative_pass(self, theta, state=None):
-        """(ell''(z), Sbar) with Sbar = pair_adjoint(X, ell'(z)) / n."""
+        """(ell''(z), Sbar) with Sbar = pair_adjoint(U, ell'(z)) / n."""
         z = self.state(theta) if state is None else state
         d1, d2 = self.loss.d1_d2(z, self.y)
-        return d2, pair_adjoint(self.X, d1) / self.n
+        return d2, pair_adjoint(self.U, d1) / self.n
 
     def curvature(self, theta, E, d2):
-        """A^T diag(d2) A / n for A = pair_coordinates(X, theta, E)."""
-        A = pair_coordinates(self.X, theta, E)
+        """A^T diag(d2) A / n for A = pair_coordinates(U, theta, E)."""
+        A = pair_coordinates(self.U, theta, E)
         return (A * d2[:, None]).T @ A / self.n
 
     def curvature_times(self, theta, Z, d2):
-        """pair_adjoint(X, d2 a) theta / n for a_i = <X_i, theta Z^T + Z theta^T>."""
-        a = design_forward(self.X, _pair(theta, Z))
-        return pair_adjoint(self.X, d2 * a) @ theta / self.n
+        """pair_adjoint(U, d2 a) theta / n for a_i = <X_i, theta Z^T + Z theta^T>."""
+        a = design_forward(self.U, _pair(theta, Z))
+        return pair_adjoint(self.U, d2 * a) @ theta / self.n
 
 
 class MomentRoute:
     """The same operations from (Sigma_hat, b), for the Gaussian loss.
 
-    With m = vec(theta theta^T), the state of a factor is q = Sigma_hat m,
-    Sbar = R + R^T for R = mat(q - b) / sigma^2, and ell'' = 1 / sigma^2.
+    With m = svec(theta theta^T), the state of a factor is
+    q = Sigma_hat m, Sbar = 2 smat(q - b) / sigma^2, and ell'' = 1 / sigma^2.
     The loss change to a candidate is the quadratic form
     (dm^T Sigma_hat dm / 2 + dm^T (q - b)) / sigma^2 in
-    dm = theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T, which avoids
-    the cancellation of two loss values far above their difference.
+    dm = svec(theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T), which
+    avoids the cancellation of two loss values far above their difference.
 
     The loss itself would be (m^T (q - 2 b) + y^T y / n) / (2 sigma^2),
     which cancels terms about |M|^2 / sigma^2 times larger than its result,
-    so ``value`` takes it from one forward pass over X instead: the one
+    so ``value`` takes it from one forward pass over U instead: the one
     operation here that reads the samples, once per reported iterate.  On
     ``SufficientStatistics`` it is the anchored form, a sum of two terms
     >= 0 that do not cancel.
@@ -474,17 +549,15 @@ class MomentRoute:
 
     def __init__(self, dataset, loss):
         self.gram, self.xy = dataset.moments
-        self.X, self.y, self.d, self.loss = dataset.X, dataset.y, dataset.d, loss
+        self.data, self.loss = dataset, loss
         self.inv_var = loss._inv_var
-        self.drawn = dataset if isinstance(dataset, SufficientStatistics) \
-            else None
+        self.drawn = isinstance(dataset, SufficientStatistics)
 
     def spectral(self):
-        B = self.xy.reshape(self.d, self.d)
-        return 0.5 * (B + B.T)
+        return smat(self.xy)
 
     def state(self, theta):
-        return self.gram @ (theta @ theta.T).ravel()
+        return self.gram @ svec(theta @ theta.T)
 
     def at(self, theta, state=None, base=None):
         """The Iterate at theta, with its loss change from ``base`` if given."""
@@ -493,25 +566,25 @@ class MomentRoute:
             if base is None:
                 return Iterate(theta, q)
             step = theta - base.theta
-            dm = (_pair(base.theta, step) + step @ step.T).ravel()
+            dm = svec(_pair(base.theta, step) + step @ step.T)
             change = self.inv_var * float(
                 dm @ (0.5 * (self.gram @ dm) + base.state - self.xy))
             return Iterate(theta, q, change=change)
 
     def value(self, point):
-        """The empirical loss at ``point``: one forward pass over X, or the
+        """The empirical loss at ``point``: one forward pass over U, or the
         anchored form on drawn statistics."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.drawn is not None:
-                r = (point.theta @ point.theta.T).ravel() - self.drawn.anchor
+            if self.drawn:
+                r = svec(point.theta @ point.theta.T) - self.data.anchor
                 return 0.5 * self.inv_var * (
                     float(r @ (self.gram @ r))
-                    + self.drawn.residual / self.drawn.n)
-            z = design_forward(self.X, point.theta @ point.theta.T)
-            return float(np.mean(self.loss.value(z, self.y)))
+                    + self.data.residual / self.data.n)
+            z = design_forward(self.data.U, point.theta @ point.theta.T)
+            return float(np.mean(self.loss.value(z, self.data.y)))
 
     def ray(self, theta, state, tau):
-        m = (theta @ theta.T).ravel()
+        m = svec(theta @ theta.T)
         curv = float(m @ state)
         return (self.inv_var * (tau * curv - float(m @ self.xy)),
                 self.inv_var * curv)
@@ -522,16 +595,15 @@ class MomentRoute:
 
     def derivative_pass(self, theta, state=None):
         q = self.state(theta) if state is None else state
-        R = (q - self.xy).reshape(self.d, self.d) * self.inv_var
-        return self.inv_var, R + R.T
+        return self.inv_var, (2.0 * self.inv_var) * smat(q - self.xy)
 
     def curvature(self, theta, E, d2):
-        C = _pair(theta, E).reshape(E.shape[0], -1)
+        C = svec(_pair(theta, E))
         return d2 * (C @ self.gram @ C.T)
 
     def curvature_times(self, theta, Z, d2):
-        W = (self.gram @ _pair(theta, Z).ravel()).reshape(self.d, self.d)
-        return d2 * ((W + W.T) @ theta)
+        W = smat(self.gram @ svec(_pair(theta, Z)))
+        return (2.0 * d2) * (W @ theta)
 
 
 def curvature_apply(route, theta, Z, terms):
@@ -539,7 +611,7 @@ def curvature_apply(route, theta, Z, terms):
 
     ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)``; the result is
     the route's design part plus Sbar Z (the exact curvature-vector product,
-    two passes over X on the stack).
+    two passes over U on the stack).
     """
     d2, Sbar = terms
     return route.curvature_times(theta, Z, d2) + Sbar @ Z
@@ -548,13 +620,28 @@ def curvature_apply(route, theta, Z, terms):
 # ---------------------------------------------------------------------------
 # Core predictions and derivatives
 # ---------------------------------------------------------------------------
+# The derivative functions below are the oracles the routes are checked
+# against.  Their predictions come from ``predictions``, the forward map the
+# data are simulated with, so a noiseless truth is an exact zero of the
+# gradient; every other contraction reads the derived stack X, not U.
 
 def predictions(dataset, theta):
     """Vector of <X_i, theta theta^T> for every sample."""
     theta = np.asarray(theta, dtype=float)
     if dataset.d != theta.shape[0]:
         raise ValueError("dataset and factor dimensions disagree")
-    return design_forward(dataset.X, theta @ theta.T)
+    return design_forward(dataset.U, theta @ theta.T)
+
+
+def _stack_forward(X, M):
+    """<X_i, M> for every matrix of an (n, d, d) stack X."""
+    return X.reshape(len(X), -1) @ M.ravel()
+
+
+def _stack_pair_adjoint(X, w):
+    """sum_i w_i (X_i + X_i^T) for an (n, d, d) stack X."""
+    S = np.tensordot(w, X, axes=1)
+    return S + S.T
 
 
 def empirical_loss(dataset, theta, loss):
@@ -571,9 +658,8 @@ def euclidean_gradient(dataset, theta, loss):
     representative of the first derivative under the Frobenius inner product.
     """
     theta = np.asarray(theta, dtype=float)
-    z = predictions(dataset, theta)
-    w = loss.d1(z, dataset.y)
-    return pair_adjoint(dataset.X, w) @ theta / dataset.n
+    w = loss.d1(predictions(dataset, theta), dataset.y)
+    return _stack_pair_adjoint(dataset.X, w) @ theta / dataset.n
 
 
 def hessian_bilinear(dataset, theta, Z, W, loss):
@@ -585,14 +671,20 @@ def hessian_bilinear(dataset, theta, Z, W, loss):
 
 
 def hessian_operator(dataset, theta, Z, loss):
-    """Riesz representative of the curvature form: <result, W> = bilinear(Z, W)."""
+    """Riesz representative of the curvature form: <result, W> = bilinear(Z, W).
+
+    (1/n) sum_i [ell''_i a_i (X_i + X_i^T) theta + ell'_i (X_i + X_i^T) Z]
+    with a_i = <X_i, theta Z^T + Z theta^T>.
+    """
     theta = np.asarray(theta, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Z.shape != theta.shape:
         raise ValueError("Z must match the factor shape")
-    route = StackRoute(dataset, loss)
-    terms = route.derivative_pass(theta, predictions(dataset, theta))
-    return curvature_apply(route, theta, Z, terms)
+    z = predictions(dataset, theta)
+    X = dataset.X
+    a = _stack_forward(X, _pair(theta, Z))
+    return (_stack_pair_adjoint(X, loss.d2(z, dataset.y) * a) @ theta
+            + _stack_pair_adjoint(X, loss.d1(z, dataset.y)) @ Z) / dataset.n
 
 
 def third_derivative(dataset, theta, Z, W, V, loss):
@@ -618,12 +710,12 @@ def third_derivative_operator(dataset, theta, V, W, loss):
     d2 = loss.d2(z, dataset.y)
     d3 = loss.d3(z, dataset.y)
     X = dataset.X
-    aV = design_forward(X, _pair(theta, V))
-    aW = design_forward(X, _pair(theta, W))
-    cVW = design_forward(X, _pair(V, W))
-    R = (pair_adjoint(X, d3 * aV * aW + d2 * cVW) @ theta
-         + pair_adjoint(X, d2 * aW) @ V
-         + pair_adjoint(X, d2 * aV) @ W)
+    aV = _stack_forward(X, _pair(theta, V))
+    aW = _stack_forward(X, _pair(theta, W))
+    cVW = _stack_forward(X, _pair(V, W))
+    R = (_stack_pair_adjoint(X, d3 * aV * aW + d2 * cVW) @ theta
+         + _stack_pair_adjoint(X, d2 * aW) @ V
+         + _stack_pair_adjoint(X, d2 * aV) @ W)
     return R / dataset.n
 
 
@@ -640,14 +732,16 @@ BOUNDED_XMAX = float(np.sqrt(3.0))
 
 
 def sample_design(design, rng, n, d):
-    """Draw n measurement matrices of the named design."""
-    if design == "gaussian":
-        return rng.standard_normal((n, d, d))
-    if design == "symmetric":
-        G = rng.standard_normal((n, d, d))
-        return 0.5 * (G + G.transpose(0, 2, 1))
+    """The (n, p) design U of n measurement matrices of the named design.
+
+    Under ``gaussian`` and ``symmetric`` ((G + G^T) / 2) alike,
+    u = svec(sym X) ~ N(0, I_p), drawn as one (n, p) block.  ``bounded``
+    draws the d^2 uniform entries of each X, row by row, and folds them.
+    """
+    if design in ("gaussian", "symmetric"):
+        return rng.standard_normal((n, d * (d + 1) // 2))
     if design == "bounded":
-        return rng.uniform(-BOUNDED_XMAX, BOUNDED_XMAX, size=(n, d, d))
+        return svec(rng.uniform(-BOUNDED_XMAX, BOUNDED_XMAX, size=(n, d, d)))
     raise ConfigurationError(f"unknown design {design!r}")
 
 
@@ -698,46 +792,47 @@ def simulate(dgp, n):
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = dgp.rng()
-    X = sample_design(dgp.design, rng, n, dgp.d)
-    z = design_forward(X, dgp.theta_star @ dgp.theta_star.T)
+    U = sample_design(dgp.design, rng, n, dgp.d)
+    z = design_forward(U, dgp.theta_star @ dgp.theta_star.T)
     if dgp.noise == "gaussian":
         y = z + dgp.sigma * rng.standard_normal(n)
     else:
         y = (rng.random(n) < expit(z)).astype(float)
-    return Dataset(X=X, y=y, k=dgp.k)
+    return Dataset(U=U, y=y, k=dgp.k)
 
 
 def draw_statistics(dgp, n):
-    """Draw the ``SufficientStatistics`` of n samples without drawing X.
+    """Draw the ``SufficientStatistics`` of n samples without drawing U.
 
-    For the Gaussian design and noise, with p = d^2, m* = vec(M*) and
+    For Gaussian noise under the ``gaussian`` or ``symmetric`` design,
+    where u ~ N(0, I_p), with p = d (d + 1) / 2, m* = svec(M*) and
     s = dgp.sigma (Bartlett's decomposition; Odell and Feiveson, JASA 1966):
     W = n Sigma_hat = L L^T ~ Wishart(n, I_p) for L lower triangular with
     L_ii = sqrt(chi^2_{n-i}), i = 0 ... p - 1, and N(0, 1) entries below
-    the diagonal.  Writing the design as A = Q L^T, with Q (n x p)
+    the diagonal.  Writing the design as U = Q L^T, with Q (n x p)
     orthonormal, Haar-distributed and independent of L, and
     xi = Q^T eps ~ N(0, I_p):
 
         n b = W m* + s L xi,   m_hat = m* + s L^-T xi,
-        |y - A m_hat|^2 = s^2 chi^2_{n-p}, independent of both.
+        |y - U m_hat|^2 = s^2 chi^2_{n-p}, independent of both.
 
     The stream is drawn in that order: the p diagonal chi^2, the
     p (p - 1) / 2 entries below it row by row, xi, the residual's chi^2.
     Bit-identical for equal (seed, n).
     """
-    if dgp.design != "gaussian" or dgp.noise != "gaussian":
-        raise ConfigurationError(
-            "statistics are drawn only for the gaussian design and noise")
-    p = dgp.d ** 2
+    if dgp.design == "bounded" or dgp.noise != "gaussian":
+        raise ConfigurationError("statistics are drawn only for gaussian "
+                                 "noise under a gaussian design")
+    p = dgp.d * (dgp.d + 1) // 2
     if n <= p:
-        raise ValueError("drawing the statistics needs n > d^2")
+        raise ValueError("drawing the statistics needs n > d (d + 1) / 2")
     rng = dgp.rng()
     L = np.diag(np.sqrt(rng.chisquare(n - np.arange(p))))
     L[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     xi = rng.standard_normal(p)
     residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
     W = L @ L.T
-    m_star = (dgp.theta_star @ dgp.theta_star.T).ravel()
+    m_star = svec(dgp.theta_star @ dgp.theta_star.T)
     anchor = m_star + dgp.sigma * solve_triangular(L, xi, lower=True,
                                                    trans="T")
     return SufficientStatistics(

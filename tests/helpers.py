@@ -3,8 +3,9 @@
 import numpy as np
 
 import qsense as q
-from qsense.model import (Dataset, _pair, design_forward, empirical_loss,
-                          euclidean_gradient, hessian_bilinear, sample_design)
+from qsense.model import (Dataset, _pair, data_route, design_forward,
+                          empirical_loss, euclidean_gradient, hessian_bilinear,
+                          sample_design)
 
 
 def random_orthogonal(rng, k):
@@ -36,6 +37,12 @@ def random_instance(rng, d, k, n, loss_kind="gaussian"):
     data = Dataset(X=X, y=y, k=k)
     theta = theta_star + 0.2 * rng.standard_normal((d, k))
     return data, theta, loss
+
+
+def sbar_at(data, theta, loss):
+    """Sbar at theta from one derivative pass, as ``FitResult.sbar`` holds it
+    at a fit's estimate: the Taylor check's input at any other point."""
+    return data_route(data, loss).derivative_pass(theta)[1]
 
 
 def fd_gradient(data, theta, loss, h=1e-6):
@@ -82,9 +89,9 @@ def sampled_curvature(dgp, theta, directions, loss, draws, batch=65536):
     total = np.zeros((len(C), len(C)))
     squares = np.zeros_like(total)
     for start in range(0, draws, batch):
-        X = sample_design(dgp.design, rng, min(batch, draws - start), dgp.d)
-        mu = loss.d2(design_forward(X, M), None)
-        A = design_forward(X, C)
+        U = sample_design(dgp.design, rng, min(batch, draws - start), dgp.d)
+        mu = loss.d2(design_forward(U, M), None)
+        A = design_forward(U, C)
         total += (A * mu[:, None]).T @ A
         A2 = A * A
         squares += (A2 * (mu * mu)[:, None]).T @ A2

@@ -17,7 +17,8 @@ from qsense.cli import cli_main
 from qsense.harness import ExperimentConfig, normality_experiment, rate_experiment
 
 from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
-                     random_instance, random_orthogonal, random_theta, rel_err)
+                     random_instance, random_orthogonal, random_theta, rel_err,
+                     sbar_at)
 
 
 def _check(num, description, ok, detail=""):
@@ -245,7 +246,7 @@ def test_criterion_7_taylor_residual():
         rep = q.taylor_residual_check(
             q.restricted_representation(data, theta, theta + r * W, basis,
                                         loss),
-            certificate_k=cert.K)
+            sbar_at(data, theta + r * W, loss), certificate_k=cert.K)
         dists.append(rep.distance)
         rems.append(rep.remainder)
         ratios_ok &= rep.ratio <= cert.K / 2.0

@@ -5,7 +5,7 @@ import qsense as q
 from qsense.errors import OutOfInjectivityError
 from qsense.model import euclidean_gradient, hessian_operator
 
-from helpers import random_theta
+from helpers import random_orthogonal, random_theta, rel_err, sbar_at
 
 
 def _dgp(theta, seed=0, design="gaussian", noise="gaussian", sigma=1.0):
@@ -103,7 +103,8 @@ def test_taylor_lhs_is_score_norm_at_truth():
     loss = q.GaussianNLL(0.5)
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        q.restricted_representation(data, theta, theta, basis, loss))
+        q.restricted_representation(data, theta, theta, basis, loss),
+        sbar_at(data, theta, loss))
     g0 = q.represent(euclidean_gradient(data, theta, loss), basis)
     assert rep.lhs == pytest.approx(float(np.linalg.norm(g0)), rel=1e-12)
     assert rep.distance == pytest.approx(0.0, abs=1e-12)
@@ -118,7 +119,8 @@ def test_taylor_residual_tiny_at_noiseless_minimizer():
     res = q.fit(data, loss, q.FitConfig(grad_tol=1e-12, max_iters=50_000))
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        q.restricted_representation(data, theta, res.theta0, basis, loss))
+        q.restricted_representation(data, theta, res.theta0, basis, loss),
+        res.sbar)
     assert rep.lhs <= 1e-8
 
 
@@ -134,7 +136,8 @@ def test_taylor_remainder_scales_quadratically():
     dists, rems = [], []
     for r in radii:
         rep = q.taylor_residual_check(q.restricted_representation(
-            data, theta, theta + r * W, basis, loss))
+            data, theta, theta + r * W, basis, loss),
+            sbar_at(data, theta + r * W, loss))
         dists.append(rep.distance)
         rems.append(rep.remainder)
     slope = np.polyfit(np.log(dists), np.log(rems), 1)[0]
@@ -157,7 +160,7 @@ def test_taylor_remainder_below_certificate():
         rep = q.taylor_residual_check(
             q.restricted_representation(data, theta, theta + r * W, basis,
                                         loss),
-            certificate_k=cert.K)
+            sbar_at(data, theta + r * W, loss), certificate_k=cert.K)
         assert rep.remainder <= rep.certificate_rhs
         assert rep.ratio <= cert.K / 2.0
 
@@ -171,7 +174,32 @@ def test_taylor_check_rejects_far_points():
     rep = q.restricted_representation(data, theta, 10.0 * theta + 1.0, basis,
                                       loss)
     with pytest.raises(OutOfInjectivityError):
-        q.taylor_residual_check(rep)
+        q.taylor_residual_check(rep, sbar_at(data, 10.0 * theta + 1.0, loss))
+
+
+@pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])
+def test_taylor_check_on_the_fits_sbar_matches_a_pass_at_the_aligned_estimate(
+        loss_kind):
+    # Sbar reads theta only through theta theta^T: the fit's last pass, at
+    # theta0, serves the aligned estimate theta0 Q
+    rng = np.random.default_rng(22)
+    theta = random_theta(rng, 4, 2)
+    noise = "gaussian" if loss_kind == "gaussian" else "bernoulli"
+    data = q.simulate(_dgp(theta, seed=23, sigma=0.3, noise=noise), 2000)
+    loss = q.GaussianNLL(0.3) if loss_kind == "gaussian" else q.Logistic()
+    res = q.fit(data, loss)
+    basis = q.horizontal_basis(theta)
+    rep = q.restricted_representation(data, theta, res.theta0, basis, loss)
+    aligned = theta + rep.chord
+    assert rel_err(res.sbar, sbar_at(data, aligned, loss)) <= 1e-12
+    Q = random_orthogonal(rng, 2)
+    assert rel_err(sbar_at(data, res.theta0 @ Q, loss), res.sbar) <= 1e-12
+    fresh = q.taylor_residual_check(rep, sbar_at(data, aligned, loss))
+    reused = q.taylor_residual_check(rep, res.sbar)
+    # the gradient there is below the fit's tolerance, 1e-9
+    assert abs(reused.remainder - fresh.remainder) <= 1e-13
+    assert abs(reused.grad_at_estimate_norm
+               - fresh.grad_at_estimate_norm) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

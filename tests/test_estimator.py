@@ -1,3 +1,4 @@
+import json
 from functools import cached_property
 
 import numpy as np
@@ -12,7 +13,8 @@ from qsense.harness import ExperimentConfig, make_truth, run_replications
 from qsense.model import (Dataset, MomentRoute, StackRoute, data_route,
                          design_forward, empirical_loss, euclidean_gradient)
 
-from helpers import random_orthogonal, random_theta
+from helpers import (random_instance, random_orthogonal, random_theta,
+                     rel_err, sbar_at)
 
 
 def _tau(data, loss, start):
@@ -296,6 +298,23 @@ def test_library_fit_builds_the_moments_once(monkeypatch):
     assert built == [data]
 
 
+@pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])
+@pytest.mark.parametrize("max_iters", [1, 2, 100_000])
+def test_fit_carries_sbar_at_its_estimate(loss_kind, max_iters):
+    # also when the loop runs out of iterations with its last derivative
+    # pass at the previous iterate
+    rng = np.random.default_rng(18)
+    data, _, loss = random_instance(rng, 4, 2, 300, loss_kind)
+    res = q.fit(data, loss, q.FitConfig(max_iters=max_iters))
+    if max_iters <= 2:
+        assert not res.converged and res.iterations == max_iters
+    else:
+        assert res.converged
+    assert rel_err(res.sbar, sbar_at(data, res.theta0, loss)) <= 1e-12
+    assert json.loads(json.dumps(res.to_json_dict()))["sbar"] == \
+        res.sbar.tolist()
+
+
 # ---------------------------------------------------------------------------
 # radial start
 # ---------------------------------------------------------------------------
@@ -307,7 +326,7 @@ def test_radial_scale_is_the_least_squares_ratio_for_gaussian_loss():
                                   noise="gaussian", sigma=0.4, seed=16)
     data = q.simulate(dgp, 300)
     start = 3.0 * q.spectral_init(data, 2, q.GaussianNLL(0.4))
-    z0 = design_forward(data.X, start @ start.T)
+    z0 = design_forward(data.U, start @ start.T)
     tau = _tau(data, q.GaussianNLL(0.4), start)
     assert tau == pytest.approx(z0 @ data.y / (z0 @ z0), rel=1e-12, abs=0)
 
@@ -320,7 +339,7 @@ def test_radial_scale_zeroes_the_ray_derivative_for_logistic_loss():
     data = q.simulate(dgp, 3000)
     loss = q.Logistic()
     start = q.spectral_init(data, 2, loss)
-    z0 = design_forward(data.X, start @ start.T)
+    z0 = design_forward(data.U, start @ start.T)
     tau = _tau(data, loss, start)
     d1 = loss.d1(tau * z0, data.y)
     assert abs(np.mean(d1 * z0)) <= 1e-9 * np.mean(np.abs(d1 * z0))
@@ -335,7 +354,7 @@ def test_separable_ray_keeps_the_start_and_fit_runs():
     data = Dataset(X=np.einsum("ni,nj->nij", V, V), y=np.ones(40), k=1)
     loss = q.Logistic()
     start = q.spectral_init(data, 1, loss)
-    assert np.all(design_forward(data.X, start @ start.T) > 0.0)
+    assert np.all(design_forward(data.U, start @ start.T) > 0.0)
     assert _tau(data, loss, start) is None
     res = q.fit(data, loss, q.FitConfig(max_iters=50))
     assert np.all(np.isfinite(res.theta0))
@@ -353,7 +372,7 @@ def test_saturated_ray_has_no_scale_and_a_finite_loss(scale):
     data = Dataset(X=X, y=y, k=1)
     loss = q.Logistic()
     start = np.array([[1.0], [0.0], [0.0]])
-    z0 = design_forward(data.X, start @ start.T)
+    z0 = design_forward(data.U, start @ start.T)
     assert np.all(loss.d2(z0, y) == 0.0)
     assert _tau(data, loss, start) is None
     value = loss.value(z0, y)

@@ -14,8 +14,9 @@ import qsense as q
 from qsense.cli import cli_main
 from qsense.errors import ConfigurationError, DegenerateHessianError
 from qsense.harness import (_RATE_TAG_BASE, ExperimentConfig, build_context,
-                            constants_for, make_truth, normality_experiment,
-                            rate_experiment, run_replications)
+                            constants_for, ks_distances, make_truth,
+                            normality_experiment, rate_experiment,
+                            run_replications)
 
 
 def _config(**kw):
@@ -240,6 +241,16 @@ def test_debug_vertical_direction_aborts():
 # normality experiment
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("R, m", [(100, 11), (2, 11), (2, 1)])
+def test_ks_distances_match_scipy_kstest(R, m):
+    from scipy import stats
+
+    rng = np.random.default_rng(R + m)
+    Z = rng.standard_normal((R, m)) * rng.uniform(0.5, 2.0, m)
+    reference = [stats.kstest(Z[:, j], "norm").statistic for j in range(m)]
+    assert np.max(np.abs(ks_distances(Z) - reference)) <= 1e-14
+
+
 def test_normality_report_shapes():
     cfg = _config(d=4, k=2, n=400, replications=12)
     rep = normality_experiment(cfg)
@@ -411,12 +422,19 @@ def test_cli_simulate_fit_round_trip(tmp_path):
                                   seed=(21, 1, 0))
     data = q.simulate(dgp, 120)
     disk = q.Dataset.from_json(json.dumps(_read_json(data_path)))
-    assert np.array_equal(disk.X, data.X) and np.array_equal(disk.y, data.y)
-    res = q.fit(data, q.GaussianNLL(0.2),
-                q.FitConfig(grad_tol=1e-9, max_iters=config.max_iters,
-                            seed=21))
+    # the file holds sym X, u_ij / sqrt 2 off the diagonal: folding it back
+    # into U costs a rounding or two per entry
+    assert np.allclose(disk.U, data.U, rtol=1e-15, atol=0.0)
+    assert np.array_equal(disk.y, data.y)
+    fit_config = q.FitConfig(grad_tol=1e-9, max_iters=config.max_iters,
+                             seed=21)
+    res = q.fit(disk, q.GaussianNLL(0.2), fit_config)
     assert cli_result["theta0"] == res.theta0.tolist()
     assert cli_result["final_loss"] == res.final_loss
+    assert cli_result["sbar"] == res.sbar.tolist()
+    simulated = q.fit(data, q.GaussianNLL(0.2), fit_config)
+    assert q.align(simulated.theta0, res.theta0).distance <= \
+        1e-10 * np.linalg.norm(res.theta0)
 
 
 def test_cli_verify_normality_outputs(tmp_path):
@@ -537,7 +555,7 @@ def test_cli_invariance_audit(tmp_path):
                    "--out-dir", str(tmp_path)])
     assert rc == 0
     rep = _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
-    assert rep["max_discrepancy"] <= 1e-9
+    assert rep["max_discrepancy"] <= 1e-10
     assert rep["rotations"] == 5
 
 

@@ -388,7 +388,7 @@ def test_score_and_curvature_product_match_the_full_curvature(seed, loss_kind):
         rep = q.restricted_representation(data, anchor, theta0, b, loss)
         g, H = _restricted_terms(data_route(data, loss), anchor, b.elements)
         # an independent form of the score: A^T ell' / n
-        A = pair_coordinates(data.X, anchor, b.elements)
+        A = pair_coordinates(data.U, anchor, b.elements)
         d1 = loss.d1(predictions(data, anchor), data.y)
         g_tol = 1e-12 * np.linalg.norm(A) * np.linalg.norm(d1) / data.n
         assert np.linalg.norm(rep.score - A.T @ d1 / data.n) <= g_tol

@@ -17,8 +17,9 @@ from qsense.model import (MOMENT_RATIO, Dataset, LossModel, MomentRoute,
                           StackRoute, SufficientStatistics,
                           _bounded_logistic_moments, _pair,
                           _stein_moments, curvature_apply, data_route,
-                          design_forward, draw_statistics, pair_adjoint,
-                          pair_coordinates, population_curvature, predictions,
+                          design_adjoint, design_forward, draw_statistics,
+                          pair_adjoint, pair_coordinates, population_curvature,
+                          predictions, sample_design, smat, svec,
                           third_derivative_operator)
 
 from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
@@ -315,25 +316,94 @@ def test_design_maps_agree_with_hand_built_sums():
     rng = np.random.default_rng(19)
     n, d, k, m = 7, 4, 2, 5
     X = rng.standard_normal((n, d, d))
+    U = Dataset(X=X, y=np.zeros(n)).U
     theta = rng.standard_normal((d, k))
     D = rng.standard_normal((m, d, k))
     Z = rng.standard_normal((d, k))
     w = rng.standard_normal(n)
-    A = pair_coordinates(X, theta, D)
+    A = pair_coordinates(U, theta, D)
+    assert A.shape == (n, m)
     hand = np.array([[np.sum((Xi + Xi.T) @ theta * Dj) for Dj in D]
                      for Xi in X])
     assert np.allclose(A, hand, rtol=1e-12, atol=1e-12)
-    # the pair adjoint is the adjoint of the tangent coordinates
-    lhs = np.sum(pair_adjoint(X, w) @ theta * Z)
-    assert lhs == pytest.approx(w @ pair_coordinates(X, theta, Z[None])[:, 0],
+    # the pair adjoint is the adjoint of the tangent coordinates, and the
+    # hand-built sum_i w_i (X_i + X_i^T)
+    lhs = np.sum(pair_adjoint(U, w) @ theta * Z)
+    assert lhs == pytest.approx(w @ pair_coordinates(U, theta, Z[None])[:, 0],
                                 rel=1e-12)
+    hand = sum(wi * (Xi + Xi.T) for wi, Xi in zip(w, X))
+    assert rel_err(pair_adjoint(U, w), hand) <= 1e-14
+    # the design adjoint is the adjoint of the forward map
+    M = rng.standard_normal((d, d))
+    M = M + M.T
+    assert np.sum(design_adjoint(U, w) * M) == pytest.approx(
+        w @ design_forward(U, M), rel=1e-12)
     # a stack of matrices maps like a loop over them
     M = rng.standard_normal((m, d, d))
-    stacked = design_forward(X, M)
+    stacked = design_forward(U, M)
     assert stacked.shape == (n, m)
     for j in range(m):
-        assert np.allclose(stacked[:, j], design_forward(X, M[j]),
+        assert np.allclose(stacked[:, j], design_forward(U, M[j]),
                            rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# half-vectorized coordinates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+def test_svec_is_an_isometry_that_reads_only_sym_x(d):
+    rng = np.random.default_rng(40 + d)
+    p = d * (d + 1) // 2
+    X = rng.standard_normal((9, d, d))
+    u = Dataset(X=X, y=np.zeros(9)).U
+    assert u.shape == (9, p)
+    rows, cols = np.triu_indices(d)
+    off = rows != cols
+    assert np.array_equal(u[:, ~off], X[:, rows[~off], cols[~off]])
+    upper, lower = X[:, rows[off], cols[off]], X[:, cols[off], rows[off]]
+    assert np.all(np.abs(u[:, off] - (upper + lower) / np.sqrt(2.0))
+                  <= 4.5e-16 * (np.abs(upper) + np.abs(lower)))
+    # <X, M> = u^T svec(M) for symmetric M, and X non-symmetric
+    M = rng.standard_normal((d, d))
+    M = M + M.T
+    assert np.allclose(u @ svec(M), np.einsum("nij,ij->n", X, M),
+                       rtol=1e-13, atol=1e-13)
+    # smat inverts svec on the symmetric matrices; the derived stack is sym X
+    assert rel_err(smat(svec(M)), M) <= 1e-15
+    assert rel_err(Dataset(X=X, y=np.zeros(9)).X,
+                   0.5 * (X + X.transpose(0, 2, 1))) <= 1e-15
+    N = rng.standard_normal((d, d))
+    assert np.linalg.norm(svec(N + N.T)) == pytest.approx(
+        np.linalg.norm(N + N.T), rel=1e-14)
+
+
+def test_gaussian_and_symmetric_designs_draw_the_same_u():
+    theta = random_theta(np.random.default_rng(44), 4, 2)
+    for noise in ("gaussian", "bernoulli"):
+        a, b = (q.simulate(_dgp(theta, seed=45, design=design, noise=noise),
+                           60) for design in ("gaussian", "symmetric"))
+        assert a.U.tobytes() == b.U.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+    u = sample_design("symmetric", np.random.default_rng(46), 200_000, 3)
+    assert u.shape == (200_000, 6)
+    assert np.allclose(np.cov(u, rowvar=False), np.eye(6), atol=0.02)
+
+
+def test_folded_bounded_design_has_unit_variance_and_its_bounds():
+    n, d = 200_000, 3
+    u = sample_design("bounded", np.random.default_rng(47), n, d)
+    # the d^2 uniform entries of each X, row by row, folded
+    X = np.random.default_rng(47).uniform(-np.sqrt(3.0), np.sqrt(3.0),
+                                          size=(n, d, d))
+    assert rel_err(u, Dataset(X=X, y=np.zeros(n)).U) <= 1e-15
+    diag = np.triu_indices(d)[0] == np.triu_indices(d)[1]
+    assert np.max(np.abs(u[:, diag])) <= np.sqrt(3.0)
+    assert np.max(np.abs(u[:, ~diag])) <= np.sqrt(6.0)
+    # Var u_ij = 1: the standard error of the sample variance is about
+    # sqrt((E u^4 - 1) / n) <= 2e-3
+    assert np.allclose(u.var(axis=0), 1.0, atol=0.01)
+    assert np.allclose(u.mean(axis=0), 0.0, atol=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +439,41 @@ def test_stack_and_moment_routes_agree(seed):
     V = rng.standard_normal((d, k))
     assert rel_err(curvature_apply(stack, theta, V, terms_x),
                    curvature_apply(moments, theta, V, terms_m)) <= 1e-10
-    # the gradient at a perturbed point, against the public oracle
+    # the gradient at a perturbed point and the curvature, against the
+    # oracles on the derived X
     far = theta + 0.1 * rng.standard_normal((d, k))
     assert rel_err(q.euclidean_gradient(data, far, loss),
                    moments.derivative_pass(far)[1] @ far) <= 1e-10
+    assert rel_err(q.hessian_operator(data, theta, V, loss),
+                   curvature_apply(moments, theta, V, terms_m)) <= 1e-10
     # and the starts: the spectral matrix and the ray's derivatives
     assert rel_err(stack.spectral(), moments.spectral()) <= 1e-10
     for tau in (0.5, 1.0, 2.0):
         assert rel_err(stack.ray(theta, start.state, tau),
                        moments.ray(theta, moments.state(theta), tau)) <= 1e-10
+
+
+@pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])
+def test_stack_route_matches_the_oracles_on_the_derived_stack(loss_kind):
+    rng = np.random.default_rng(50)
+    data, theta, loss = random_instance(rng, 5, 2, 90, loss_kind)
+    stack = StackRoute(data, loss)
+    X = data.X
+    terms = stack.derivative_pass(theta)
+    assert rel_err(terms[1] @ theta,
+                   q.euclidean_gradient(data, theta, loss)) <= 1e-10
+    V = rng.standard_normal(theta.shape)
+    assert rel_err(curvature_apply(stack, theta, V, terms),
+                   q.hessian_operator(data, theta, V, loss)) <= 1e-10
+    # the restricted curvature: <E_i, hess E_j> from the oracle
+    E = q.horizontal_basis(theta).elements
+    oracle = np.array([[q.hessian_bilinear(data, theta, Ei, Ej, loss)
+                        for Ej in E] for Ei in E])
+    assert rel_err(_restricted_terms(stack, theta, E)[1], oracle) <= 1e-10
+    assert rel_err(stack.spectral(),
+                   np.tensordot(data.y, X, axes=1) / data.n) <= 1e-10
+    assert rel_err(stack.state(theta),
+                   np.einsum("nij,ij->n", X, theta @ theta.T)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +626,7 @@ def test_anchored_loss_equals_the_empirical_loss():
     data = q.simulate(_dgp(theta, sigma=0.3, seed=31), 300)
     gram, xy = data.moments
     anchor = np.linalg.solve(gram, xy)
-    resid = data.y - data.X.reshape(data.n, -1) @ anchor
+    resid = data.y - data.U @ anchor
     stats = SufficientStatistics(gram=gram, xy=xy, anchor=anchor,
                                  residual=float(resid @ resid), n=data.n, k=2)
     loss = q.GaussianNLL(0.3)
@@ -561,7 +657,7 @@ def test_drawn_statistics_follow_the_documented_stream_order():
     # then the residual's chi^2, all from one dgp.rng() stream
     theta = np.array([[0.9, 0.1], [-0.4, 0.7], [0.2, -0.3]])
     dgp = _dgp(theta, sigma=0.7, seed=37)
-    n, p = 40, theta.shape[0] ** 2
+    n, p = 40, 6
     rng = dgp.rng()
     chi2 = rng.chisquare(n - np.arange(p))
     below = iter(rng.standard_normal(p * (p - 1) // 2))
@@ -572,7 +668,7 @@ def test_drawn_statistics_follow_the_documented_stream_order():
         for j in range(i):
             L[i, j] = next(below)
     W = L @ L.T
-    m_star = (theta @ theta.T).ravel()
+    m_star = svec(theta @ theta.T)
     stats = draw_statistics(dgp, n)
     assert stats.gram.tobytes() == (W / n).tobytes()
     assert stats.xy.tobytes() == (
@@ -606,13 +702,13 @@ def _moment_check(draws, mean, var):
 
 
 def test_drawn_statistics_follow_the_wishart_and_chi_square_laws():
-    # n Sigma_hat ~ Wishart(n, I_p); n b = A^T y has mean n m* and
-    # per-sample covariance (|m*|^2 + sigma^2) I + m* m*^T (Isserlis); the
-    # residual is sigma^2 chi^2_{n - p}
+    # n Sigma_hat ~ Wishart(n, I_p), p = d (d + 1) / 2; n b = U^T y has mean
+    # n m* and per-sample covariance (|m*|^2 + sigma^2) I + m* m*^T
+    # (Isserlis); the residual is sigma^2 chi^2_{n - p}
     theta = np.array([[0.9, 0.1], [-0.4, 0.7]])
     sigma, n, N = 0.5, 24, 4000
-    p = theta.size
-    m_star = (theta @ theta.T).ravel()
+    p = 3
+    m_star = svec(theta @ theta.T)
     draws = [draw_statistics(_dgp(theta, sigma=sigma, seed=(34, i)), n)
              for i in range(N)]
     upper = np.triu_indices(p)
@@ -637,8 +733,8 @@ def test_statistics_are_drawn_only_for_gaussian_design_and_noise():
                                       noise=noise, seed=0)
         with pytest.raises(ConfigurationError):
             draw_statistics(dgp, 100)
-    with pytest.raises(ValueError):
-        draw_statistics(_dgp(theta), 4)
+    with pytest.raises(ValueError, match="n > d"):
+        draw_statistics(_dgp(theta), 3)  # p = 3 at d = 2
 
 
 def test_score_mean_law_of_large_numbers():
@@ -709,8 +805,39 @@ def test_dataset_json_round_trip():
     data, _, _ = random_instance(rng, 3, 2, 4)
     text = data.to_json()
     back = Dataset.from_json(text)
-    assert np.array_equal(back.X, data.X)
+    # the file holds sym X, whose off-diagonal entries are u_ij / sqrt 2:
+    # folding them back costs a rounding or two
+    assert np.allclose(back.U, data.U, rtol=1e-15, atol=0.0)
     assert np.array_equal(back.y, data.y)
     assert back.k == data.k
     obj = json.loads(text)
     assert obj["d"] == 3 and obj["k"] == 2 and len(obj["samples"]) == 4
+    X = np.array([s["X"] for s in obj["samples"]])
+    assert np.array_equal(X, X.transpose(0, 2, 1))
+
+
+def test_dataset_takes_exactly_one_design_of_a_valid_shape():
+    with pytest.raises(ValueError, match="exactly one"):
+        Dataset(y=np.zeros(2))
+    with pytest.raises(ValueError, match="exactly one"):
+        Dataset(X=np.zeros((2, 2, 2)), U=np.zeros((2, 3)), y=np.zeros(2))
+    with pytest.raises(ValueError, match="no half-vectorized"):
+        Dataset(U=np.zeros((2, 4)), y=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(X=np.full((1, 2, 2), np.inf), y=np.zeros(1))
+    data = Dataset(U=np.arange(6.0)[None], y=np.zeros(1))
+    assert (data.n, data.d) == (1, 3)
+    assert np.array_equal(data.X[0], data.X[0].T)
+
+
+def test_non_symmetric_data_fit_like_their_symmetrized_twin():
+    rng = np.random.default_rng(48)
+    for loss_kind in ("gaussian", "logistic"):
+        # random_instance draws non-symmetric X; the twin holds sym X
+        data, _, loss = random_instance(rng, 4, 2, 400, loss_kind)
+        twin = Dataset(X=data.X, y=data.y, k=2)
+        assert rel_err(twin.U, data.U) <= 1e-15
+        a, b = q.fit(data, loss), q.fit(twin, loss)
+        assert a.converged and b.converged
+        assert q.align(a.theta0, b.theta0).distance <= \
+            1e-10 * np.linalg.norm(a.theta0)

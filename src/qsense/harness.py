@@ -8,8 +8,10 @@ the design are Gaussian (``gaussian`` or ``symmetric``, which draw the
 same half-vectorized design), a replicate draws those statistics directly
 (``model.draw_statistics``) instead of n measurements; everywhere else it
 draws the design (``model.simulate``).  A run's records come back in
-columns (``ReplicationRecords``), read in index order.  H* is exact and
-draws nothing; the normality report carries its condition number.
+columns (``ReplicationRecords``), read in index order.  Pooled runs share
+the process's one worker pool, forked at the first of them (``_pool``).
+H* is exact and draws nothing; the normality report carries its condition
+number.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -268,7 +271,7 @@ def constants_for(config, theta_star):
 
 @dataclass
 class RunContext:
-    """Everything a replicate worker needs; shipped to workers once."""
+    """Everything a replicate needs; a pooled run sends it with each task."""
 
     config: ExperimentConfig
     n: int
@@ -384,18 +387,6 @@ def _replicate(ctx, r):
         taylor_ratio=t_ratio)
 
 
-_WORKER_CTX = None
-
-
-def _init_worker(ctx):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker(r):
-    return _replicate(_WORKER_CTX, r)
-
-
 def _with_debug_vertical(basis):
     """Append a normalized vertical direction to the basis (debug only)."""
     theta = basis.anchor
@@ -489,14 +480,45 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+# The process's worker pool as (size, executor), kept across pooled runs.
+_POOL = None
+
+
+def _drop_pool():
+    """Shut the kept pool down; the next pooled run forks a fresh one."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[1].shutdown()
+        _POOL = None
+
+
+def _pool(workers):
+    """The kept pool of ``workers`` processes, replacing one of another size.
+
+    A fork pool starts every worker at its first submit, so that submit
+    must come with one BLAS thread, and the workers see the modules as they
+    were then.  The old pool is shut down before the new one forks, so no
+    fork happens while its manager thread runs.  Not thread-safe: call
+    from one thread.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[0] != workers:
+        _drop_pool()
+    if _POOL is None:
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
+
+
 def run_replications(config, n=None, stream_tag=_RUN_TAG):
     """Fit ``config.replications`` simulated datasets and record each result.
 
     Returns (``ReplicationRecords``, ``RunContext``).  Records are
     bit-identical across thread counts for a fixed seed: the replicates run
-    with single-threaded BLAS, serial or pooled.  A pool has at most one
-    worker per replicate and per usable CPU.  More than 20% divergent
-    replicates aborts the run.
+    with single-threaded BLAS, serial or pooled.  A pooled run (threads > 1
+    and more than one replicate) uses the process's kept pool, with at most
+    one worker per replicate and per usable CPU, and sends the context with
+    each chunk of replicates; a worker crash drops the pool and raises
+    BrokenProcessPool.  More than 20% divergent replicates aborts the run.
     """
     if n is None:
         if config.n is None:
@@ -504,20 +526,19 @@ def run_replications(config, n=None, stream_tag=_RUN_TAG):
         n = config.n
     context = build_context(config, n, stream_tag)
     R = config.replications
+    replicate = functools.partial(_replicate, context)
     with single_threaded_blas():
-        if config.threads > 1 and R > 1:
-            # a fork pool starts every worker at the first submit
-            workers = min(config.threads, R, _usable_cpus())
-            chunk = max(1, R // (workers * 4))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_init_worker,
-                                     initargs=(context,)) as ex:
-                records = ReplicationRecords(
-                    ex.map(_worker, range(R), chunksize=chunk), R,
-                    context.basis.m)
-        else:
-            records = ReplicationRecords(
-                (_replicate(context, r) for r in range(R)), R, context.basis.m)
+        try:
+            if config.threads > 1 and R > 1:
+                workers = min(config.threads, R, _usable_cpus())
+                results = _pool(workers).map(
+                    replicate, range(R), chunksize=max(1, R // (workers * 4)))
+            else:
+                results = map(replicate, range(R))
+            records = ReplicationRecords(results, R, context.basis.m)
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     n_div = int(records.diverged.sum())
     if n_div > 0.2 * R:
         raise HarnessAbort(

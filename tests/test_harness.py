@@ -26,6 +26,20 @@ def _config(**kw):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def fresh_pool():
+    """Yields the call that drops the kept pool, and drops it at teardown.
+
+    Kept workers see the modules as they were at the fork, so a test that
+    patches what a worker calls drops the pool after patching; the pool it
+    then forks saw the patches and must not outlive the test.
+    """
+    import qsense.harness as h
+
+    yield h._drop_pool
+    h._drop_pool()
+
+
 # ---------------------------------------------------------------------------
 # configuration and truth
 # ---------------------------------------------------------------------------
@@ -175,7 +189,8 @@ def test_record_store_takes_at_most_500_bytes_per_replicate():
     assert held / R <= 500
 
 
-def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch):
+def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch,
+                                                       fresh_pool):
     # criterion-5 Gaussian replicates from the drawn statistics against
     # replicates from X, on the same truth and disjoint streams; each of
     # the 11 coordinates of z passes a two-sample KS test at 0.01 / 11
@@ -188,6 +203,7 @@ def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch):
     drawn, _ = run_replications(cfg, stream_tag=11)
     monkeypatch.setattr(h, "simulate",
                         lambda dgp, n, loss: model.simulate(dgp, n))
+    fresh_pool()
     from_x, _ = run_replications(cfg, stream_tag=12)
     assert not (drawn.diverged.any() or from_x.diverged.any())
     m = drawn.z.shape[1]
@@ -197,20 +213,28 @@ def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its life, runs in-process."""
 
-    def __init__(self, sizes, max_workers, initializer, initargs):
-        sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def __init__(self, events, max_workers):
+        self.events, self.size = events, max_workers
+        events.append(("start", max_workers))
 
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
+
+    def shutdown(self):
+        self.events.append(("shutdown", self.size))
+
+
+def _recording_pools(monkeypatch):
+    """The starts and shut-downs of the pools runs use from here on."""
+    import qsense.harness as h
+
+    events = []
+    monkeypatch.setattr(h, "ProcessPoolExecutor",
+                        functools.partial(_RecordingPool, events))
+    monkeypatch.setattr(h, "_POOL", None)
+    return events
 
 
 @pytest.mark.parametrize("threads, cpus, size", [
@@ -221,14 +245,52 @@ class _RecordingPool:
 def test_pool_size_is_capped(monkeypatch, threads, cpus, size):
     import qsense.harness as h
 
-    sizes = []
-    monkeypatch.setattr(h, "ProcessPoolExecutor",
-                        functools.partial(_RecordingPool, sizes))
+    events = _recording_pools(monkeypatch)
     monkeypatch.setattr(h, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(h, "_WORKER_CTX", None)
     records, _ = run_replications(_config(replications=8, threads=threads))
-    assert sizes == [size]
+    assert events == [("start", size)]
     assert [rec.index for rec in records] == list(range(8))
+
+
+def test_pool_is_kept_until_a_run_needs_another_size(monkeypatch):
+    # serial runs leave the pool alone; the old pool shuts down before the
+    # new one starts
+    import qsense.harness as h
+
+    events = _recording_pools(monkeypatch)
+    monkeypatch.setattr(h, "_usable_cpus", lambda: 64)
+    for threads in (2, 2, 1, 3, 3):
+        run_replications(_config(replications=8, threads=threads))
+    assert events == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+
+def test_rate_experiment_starts_one_pool(monkeypatch):
+    # the six grid points of one experiment share the process's pool
+    events = _recording_pools(monkeypatch)
+    cfg = _config(d=3, k=1, n=None, n_grid=[64, 128, 256, 512, 1024, 2048],
+                  replications=4, threads=2)
+    report = rate_experiment(cfg)
+    assert len(report.medians) == 6
+    assert [event for event, _ in events] == ["start"]
+
+
+def _record_lines(records):
+    return [json.dumps(rec.to_json_dict(), sort_keys=True) for rec in records]
+
+
+def test_consecutive_pooled_runs_on_one_pool_match_serial_runs():
+    # the kept pool carries nothing from one run into the next: each run
+    # sends its own context
+    import qsense.harness as h
+
+    pools = []
+    for kw in (dict(loss="gaussian", seed=5, n=400),
+               dict(loss="logistic", seed=11, n=900)):
+        serial, _ = run_replications(_config(threads=1, **kw))
+        pooled, _ = run_replications(_config(threads=2, **kw))
+        assert _record_lines(pooled) == _record_lines(serial)
+        pools.append(h._POOL)
+    assert pools[0] is pools[1] is not None
 
 
 def test_debug_vertical_direction_aborts():
@@ -774,11 +836,12 @@ def test_cli_rejects_mistyped_config_in_one_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys):
+def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys, fresh_pool):
     import qsense.harness as h
 
-    # forked workers inherit the patched module attribute
-    monkeypatch.setattr(h, "_replicate", lambda ctx, r: os._exit(3))
+    # workers forked after the patch exit in their first fit
+    monkeypatch.setattr(h, "fit", lambda *args: os._exit(3))
+    fresh_pool()
     cfg = _write_config(str(tmp_path), {"d": 3, "k": 1, "n": 50,
                                         "replications": 4, "seed": 1})
     rc = cli_main(["verify-normality", "--config", cfg, "--threads", "2",
@@ -786,6 +849,34 @@ def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "worker" in err
+    # the broken pool is dropped, and the next pooled run forks a new one
+    assert h._POOL is None
+    monkeypatch.undo()
+    serial, _ = run_replications(_config(threads=1))
+    pooled, _ = run_replications(_config(threads=2))
+    assert _record_lines(pooled) == _record_lines(serial)
+
+
+def test_pooled_process_exits_and_leaves_no_worker():
+    # concurrent.futures joins the kept pool at interpreter exit
+    import subprocess
+    import sys
+
+    code = (
+        "import json, multiprocessing\n"
+        "from qsense.harness import ExperimentConfig, normality_experiment\n"
+        "normality_experiment(ExperimentConfig(d=3, k=1, n=200, "
+        "replications=8, threads=2))\n"
+        "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    pids = json.loads(done.stdout)
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("loss", ["gaussian", "logistic"])

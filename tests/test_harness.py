@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -859,9 +861,6 @@ def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys, fresh_pool):
 
 def test_pooled_process_exits_and_leaves_no_worker():
     # concurrent.futures joins the kept pool at interpreter exit
-    import subprocess
-    import sys
-
     code = (
         "import json, multiprocessing\n"
         "from qsense.harness import ExperimentConfig, normality_experiment\n"

@@ -1,14 +1,14 @@
 """Empirical-loss minimization over the factor matrix.
 
 The fit reads the data only through ``model.data_route``.  For the Gaussian
-loss with n >= 4 d^2 (``model.MOMENT_RATIO``) that is the moments
-(Sigma_hat, b) = (U^T U / n, U^T y / n), p x p for U the (n, p) design in
-half-vectorized coordinates (``model.Dataset``), built once per dataset:
-the start, every derivative pass, every curvature build and every
-line-search trial then cost O(d^4), whatever n is.  Only the reported
-loss, at the start and after each accepted step, takes one forward pass
-over U (``MomentRoute.value``).  Otherwise, and for every other loss, it
-is U itself.
+loss that is the moments (Sigma_hat, b) = (U^T U / n, U^T y / n), p x p for
+U the (n, p) design in half-vectorized coordinates (``model.Dataset``),
+built once per dataset: the start, every derivative pass, every curvature
+build and every line-search trial then cost O(d^4), whatever n is.  Only
+the reported loss, at the start and after each accepted step, takes one
+forward pass over the dataset's rows (``MomentRoute.value``): n for
+samples, p + 1 for the design ``model.draw_statistics`` draws.  For every
+other loss it is U itself.
 
 The default start is the spectral initializer rescaled along its own ray:
 the loss at theta0 sqrt(tau) is a convex function of tau alone (the

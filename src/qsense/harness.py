@@ -2,13 +2,13 @@
 
 Every replicate draws its own RNG stream from (seed, tag, index), so results
 are bit-identical for a fixed seed regardless of how many workers execute
-them.  Where the fit would read the data only through the moments (the
-Gaussian loss with n >= 4 d^2, ``model.uses_moments``) and the noise and
-the design are Gaussian (``gaussian`` or ``symmetric``, which draw the
-same half-vectorized design), a replicate draws those statistics directly
-(``model.draw_statistics``) instead of n measurements; everywhere else it
-draws the design (``model.simulate``).  A run's records come back in
-columns (``ReplicationRecords``), read in index order.  Pooled runs share
+them.  Under the Gaussian loss, noise and design (``gaussian`` or
+``symmetric``, which draw the same half-vectorized design) with
+n >= 4 d^2, a replicate draws a ``Dataset`` of p + 1 rows whose moments
+and least-squares residual are those of n measurements
+(``model.draw_statistics``); everywhere else it draws the n measurements
+(``model.simulate``).  A run's records come back in columns
+(``ReplicationRecords``), read in index order.  Pooled runs share
 the process's one worker pool, forked at the first of them (``_pool``).
 H* is exact and draws nothing; the normality report carries its condition
 number.
@@ -346,14 +346,16 @@ class ReplicationRecords:
 
 
 def simulate(dgp, n, loss):
-    """One replicate's data: drawn statistics or the n samples.
+    """One replicate's data: the drawn (p + 1)-row design or the n samples.
 
-    ``model.draw_statistics`` where the fit reads only the moments
-    (``model.uses_moments``) and the noise and the design are Gaussian,
-    the law that draw follows; ``model.simulate`` otherwise.
+    ``model.draw_statistics`` for the Gaussian loss, noise and design
+    (``gaussian`` or ``symmetric``), the law that draw follows, with
+    n >= 4 d^2; ``model.simulate`` otherwise.  The fit reads either the
+    same way; the 4 d^2 rule only picks which way a replicate draws, and so
+    which stream it reads.
     """
     if (dgp.design != "bounded" and dgp.noise == "gaussian"
-            and model.uses_moments(loss, n, dgp.d)):
+            and isinstance(loss, GaussianNLL) and n >= 4 * dgp.d ** 2):
         return model.draw_statistics(dgp, n)
     return model.simulate(dgp, n)
 

@@ -7,8 +7,8 @@ sqrt(n) times the coordinate error.
 
 The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.data_route``, as the fit does: from the
-moments (U^T U / n, U^T y / n) for the Gaussian loss with n >= 4 d^2, with
-no pass over the samples, and from the design U otherwise.
+moments (U^T U / n, U^T y / n) for the Gaussian loss, with no pass over
+the samples, and from the design U otherwise.
 ``per_sample_scores`` stays on U, since it needs every sample.  H*
 (``restricted_population_hessian``) is exact and reads no data.
 """

@@ -16,16 +16,16 @@ has 36): u_ii = X_ii, u_ij = (X_ij + X_ji) / sqrt 2 for i < j, and
 when read, symmetric, and never stored.
 
 The fit and the inference at the truth read the data through a route
-(``data_route``): U for any loss, or, for the Gaussian loss with
-n >= MOMENT_RATIO d^2 (4 d^2, ``uses_moments``), the p x p moments
-(Sigma_hat, b) = (U^T U / n, U^T y / n).  A ``Dataset`` builds them once
-(``Dataset.moments``), after which only the reported loss values touch
-the n samples (one forward pass each).  Under Gaussian noise and a
-Gaussian design the moments and the least-squares residual can also be
-drawn directly, without U (``draw_statistics``, Bartlett's decomposition
-of the Wishart law), which is how the Monte Carlo harness draws its
-replicates wherever the route reads the moments.  The public
-derivative functions below (``empirical_loss``, ``euclidean_gradient``,
+(``data_route``): U for any loss but the Gaussian, and, for the Gaussian
+loss, the p x p moments (Sigma_hat, b) = (U^T U / n, U^T y / n).  A
+``Dataset`` builds them once (``Dataset.moments``), after which only the
+reported loss values touch its rows (one forward pass each).  Under
+Gaussian noise and a Gaussian design the harness need not draw the n
+samples at all: ``draw_statistics`` draws, by Bartlett's decomposition of
+the Wishart law, a dataset of p + 1 rows whose row means of u u^T, u y and
+(u^T m - y)^2 are those of n samples, so every loss value, derivative and
+curvature the fit reads is the n-sample one.  The public derivative
+functions below (``empirical_loss``, ``euclidean_gradient``,
 ``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) read the
 derived X: they are the finite-difference oracles the routes are checked
 against.
@@ -45,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_triangular
 from scipy.special import expit, spherical_jn
 
 from .errors import ConfigurationError
@@ -254,7 +253,8 @@ class Dataset:
     ``Dataset(X=X, y=y, k=k)`` folds an (n, d, d) stack of any matrices
     into U; ``Dataset(U=U, y=y, k=k)`` takes U as it is.  ``X`` is the
     symmetric stack sym X_i, derived from U on every read and never stored.
-    k is the target rank.
+    k is the target rank.  ``draw_statistics`` returns one whose p + 1 rows
+    the Gaussian loss reads as n samples.
     """
 
     U: np.ndarray
@@ -338,42 +338,6 @@ class Dataset:
         return cls(X=X, y=y, k=k)
 
 
-@dataclass(frozen=True, eq=False)
-class SufficientStatistics:
-    """What the Gaussian loss reads of n samples, without the samples.
-
-    ``gram`` and ``xy`` are the moments (Sigma_hat, b) = (U^T U / n,
-    U^T y / n) of ``Dataset.moments``, ``anchor`` the least-squares fit
-    m_hat = Sigma_hat^-1 b and ``residual`` its residual |y - U m_hat|^2.
-    The loss at m = svec(theta theta^T) is then ((m - m_hat)^T Sigma_hat
-    (m - m_hat) + residual / n) / (2 sigma^2).  ``X`` and ``y`` are empty
-    (0, d, d) and (0,) arrays: nothing here reads a sample.
-    """
-
-    gram: np.ndarray
-    xy: np.ndarray
-    anchor: np.ndarray
-    residual: float
-    n: int
-    k: int | None = None
-
-    @property
-    def d(self):
-        return _svec_order(self.xy.size)
-
-    @property
-    def moments(self):
-        return self.gram, self.xy
-
-    @property
-    def X(self):
-        return np.empty((0, self.d, self.d))
-
-    @property
-    def y(self):
-        return np.empty(0)
-
-
 # ---------------------------------------------------------------------------
 # Design maps
 # ---------------------------------------------------------------------------
@@ -427,34 +391,15 @@ def pair_coordinates(U, theta, directions):
 # derivative pass (ell'', Sbar), and the design part of the curvature on
 # pair matrices.  StackRoute computes them from U for any loss.  Under the
 # Gaussian loss the empirical loss is a quadratic in m = svec(theta theta^T),
-# so MomentRoute computes them from the moments alone; from a Dataset it
-# reads the n samples only for the loss value the fit reports (``value``).
-# The moments cost one (p x p) Gram product over the design, which the
-# saved passes repay from n >= MOMENT_RATIO d^2 on.
-
-MOMENT_RATIO = 4
-
-
-def uses_moments(loss, n, d):
-    """Whether the fit reads n samples of dimension d through the moments.
-
-    True for the Gaussian loss with n >= MOMENT_RATIO d^2.
-    """
-    return isinstance(loss, GaussianNLL) and n >= MOMENT_RATIO * d ** 2
-
+# so MomentRoute computes them from the moments alone and reads the rows
+# only for the loss value the fit reports (``value``).
 
 def data_route(dataset, loss):
     """The route the fit and the inference read ``dataset`` through.
 
-    MomentRoute where ``uses_moments`` holds or for drawn
-    ``SufficientStatistics``, which hold no samples, StackRoute otherwise.
+    MomentRoute for the Gaussian loss, StackRoute for any other.
     """
-    if isinstance(dataset, SufficientStatistics):
-        if not isinstance(loss, GaussianNLL):
-            raise ValueError("drawn statistics hold only what the Gaussian "
-                             "loss reads")
-        return MomentRoute(dataset, loss)
-    if uses_moments(loss, dataset.n, dataset.d):
+    if isinstance(loss, GaussianNLL):
         return MomentRoute(dataset, loss)
     return StackRoute(dataset, loss)
 
@@ -541,17 +486,16 @@ class MomentRoute:
 
     The loss itself would be (m^T (q - 2 b) + y^T y / n) / (2 sigma^2),
     which cancels terms about |M|^2 / sigma^2 times larger than its result,
-    so ``value`` takes it from one forward pass over U instead: the one
-    operation here that reads the samples, once per reported iterate.  On
-    ``SufficientStatistics`` it is the anchored form, a sum of two terms
-    >= 0 that do not cancel.
+    so ``value`` takes it from one forward pass over the dataset's rows
+    instead: the one operation here that reads them, once per reported
+    iterate.  That is n rows for samples and p + 1 for the design
+    ``draw_statistics`` returns.
     """
 
     def __init__(self, dataset, loss):
         self.gram, self.xy = dataset.moments
-        self.data, self.loss = dataset, loss
+        self.U, self.y, self.loss = dataset.U, dataset.y, loss
         self.inv_var = loss._inv_var
-        self.drawn = isinstance(dataset, SufficientStatistics)
 
     def spectral(self):
         return smat(self.xy)
@@ -572,16 +516,10 @@ class MomentRoute:
             return Iterate(theta, q, change=change)
 
     def value(self, point):
-        """The empirical loss at ``point``: one forward pass over U, or the
-        anchored form on drawn statistics."""
+        """The empirical loss at ``point``: one forward pass over the rows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.drawn:
-                r = svec(point.theta @ point.theta.T) - self.data.anchor
-                return 0.5 * self.inv_var * (
-                    float(r @ (self.gram @ r))
-                    + self.data.residual / self.data.n)
-            z = design_forward(self.data.U, point.theta @ point.theta.T)
-            return float(np.mean(self.loss.value(z, self.data.y)))
+            z = design_forward(self.U, point.theta @ point.theta.T)
+            return float(np.mean(self.loss.value(z, self.y)))
 
     def ray(self, theta, state, tau):
         m = svec(theta @ theta.T)
@@ -802,7 +740,7 @@ def simulate(dgp, n):
 
 
 def draw_statistics(dgp, n):
-    """Draw the ``SufficientStatistics`` of n samples without drawing U.
+    """A Dataset of p + 1 rows that the Gaussian loss reads as n samples.
 
     For Gaussian noise under the ``gaussian`` or ``symmetric`` design,
     where u ~ N(0, I_p), with p = d (d + 1) / 2, m* = svec(M*) and
@@ -813,8 +751,20 @@ def draw_statistics(dgp, n):
     orthonormal, Haar-distributed and independent of L, and
     xi = Q^T eps ~ N(0, I_p):
 
-        n b = W m* + s L xi,   m_hat = m* + s L^-T xi,
-        |y - U m_hat|^2 = s^2 chi^2_{n-p}, independent of both.
+        n b = W m* + s L xi,   L^T m_hat = L^T m* + s xi,
+        |y - U m_hat|^2 = s^2 chi^2_{n-p}, independent of both,
+
+    for m_hat the least-squares fit.  The result is their square-root
+    form: with c = sqrt((p + 1) / n), the p + 1 rows of U are c [L^T; 0]
+    and y is c [L^T m* + s xi; s sqrt(chi^2_{n-p})].  Its row means are
+    those of the n samples, U^T U / (p + 1) = Sigma_hat,
+    U^T y / (p + 1) = b and, for every m,
+
+        mean (U m - y)^2 = (m - m_hat)^T Sigma_hat (m - m_hat)
+                           + |y - U m_hat|^2 / n,
+
+    so the Gaussian loss at any factor, its derivatives and its curvature
+    are the n-sample ones.
 
     The stream is drawn in that order: the p diagonal chi^2, the
     p (p - 1) / 2 entries below it row by row, xi, the residual's chi^2.
@@ -830,14 +780,14 @@ def draw_statistics(dgp, n):
     L = np.diag(np.sqrt(rng.chisquare(n - np.arange(p))))
     L[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     xi = rng.standard_normal(p)
-    residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
-    W = L @ L.T
+    chi2 = float(rng.chisquare(n - p))
+    c = math.sqrt((p + 1) / n)
     m_star = svec(dgp.theta_star @ dgp.theta_star.T)
-    anchor = m_star + dgp.sigma * solve_triangular(L, xi, lower=True,
-                                                   trans="T")
-    return SufficientStatistics(
-        gram=W / n, xy=(W @ m_star + dgp.sigma * (L @ xi)) / n,
-        anchor=anchor, residual=residual, n=n, k=dgp.k)
+    U = np.zeros((p + 1, p))
+    U[:p] = c * L.T
+    y = c * np.append(L.T @ m_star + dgp.sigma * xi,
+                      dgp.sigma * math.sqrt(chi2))
+    return Dataset(U=U, y=y, k=dgp.k)
 
 
 def _stein_moments(loss, s):

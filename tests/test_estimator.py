@@ -196,8 +196,8 @@ def test_fit_config_validation():
 # the moment route
 # ---------------------------------------------------------------------------
 
-def _criterion5_gaussian(sigma=0.1):
-    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma, n=8000,
+def _criterion5_gaussian(sigma=0.1, n=8000):
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma, n=n,
                            replications=1, seed=2024)
     data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
     return data, cfg.make_loss(), cfg.fit_config(cfg.seed * 1_000_003)
@@ -234,8 +234,8 @@ def test_reported_losses_are_true_values(problem):
     assert abs(res.final_loss - true) <= max(1e-12 * true, 1e-14)
 
 
-def test_moment_and_stack_fits_agree(monkeypatch):
-    data, loss, cfg = _criterion5_gaussian()
+def _fits_agree_on_both_routes(monkeypatch, data, loss, cfg):
+    assert isinstance(data_route(data, loss), MomentRoute)
     moments = q.fit(data, loss, cfg)
     monkeypatch.setattr(estimator, "data_route", StackRoute)
     stack = q.fit(data, loss, cfg)
@@ -245,11 +245,22 @@ def test_moment_and_stack_fits_agree(monkeypatch):
             <= 1e-10 * np.linalg.norm(stack.theta0))
 
 
+def test_moment_and_stack_fits_agree(monkeypatch):
+    _fits_agree_on_both_routes(monkeypatch, *_criterion5_gaussian())
+
+
+def test_moment_and_stack_fits_agree_below_4_d_squared(monkeypatch):
+    # n = 100 < 4 d^2 = 144: the Gaussian loss reads the moments at any n
+    _fits_agree_on_both_routes(monkeypatch, *_criterion5_gaussian(n=100))
+
+
 @pytest.mark.parametrize("loss, n, builds, draws", [
     ("logistic", 400, 0, 3),
-    ("gaussian", 4 * 36 - 1, 0, 3),  # one sample short of MOMENT_RATIO d^2
-    # the harness draws the statistics: no X, so nothing to build them from
-    ("gaussian", 4 * 36, 0, 0),
+    # one sample short of 4 d^2 the harness simulates the n samples, from 4 d^2
+    # on it draws p + 1 rows; the Gaussian loss reads either through the
+    # moments, built once per replicate
+    ("gaussian", 4 * 36 - 1, 3, 3),
+    ("gaussian", 4 * 36, 3, 0),
 ], ids=["logistic-400-0", "gaussian-143-0", "gaussian-144-0"])
 def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
                                                     builds, draws):

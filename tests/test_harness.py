@@ -96,6 +96,8 @@ def test_noiseless_runs_hit_solver_floor():
                   replications=4)
     records, _ = run_replications(cfg)
     assert all(rec.distance <= 1e-6 for rec in records)
+    # the drawn residual row is exactly 0 at sigma = 0
+    assert all(rec.final_loss <= 1e-20 for rec in records)
 
 
 def test_record_count_matches_replications():

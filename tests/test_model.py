@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
-from scipy.linalg import solve_triangular
 
 import qsense as q
 from qsense.errors import ConfigurationError
 from qsense.inference import _restricted_terms
 from qsense.harness import ExperimentConfig, make_truth
-from qsense.model import (MOMENT_RATIO, Dataset, LossModel, MomentRoute,
-                          StackRoute, SufficientStatistics,
+from qsense.model import (Dataset, LossModel, MomentRoute, StackRoute,
                           _bounded_logistic_moments, _pair,
                           _stein_moments, curvature_apply, data_route,
                           design_adjoint, design_forward, draw_statistics,
@@ -413,11 +411,10 @@ def test_folded_bounded_design_has_unit_variance_and_its_bounds():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_stack_and_moment_routes_agree(seed):
-    # n from MOMENT_RATIO d^2 up
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 6))
     k = int(rng.integers(1, min(d, 3) + 1))
-    n = MOMENT_RATIO * d * d + int(rng.integers(0, 600))
+    n = 4 * d * d + int(rng.integers(0, 600))
     data, theta, loss = random_instance(rng, d, k, n, "gaussian")
     stack, moments = StackRoute(data, loss), MomentRoute(data, loss)
     assert isinstance(data_route(data, loss), MomentRoute)
@@ -619,18 +616,17 @@ def test_simulate_rejects_nonpositive_n():
 # ---------------------------------------------------------------------------
 
 def test_anchored_loss_equals_the_empirical_loss():
-    # (Sigma_hat, b), m_hat and the residual of a simulated dataset give the
-    # loss as ((m - m_hat)^T Sigma_hat (m - m_hat) + residual / n) / 2 sigma^2
+    # the (p + 1)-row square-root form of a simulated dataset, R of the QR
+    # of [U y], gives the n-sample loss as a row mean
     rng = np.random.default_rng(30)
     theta = random_theta(rng, 4, 2)
     data = q.simulate(_dgp(theta, sigma=0.3, seed=31), 300)
-    gram, xy = data.moments
-    anchor = np.linalg.solve(gram, xy)
-    resid = data.y - data.U @ anchor
-    stats = SufficientStatistics(gram=gram, xy=xy, anchor=anchor,
-                                 residual=float(resid @ resid), n=data.n, k=2)
+    p = data.U.shape[1]
+    R = np.linalg.qr(np.column_stack([data.U, data.y]), mode="r")
+    R *= math.sqrt((p + 1) / data.n)
+    root = Dataset(U=R[:, :p], y=R[:, p], k=2)
     loss = q.GaussianNLL(0.3)
-    route = MomentRoute(stats, loss)
+    route = MomentRoute(root, loss)
     for _ in range(20):
         at = theta + rng.standard_normal(theta.shape) * rng.choice([0.01, 1.0])
         true = q.empirical_loss(data, at, loss)
@@ -638,18 +634,24 @@ def test_anchored_loss_equals_the_empirical_loss():
 
 
 def test_drawn_statistics_satisfy_the_normal_equations():
+    # p + 1 rows: c L^T above a zero row, y[-1] the residual's square root
     rng = np.random.default_rng(32)
     theta = random_theta(rng, 3, 2)
+    p = 6
     for sigma in (0.0, 0.1, 2.0):
-        stats = draw_statistics(_dgp(theta, sigma=sigma, seed=33), 200)
-        W, nb = stats.n * stats.gram, stats.n * stats.xy
-        assert np.linalg.norm(W @ stats.anchor - nb) <= \
-            1e-12 * np.linalg.norm(nb)
-        assert stats.X.shape == (0, 3, 3) and stats.y.shape == (0,)
-        assert (stats.n, stats.d, stats.k) == (200, 3, 2)
-        assert stats.residual >= 0.0 and (stats.residual == 0.0) == (sigma == 0)
+        data = draw_statistics(_dgp(theta, sigma=sigma, seed=33), 200)
+        assert data.U.shape == (p + 1, p) and data.y.shape == (p + 1,)
+        assert (data.d, data.k) == (3, 2)
+        assert not data.U[-1].any()
+        assert np.array_equal(data.U[:p], np.triu(data.U[:p]))
+        assert (data.y[-1] == 0.0) == (sigma == 0)
+        # the top block's exact solve is the least-squares fit m_hat
+        gram, xy = data.moments
+        m_hat = np.linalg.solve(data.U[:p], data.y[:p])
+        assert np.linalg.norm(gram @ m_hat - xy) <= 1e-12 * np.linalg.norm(xy)
     again = draw_statistics(_dgp(theta, sigma=2.0, seed=33), 200)
-    assert again.xy.tobytes() == stats.xy.tobytes()
+    assert again.U.tobytes() == data.U.tobytes()
+    assert again.y.tobytes() == data.y.tobytes()
 
 
 def test_drawn_statistics_follow_the_documented_stream_order():
@@ -662,33 +664,31 @@ def test_drawn_statistics_follow_the_documented_stream_order():
     chi2 = rng.chisquare(n - np.arange(p))
     below = iter(rng.standard_normal(p * (p - 1) // 2))
     xi = rng.standard_normal(p)
-    residual = dgp.sigma ** 2 * float(rng.chisquare(n - p))
+    resid_chi2 = float(rng.chisquare(n - p))
     L = np.diag(np.sqrt(chi2))
     for i in range(p):
         for j in range(i):
             L[i, j] = next(below)
-    W = L @ L.T
+    c = math.sqrt((p + 1) / n)
     m_star = svec(theta @ theta.T)
-    stats = draw_statistics(dgp, n)
-    assert stats.gram.tobytes() == (W / n).tobytes()
-    assert stats.xy.tobytes() == (
-        (W @ m_star + dgp.sigma * (L @ xi)) / n).tobytes()
-    assert stats.anchor.tobytes() == (m_star + dgp.sigma * solve_triangular(
-        L, xi, lower=True, trans="T")).tobytes()
-    assert stats.residual == residual
+    data = draw_statistics(dgp, n)
+    assert data.U.tobytes() == np.vstack([c * L.T, np.zeros(p)]).tobytes()
+    assert data.y.tobytes() == (c * np.append(
+        L.T @ m_star + dgp.sigma * xi,
+        dgp.sigma * math.sqrt(resid_chi2))).tobytes()
 
 
 def test_drawn_statistics_take_the_moment_route_below_its_ratio():
-    # they hold no samples for the stack route to read
+    # a drawn design is a dataset like any other: the Gaussian loss reads
+    # it through the moments, and the logistic loss rejects its targets
     rng = np.random.default_rng(35)
     theta = random_theta(rng, 3, 2)
-    stats = draw_statistics(_dgp(theta, sigma=0.1, seed=36), 20)
+    data = draw_statistics(_dgp(theta, sigma=0.1, seed=36), 20)
     loss = q.GaussianNLL(0.1)
-    assert stats.n < MOMENT_RATIO * stats.d ** 2
-    assert isinstance(data_route(stats, loss), MomentRoute)
-    assert q.fit(stats, loss).converged
-    with pytest.raises(ValueError, match="Gaussian"):
-        q.fit(stats, q.Logistic())
+    assert isinstance(data_route(data, loss), MomentRoute)
+    assert q.fit(data, loss).converged
+    with pytest.raises(ValueError, match="targets"):
+        q.fit(data, q.Logistic())
 
 
 def _moment_check(draws, mean, var):
@@ -712,9 +712,9 @@ def test_drawn_statistics_follow_the_wishart_and_chi_square_laws():
     draws = [draw_statistics(_dgp(theta, sigma=sigma, seed=(34, i)), n)
              for i in range(N)]
     upper = np.triu_indices(p)
-    gram = np.array([s.gram[upper] for s in draws])
-    xy = np.array([s.xy for s in draws])
-    resid = np.array([s.residual for s in draws])
+    gram = np.array([s.moments[0][upper] for s in draws])
+    xy = np.array([s.moments[1] for s in draws])
+    resid = np.array([n / (p + 1) * s.y[-1] ** 2 for s in draws])
     diag = (upper[0] == upper[1]).astype(float)
     checks = [
         _moment_check(gram, diag, (1.0 + diag) / n),

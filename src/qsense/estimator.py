@@ -10,13 +10,20 @@ forward pass over the dataset's rows (``MomentRoute.value``): n for
 samples, p + 1 for the design ``model.draw_statistics`` draws.  For every
 other loss it is U itself.
 
-The default start is the spectral initializer rescaled along its own ray:
-the loss at theta0 sqrt(tau) is a convex function of tau alone (the
-predictions are tau times those at theta0), so a safeguarded scalar Newton
-solve finds the best scale in O(n) per step, with no pass over the design
-(O(d^2) on the moments, where the first step is exact).  This corrects the
-spectral estimate's scale, which is off by the factor E[ell''(z*)] for
-losses other than the Gaussian.
+The default start is the spectral initializer rescaled along its own ray.
+The spectral matrix is the route's (``spectral_init``): the backprojection
+(1/n) sum_i y_i sym X_i on the stack, and on the moments, given more than p
+rows, smat(m_hat) for m_hat the least-squares solution of Sigma_hat m = b.
+The Gaussian loss is a quadratic in m = svec(theta theta^T) centred at
+m_hat, so the best rank-k part of smat(m_hat) is within
+O(|Sigma_hat - I| dist(m_hat, rank k)) of the minimizer, where the
+backprojection smat(Sigma_hat m_hat) is O(|Sigma_hat - I| |M|) off: about
+two Newton steps fewer at criterion-5 scale.  The loss at theta0 sqrt(tau)
+is a convex function of tau alone (the predictions are tau times those at
+theta0), so a safeguarded scalar Newton solve finds the best scale in O(n)
+per step, with no pass over the design (O(d^2) on the moments, where the
+first step is exact).  This corrects the spectral estimate's scale, which
+is off by the factor E[ell''(z*)] for losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
 iterate one derivative pass gives ell'' and Sbar (pair_adjoint(U, ell') / n
@@ -136,11 +143,14 @@ class FitResult(JsonFields):
 
 
 def spectral_init(dataset, k, loss):
-    """Top-k eigenspace of the symmetrized response-weighted design mean.
+    """Top-k eigenpairs of the loss route's spectral matrix, as a factor.
 
-    S = (1/n) sum_i y_i (X_i + X_i^T) / 2 is an unbiased estimate of
-    theta* theta*^T for the Gaussian loss under an isotropic design; the
-    loss's ``data_route`` computes it (sym(mat(b)) on the moments).
+    On the stack the matrix is S = (1/n) sum_i y_i sym X_i, an unbiased
+    estimate of theta* theta*^T for the Gaussian loss under an isotropic
+    design.  On the moments (the Gaussian loss) it is smat(m_hat), m_hat the
+    least-squares solution of Sigma_hat m = b, and the result is its best
+    rank-k part (Eckart-Young); with at most p rows, where m_hat would
+    interpolate the targets, it is S = smat(b) (``MomentRoute.spectral``).
     Negative leading eigenvalues are clamped to a small floor; if no
     eigenvalue clears the floor the initializer fails and the caller should
     fall back to a random start.

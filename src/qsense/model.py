@@ -45,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import lstsq
 from scipy.special import expit, spherical_jn
 
 from .errors import ConfigurationError
@@ -408,15 +409,17 @@ def data_route(dataset, loss):
 class Iterate:
     """A factor and its route's ``state``, linear in theta theta^T.
 
-    The stack route also holds the loss ``f``; the moment route holds the
-    ``change`` of the loss from the iterate it was tried against.  Either
-    route's ``value`` gives the loss the fit reports.
+    The stack route also holds the loss ``f``; the moment route holds
+    m = svec(theta theta^T) and the ``change`` of the loss from the iterate
+    it was tried against.  Either route's ``value`` gives the loss the fit
+    reports.
     """
 
     theta: np.ndarray
     state: np.ndarray
     f: float = math.nan
     change: float = math.nan
+    m: np.ndarray | None = None
 
 
 class StackRoute:
@@ -498,7 +501,25 @@ class MomentRoute:
         self.inv_var = loss._inv_var
 
     def spectral(self):
-        return smat(self.xy)
+        """smat(m_hat), m_hat the least-squares solution of Sigma_hat m = b.
+
+        The loss is (m - m_hat)^T Sigma_hat (m - m_hat) / (2 sigma^2) plus
+        a constant, so the best rank-k part of smat(m_hat) (Eckart and
+        Young, Psychometrika 1936) misses the minimizer by
+        O(|Sigma_hat - I| dist(m_hat, rank k)), where smat(b) =
+        smat(Sigma_hat m_hat) misses it by O(|Sigma_hat - I| |M|).  The
+        solve is rank-revealing, with numpy's rank cut p eps, so a
+        rank-deficient Sigma_hat gives the minimum-norm m_hat.  With at most
+        p rows Sigma_hat is singular and every least-squares m_hat
+        interpolates the targets, a start that can lead the descent to
+        another minimizer; there the start is smat(b).
+        """
+        p = len(self.xy)
+        if len(self.U) <= p:
+            return smat(self.xy)
+        m_hat = lstsq(self.gram, self.xy, cond=p * np.finfo(float).eps,
+                      lapack_driver="gelsy")[0]
+        return smat(m_hat)
 
     def state(self, theta):
         return self.gram @ svec(theta @ theta.T)
@@ -506,19 +527,20 @@ class MomentRoute:
     def at(self, theta, state=None, base=None):
         """The Iterate at theta, with its loss change from ``base`` if given."""
         with np.errstate(over="ignore", invalid="ignore"):
-            q = self.state(theta) if state is None else state
+            m = svec(theta @ theta.T)
+            q = self.gram @ m if state is None else state
             if base is None:
-                return Iterate(theta, q)
+                return Iterate(theta, q, m=m)
             step = theta - base.theta
             dm = svec(_pair(base.theta, step) + step @ step.T)
             change = self.inv_var * float(
                 dm @ (0.5 * (self.gram @ dm) + base.state - self.xy))
-            return Iterate(theta, q, change=change)
+            return Iterate(theta, q, change=change, m=m)
 
     def value(self, point):
         """The empirical loss at ``point``: one forward pass over the rows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            z = design_forward(self.U, point.theta @ point.theta.T)
+            z = self.U @ point.m
             return float(np.mean(self.loss.value(z, self.y)))
 
     def ray(self, theta, state, tau):

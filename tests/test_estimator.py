@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +48,28 @@ def test_spectral_init_exact_factor_when_k_equals_d():
     data = Dataset(X=P[None], y=np.array([1.0]), k=2)
     init = q.spectral_init(data, 2, q.GaussianNLL(1.0))
     assert np.allclose(init @ init.T, P, atol=1e-12)
+
+
+def test_spectral_init_recovers_noiseless_truth_beyond_p_rows():
+    # n > p: the least-squares m_hat is m* exactly, whatever Sigma_hat is;
+    # smat(b) = smat(Sigma_hat m*) would miss M* by about |Sigma_hat - I|
+    rng = np.random.default_rng(21)
+    theta = random_theta(rng, 4, 2)
+    data = _noiseless(theta, 40, seed=22, design="bounded")
+    init = q.spectral_init(data, 2, q.GaussianNLL(1.0))
+    M = theta @ theta.T
+    assert rel_err(init @ init.T, M) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_spectral_matrix_is_smat_b_up_to_p_rows(n):
+    # d = 6, p = 21: Sigma_hat is singular, and least squares would
+    # interpolate the targets
+    rng = np.random.default_rng(23)
+    data = q.simulate(q.DataGeneratingProcess(
+        theta_star=random_theta(rng, 6, 2), sigma=0.1, seed=24), n)
+    route = data_route(data, q.GaussianNLL(0.1))
+    assert np.array_equal(route.spectral(), model.smat(data.moments[1]))
 
 
 def test_spectral_init_close_to_truth_at_scale():
@@ -204,8 +227,8 @@ def _criterion5_gaussian(sigma=0.1, n=8000):
 
 
 def _noiseless_minimum(warm):
-    # the quadratic form of the loss reads -8.9e-16 at this fit's minimum,
-    # the truth
+    # the quadratic form of the loss reads -4.4e-16 at the truth, this
+    # problem's minimum, where both starts stop without a step
     rng = np.random.default_rng(14)
     theta = random_theta(rng, 4, 2)
     data = _noiseless(theta, 80, seed=15)
@@ -236,6 +259,9 @@ def test_reported_losses_are_true_values(problem):
 
 def _fits_agree_on_both_routes(monkeypatch, data, loss, cfg):
     assert isinstance(data_route(data, loss), MomentRoute)
+    # the routes start from different spectral matrices (least squares on
+    # the moments), so both descents take the moment route's start
+    cfg = replace(cfg, init=q.spectral_init(data, data.k, loss))
     moments = q.fit(data, loss, cfg)
     monkeypatch.setattr(estimator, "data_route", StackRoute)
     stack = q.fit(data, loss, cfg)

@@ -100,6 +100,21 @@ def test_noiseless_runs_hit_solver_floor():
     assert all(rec.final_loss <= 1e-20 for rec in records)
 
 
+@pytest.mark.parametrize("noise_sigma, most", [(None, 2), (0.0, 0)],
+                         ids=["criterion-5", "noiseless"])
+def test_gaussian_fits_start_near_their_minimizer(noise_sigma, most):
+    # the least-squares start leaves a median of 2 Newton steps at the
+    # criterion-5 Gaussian config (4 from smat(b)); without noise it is the
+    # truth itself
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
+                           noise_sigma=noise_sigma, replications=100,
+                           seed=2024)
+    records, _ = run_replications(cfg)
+    assert np.median(records.iterations) <= most
+    if noise_sigma == 0.0:
+        assert np.max(records.final_loss) <= 1e-20
+
+
 def test_record_count_matches_replications():
     cfg = _config(replications=6)
     records, _ = run_replications(cfg)

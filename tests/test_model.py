@@ -443,11 +443,29 @@ def test_stack_and_moment_routes_agree(seed):
                    moments.derivative_pass(far)[1] @ far) <= 1e-10
     assert rel_err(q.hessian_operator(data, theta, V, loss),
                    curvature_apply(moments, theta, V, terms_m)) <= 1e-10
-    # and the starts: the spectral matrix and the ray's derivatives
-    assert rel_err(stack.spectral(), moments.spectral()) <= 1e-10
+    # and the starts: the spectral matrix, smat of the least-squares fit of
+    # y on U, and the ray's derivatives
+    m_hat = np.linalg.lstsq(data.U, data.y, rcond=None)[0]
+    assert rel_err(smat(m_hat), moments.spectral()) <= 1e-10
     for tau in (0.5, 1.0, 2.0):
         assert rel_err(stack.ray(theta, start.state, tau),
                        moments.ray(theta, moments.state(theta), tau)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_moment_spectral_is_the_minimum_norm_fit_on_a_rank_deficient_design(
+        seed):
+    # 80 rows in a rank-10 subspace of the p = 21 coordinates: Sigma_hat is
+    # singular up to rounding, and the start is smat of the minimum-norm
+    # least-squares fit (a rank cut at eps instead of p eps misses it on 3
+    # of these 10 designs)
+    rng = np.random.default_rng([51, seed])
+    U = rng.standard_normal((80, 10)) @ rng.standard_normal((10, 21))
+    y = U @ rng.standard_normal(21) + 0.1 * rng.standard_normal(80)
+    data = Dataset(U=U, y=y, k=2)
+    m_hat = np.linalg.lstsq(U, y, rcond=None)[0]
+    assert rel_err(smat(m_hat),
+                   MomentRoute(data, q.GaussianNLL(0.1)).spectral()) <= 1e-10
 
 
 @pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])

@@ -22,9 +22,10 @@ from .errors import (ConfigurationError, DegenerateFactorError,
 from .estimator import fit
 from .model import Dataset, ProblemConstants, simulate
 
+# caught before ValueError, of which LinAlgError is a subclass
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
                      OutOfInjectivityError, InitializationError,
-                     DegenerateFactorError)
+                     DegenerateFactorError, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,12 +216,12 @@ def cli_main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError, KeyError) as exc:
-        sys.stderr.write(f"qsense: error: {exc}\n")
-        return 1
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"qsense: numerical abort: {exc}\n")
         return 2
+    except (ConfigurationError, ValueError, OSError, KeyError) as exc:
+        sys.stderr.write(f"qsense: error: {exc}\n")
+        return 1
     except BrokenProcessPool as exc:
         sys.stderr.write(f"qsense: worker process crashed: {exc}\n")
         return 2

@@ -42,16 +42,17 @@ the difference of two loss values, which would lose the change to rounding
 once it falls below the loss's float resolution.
 
 On the stack, building H takes a pass over the design with one column per
-basis direction, the most expensive step of an iterate, so E and the
-Cholesky factor of H are reused (the chord or Shamanskii variant of
-Newton's method; Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995, sec. 5.4).  A factor serves at most two accepted
-steps (_REUSE_STEPS); it is rebuilt sooner when the gradient norm fails to
-halve from one iterate to the next (_CONTRACTION), and after every
-negative-gradient step.  An iterate that reuses the factor reads only
-g_j = <Sbar theta, E_j> from its own derivative pass, and its step
--H^(-1) g is still a descent direction, since H is positive definite.  Both
-routes share the rule.
+basis direction, in row blocks that fit a core's L2 cache
+(``StackRoute.curvature``).  It is still the most expensive step of an
+iterate, so E and the Cholesky factor of H are reused (the chord or
+Shamanskii variant of Newton's method; Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).  A factor serves at
+most two accepted steps (_REUSE_STEPS); it is rebuilt sooner when the
+gradient norm fails to halve from one iterate to the next (_CONTRACTION),
+and after every negative-gradient step.  An iterate that reuses the
+factor reads only g_j = <Sbar theta, E_j> from its own derivative pass,
+and its step -H^(-1) g is still a descent direction, since H is positive
+definite.  Both routes share the rule.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import geometry, inference
 from .errors import DegenerateFactorError, DivergenceError, InitializationError
@@ -227,8 +229,9 @@ def _search_direction(theta, G, terms, factor):
         return -G, float(np.sum(G * G)), True
     E, L = factor
     g = inference._restricted_gradient(terms, theta, E)
-    s = -np.linalg.solve(L.T, np.linalg.solve(L, g))
-    return np.tensordot(s, E, axes=1), -float(g @ s), False
+    s = -cho_solve((L, True), g, check_finite=False)
+    D = (s @ E.reshape(len(s), -1)).reshape(E.shape[1:])
+    return D, -float(g @ s), False
 
 
 def fit(dataset, loss, config=None):

@@ -92,6 +92,11 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
+        if self.loss == "gaussian":
+            try:
+                GaussianNLL(self.sigma)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
         for key, least in (("replications", 1), ("threads", 1), ("seed", 0),
                            ("n_mc", 2)):
             if getattr(self, key) < least:

@@ -60,8 +60,8 @@ def _restricted_terms(route, theta, E, terms=None):
     for A = pair_coordinates(U, theta, E) on the stack, C Sigma_hat C^T /
     sigma^2 for C = svec(theta E_j^T + E_j theta^T) on the moments.  In an
     orthonormal horizontal basis g represents the gradient and H the
-    curvature.  On the stack H costs a pass over the design with m columns,
-    one product H v two single passes
+    curvature.  On the stack H costs a pass over the design with m columns
+    (in L2-sized row blocks), one product H v two single passes
     (``RestrictedRepresentation.curvature_times``).
     """
     theta = np.asarray(theta, dtype=float)
@@ -91,9 +91,11 @@ def per_sample_scores(dataset, theta_star, basis, loss):
 def restricted_population_hessian(dgp, theta_star, basis, loss):
     """H*: ``population_curvature`` on the basis elements, exact for every
     design and loss the package draws.  Its inverse and root come from
-    ``asymptotic_covariance``.
+    ``asymptotic_covariance``, which rejects the non-finite H of a truth
+    too large to square.
     """
-    return population_curvature(dgp, theta_star, basis.elements, loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return population_curvature(dgp, theta_star, basis.elements, loss)
 
 
 @dataclass
@@ -123,7 +125,8 @@ class RestrictedRepresentation(JsonFields):
 
     def curvature_times(self, v):
         """H v: the curvature operator on sum_j v_j e_j, represented."""
-        V = np.tensordot(v, self.basis.elements, axes=1)
+        E = self.basis.elements
+        V = (v @ E.reshape(len(E), -1)).reshape(E.shape[1:])
         return represent(curvature_apply(self.route, self.basis.anchor, V,
                                          self.terms), self.basis)
 
@@ -187,9 +190,13 @@ def asymptotic_covariance(hstar):
     coordinate error, and the root whitens that error.  Raises
     DegenerateHessianError when the smallest eigenvalue is at or below the
     floor, which is what happens if a loss-invariant (vertical) direction
-    leaks into the basis.
+    leaks into the basis, and when H is not finite.
     """
     hstar = np.asarray(hstar, dtype=float)
+    if not np.all(np.isfinite(hstar)):
+        raise DegenerateHessianError(
+            "restricted curvature is not finite; the truth or the loss scale "
+            "is out of floating-point range")
     lam, V = np.linalg.eigh(0.5 * (hstar + hstar.T))
     if lam[0] <= EIG_FLOOR:
         raise DegenerateHessianError(

@@ -5,7 +5,7 @@ import numpy as np
 import qsense as q
 from qsense.model import (Dataset, _pair, data_route, design_forward,
                           empirical_loss, euclidean_gradient, hessian_bilinear,
-                          sample_design)
+                          pair_coordinates, sample_design)
 
 
 def random_orthogonal(rng, k):
@@ -69,6 +69,13 @@ def fd_third(data, theta, Z, W, V, loss, h=1e-5):
     bp = hessian_bilinear(data, theta + h * V, Z, W, loss)
     bm = hessian_bilinear(data, theta - h * V, Z, W, loss)
     return (bp - bm) / (2 * h)
+
+
+def dense_curvature(route, theta, E, d2):
+    """``StackRoute.curvature`` over all n rows at once, A^T diag(d2) A / n
+    for A = pair_coordinates(U, theta, E): the row-blocked build's oracle."""
+    A = pair_coordinates(route.U, theta, E)
+    return (A * d2[:, None]).T @ A / route.n
 
 
 def rel_err(a, b, floor=1e-10):

@@ -14,8 +14,8 @@ from qsense.harness import ExperimentConfig, make_truth, run_replications
 from qsense.model import (Dataset, MomentRoute, StackRoute, data_route,
                          design_forward, empirical_loss, euclidean_gradient)
 
-from helpers import (random_instance, random_orthogonal, random_theta,
-                     rel_err, sbar_at)
+from helpers import (dense_curvature, random_instance, random_orthogonal,
+                     random_theta, rel_err, sbar_at)
 
 
 def _tau(data, loss, start):
@@ -269,6 +269,25 @@ def _fits_agree_on_both_routes(monkeypatch, data, loss, cfg):
     assert moments.iterations == stack.iterations
     assert (np.linalg.norm(moments.theta0 - stack.theta0)
             <= 1e-10 * np.linalg.norm(stack.theta0))
+
+
+def test_row_blocked_and_dense_curvature_fits_agree(monkeypatch):
+    # four row blocks of the stack curvature, the last one partial
+    n = 3 * model._CURVATURE_ROWS + 17
+    cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=n, replications=1,
+                           seed=2024)
+    theta_star = make_truth(cfg)
+    data = q.simulate(cfg.make_dgp(theta_star, 1, 0), n)
+    loss = cfg.make_loss()
+    assert isinstance(data_route(data, loss), StackRoute)
+    blocked = q.fit(data, loss, cfg.fit_config(0))
+    monkeypatch.setattr(StackRoute, "curvature", dense_curvature)
+    dense = q.fit(data, loss, cfg.fit_config(0))
+    assert blocked.converged and dense.converged
+    assert blocked.iterations == dense.iterations
+    assert blocked.gradient_steps == dense.gradient_steps
+    assert rel_err(blocked.theta0 @ blocked.theta0.T,
+                   dense.theta0 @ dense.theta0.T) <= 1e-10
 
 
 def test_moment_and_stack_fits_agree(monkeypatch):

@@ -738,6 +738,39 @@ def test_cli_rejects_bad_truth_spectrum_in_one_line(tmp_path, capsys,
     assert not os.path.exists(os.path.join(str(tmp_path), "dataset.json"))
 
 
+_SMALL_NORMALITY = {"d": 3, "k": 1, "n": 60, "replications": 4}
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e300])
+def test_cli_rejects_a_sigma_whose_inverse_square_is_out_of_range(
+        tmp_path, capsys, sigma):
+    # 1 / sigma^2 rounds to inf or to 0; sigma**2 would raise
+    cfg = _write_config(str(tmp_path), {**_SMALL_NORMALITY, "sigma": sigma})
+    rc = cli_main(["verify-normality", "--config", cfg, "--threads", "1",
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "sigma" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match="sigma"):
+        q.GaussianNLL(sigma)
+
+
+@pytest.mark.parametrize("truth", [{"truth": [[1e200], [0], [0]]},
+                                   {"sigma_max": 1e200}],
+                         ids=["explicit-truth", "sigma-max"])
+def test_cli_reports_a_non_finite_population_curvature_as_numerical(
+        tmp_path, capsys, truth):
+    # M* = theta* theta*^T overflows; a RuntimeWarning would fail this test
+    cfg = _write_config(str(tmp_path), {**_SMALL_NORMALITY, **truth})
+    rc = cli_main(["verify-normality", "--config", cfg, "--threads", "1",
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "not finite" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
+
+
 @pytest.mark.parametrize("spectrum", [
     # k = 1 reads only sigma_max, and an explicit truth reads neither
     {"k": 1, "sigma_min": 0},

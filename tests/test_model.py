@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 import qsense as q
+import qsense.model as model
 from qsense.errors import ConfigurationError
 from qsense.inference import _restricted_terms
 from qsense.harness import ExperimentConfig, make_truth
@@ -20,9 +22,9 @@ from qsense.model import (Dataset, LossModel, MomentRoute, StackRoute,
                           predictions, sample_design, smat, svec,
                           third_derivative_operator)
 
-from helpers import (fd_gradient, fd_hessian_bilinear, fd_third,
-                     random_instance, random_orthogonal, random_theta, rel_err,
-                     sampled_curvature)
+from helpers import (dense_curvature, fd_gradient, fd_hessian_bilinear,
+                     fd_third, random_instance, random_orthogonal,
+                     random_theta, rel_err, sampled_curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +491,46 @@ def test_stack_route_matches_the_oracles_on_the_derived_stack(loss_kind):
                    np.tensordot(data.y, X, axes=1) / data.n) <= 1e-10
     assert rel_err(stack.state(theta),
                    np.einsum("nij,ij->n", X, theta @ theta.T)) <= 1e-10
+
+
+_BLOCK = model._CURVATURE_ROWS
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 17])
+@pytest.mark.parametrize("loss_kind", ["logistic", "gaussian"])
+def test_stack_curvature_matches_the_dense_build_across_row_blocks(loss_kind,
+                                                                   n):
+    # the Gaussian loss takes the moment route in a fit; its stack route is
+    # built here directly
+    rng = np.random.default_rng([53, n])
+    data, theta, loss = random_instance(rng, 6, 2, n, loss_kind)
+    stack = StackRoute(data, loss)
+    E = q.horizontal_basis(theta).elements
+    d2 = stack.derivative_pass(theta)[0]
+    assert rel_err(stack.curvature(theta, E, d2),
+                   dense_curvature(stack, theta, E, d2)) <= 1e-12
+
+
+def test_stack_curvature_holds_one_row_block_at_a_time():
+    # criterion-5 logistic scale: the (n, m) pair coordinates of all rows
+    # would take n m 8 bytes (1.4 MB), two of them the dense build
+    n = 16_000
+    rng = np.random.default_rng(54)
+    theta = random_theta(rng, 6, 2)
+    data = Dataset(U=rng.standard_normal((n, 21)),
+                   y=(rng.random(n) < 0.5).astype(float), k=2)
+    stack = StackRoute(data, q.Logistic())
+    E = q.horizontal_basis(theta).elements
+    d2 = stack.derivative_pass(theta)[0]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        stack.curvature(theta, E, d2)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < n * len(E) * 8
 
 
 # ---------------------------------------------------------------------------

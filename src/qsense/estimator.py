@@ -1,48 +1,49 @@
 """Empirical-loss minimization over the factor matrix.
 
-The fit reads the data only through ``model.data_route``.  For the Gaussian
-loss that is the moments (Sigma_hat, b) = (U^T U / n, U^T y / n), p x p for
-U the (n, p) design in half-vectorized coordinates (``model.Dataset``),
-built once per dataset: the start, every derivative pass, every curvature
-build and every line-search trial then cost O(d^4), whatever n is.  Only
-the reported loss, at the start and after each accepted step, takes one
-forward pass over the dataset's rows (``MomentRoute.value``): n for
-samples, p + 1 for the design ``model.draw_statistics`` draws.  For every
-other loss it is U itself.
+The fit reads the data only through ``model.StackRoute``, on the rows of
+the design U, the (n, p) matrix of the samples in half-vectorized
+coordinates (``model.Dataset``).  For the Gaussian loss those rows are the
+dataset's p + 1 square-root rows (``Dataset.compressed``), built once per
+dataset, with the n samples' row means of u u^T, u y and y^2: the start,
+every derivative pass, every curvature build and every line-search trial
+then cost O(p^2), whatever n is.  A design ``model.draw_statistics`` draws
+has p + 1 rows already.
 
 The default start is the spectral initializer rescaled along its own ray.
 The spectral matrix is the route's (``spectral_init``): the backprojection
-(1/n) sum_i y_i sym X_i on the stack, and on the moments, given more than p
-rows, smat(m_hat) for m_hat the least-squares solution of Sigma_hat m = b.
-The Gaussian loss is a quadratic in m = svec(theta theta^T) centred at
-m_hat, so the best rank-k part of smat(m_hat) is within
+(1/n) sum_i y_i sym X_i, and for the Gaussian loss, given more than p
+rows, smat(m_hat) for m_hat the least-squares fit of y on U.  The
+Gaussian loss is a quadratic in m = svec(theta theta^T) centred at m_hat,
+so the best rank-k part of smat(m_hat) is within
 O(|Sigma_hat - I| dist(m_hat, rank k)) of the minimizer, where the
 backprojection smat(Sigma_hat m_hat) is O(|Sigma_hat - I| |M|) off: about
 two Newton steps fewer at criterion-5 scale.  The loss at theta0 sqrt(tau)
 is a convex function of tau alone (the predictions are tau times those at
 theta0), so a safeguarded scalar Newton solve finds the best scale in O(n)
-per step, with no pass over the design (O(d^2) on the moments, where the
-first step is exact).  This corrects the spectral estimate's scale, which
-is off by the factor E[ell''(z*)] for losses other than the Gaussian.
+per step, with no pass over the design (for the Gaussian loss the first
+step is exact).  This corrects the spectral estimate's scale, which is off
+by the factor E[ell''(z*)] for losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
 iterate one derivative pass gives ell'' and Sbar (pair_adjoint(U, ell') / n
-on the stack); Sbar theta is the gradient the stop rule reads, and the same
-two give the loss's gradient and curvature in an orthonormal basis E of the
-horizontal space of R^(d x k) / O(k), where the curvature is invertible at a
-nondegenerate minimizer.  The Newton step -H^(-1) g is taken back to a
-d x k direction.  Newton steps alone are drawn to saddle points as well as
-minimizers, so the step is used only when H is positive definite (its
-Cholesky factorization succeeds); otherwise, or at a rank-deficient iterate
-with no horizontal basis, the direction is the negative gradient, and the
-result counts these steps.  Either direction is searched by Armijo
-backtracking from unit length.  On the moments the Armijo test reads the
-loss change as a quadratic form in the change of theta theta^T, never as
-the difference of two loss values, which would lose the change to rounding
-once it falls below the loss's float resolution.
+on the rows read); Sbar theta is the gradient the stop rule reads, and the
+same two give the loss's gradient and curvature in an orthonormal basis E
+of the horizontal space of R^(d x k) / O(k), where the curvature is
+invertible at a nondegenerate minimizer.  The Newton step -H^(-1) g is
+taken back to a d x k direction.  Newton steps alone are drawn to saddle
+points as well as minimizers, so the step is used only when H is positive
+definite (its Cholesky factorization succeeds); otherwise, or at a
+rank-deficient iterate with no horizontal basis, the direction is the
+negative gradient, and the result counts these steps.  Either direction
+is searched by Armijo backtracking from unit length on the loss values
+themselves, so the reported losses never rise.  Once the decrease the
+test asks for falls below the loss's float resolution, a step can pass it
+without descent; two such steps in a row end the descent, unconverged if
+the gradient is still above its tolerance (small noise scales, where the
+last Newton step would gain less than that resolution).
 
-On the stack, building H takes a pass over the design with one column per
-basis direction, in row blocks that fit a core's L2 cache
+Building H takes a pass over the rows with one column per basis
+direction, in row blocks that fit a core's L2 cache
 (``StackRoute.curvature``).  It is still the most expensive step of an
 iterate, so E and the Cholesky factor of H are reused (the chord or
 Shamanskii variant of Newton's method; Kelley, Iterative Methods for
@@ -52,7 +53,7 @@ gradient norm fails to halve from one iterate to the next (_CONTRACTION),
 and after every negative-gradient step.  An iterate that reuses the
 factor reads only g_j = <Sbar theta, E_j> from its own derivative pass,
 and its step -H^(-1) g is still a descent direction, since H is positive
-definite.  Both routes share the rule.
+definite.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from scipy.linalg import cho_solve
 from . import geometry, inference
 from .errors import DegenerateFactorError, DivergenceError, InitializationError
 from .jsonable import JsonFields
-from .model import data_route
+from .model import StackRoute
 
 # Backtracking line search: every search starts at unit length (the natural
 # length of a Newton step), shrinks by _SHRINK until the Armijo sufficient
@@ -120,12 +121,11 @@ class FitResult(JsonFields):
     """The minimizer and how the descent got there.
 
     ``loss_trace`` holds the empirical loss at the start and after each
-    accepted step, computed as ``empirical_loss`` computes it.  On the
-    moment route the line search accepts a step by its loss change, not by
-    these values, so once the change falls below their float resolution
-    the trace may rise by a rounding unit.  ``sbar`` is Sbar at theta0,
-    from the fit's last derivative pass; it depends on theta0 only through
-    theta0 theta0^T, so it is also Sbar at every rotation theta0 Q.
+    accepted step, non-increasing, computed as ``empirical_loss`` computes
+    it up to rounding (on the p + 1 square-root rows for the Gaussian
+    loss).  ``sbar`` is Sbar at theta0, from the fit's last derivative
+    pass; it depends on theta0 only through theta0 theta0^T, so it is also
+    Sbar at every rotation theta0 Q.
     """
 
     theta0: np.ndarray
@@ -147,19 +147,18 @@ class FitResult(JsonFields):
 def spectral_init(dataset, k, loss):
     """Top-k eigenpairs of the loss route's spectral matrix, as a factor.
 
-    On the stack the matrix is S = (1/n) sum_i y_i sym X_i, an unbiased
-    estimate of theta* theta*^T for the Gaussian loss under an isotropic
-    design.  On the moments (the Gaussian loss) it is smat(m_hat), m_hat the
-    least-squares solution of Sigma_hat m = b, and the result is its best
-    rank-k part (Eckart-Young); with at most p rows, where m_hat would
-    interpolate the targets, it is S = smat(b) (``MomentRoute.spectral``).
+    The matrix is S = (1/n) sum_i y_i sym X_i, an unbiased estimate of
+    theta* theta*^T for the Gaussian loss under an isotropic design, except
+    for the Gaussian loss given more than p rows: there it is smat(m_hat),
+    m_hat the least-squares fit of y on U, and the result is its best
+    rank-k part (Eckart-Young; ``StackRoute.spectral``).
     Negative leading eigenvalues are clamped to a small floor; if no
     eigenvalue clears the floor the initializer fails and the caller should
     fall back to a random start.
     """
     if k < 1 or k > dataset.d:
         raise ValueError("k must lie in [1, d]")
-    lam, V = np.linalg.eigh(data_route(dataset, loss).spectral())
+    lam, V = np.linalg.eigh(StackRoute(dataset, loss).spectral())
     top = np.argsort(lam)[::-1][:k]
     lam_top = lam[top]
     if np.all(lam_top <= _EIG_FLOOR):
@@ -179,9 +178,9 @@ def _radial_scale(route, theta, state):
     and f'' = mean(ell'' z0^2) (``route.ray``).  Scalar Newton steps from
     tau = 1 keep a bracket on the root of f' and bisect whenever a step
     leaves it.  For the Gaussian loss the first step lands on the closed
-    form <z0, y> / <z0, z0> = m0^T b / m0^T Sigma_hat m0.  None when the ray
-    is flat (f'' = 0, as for z0 = 0 or a saturated logistic ray) or the
-    solve does not settle in _RADIAL_STEPS steps.
+    form <z0, y> / <z0, z0>.  None when the ray is flat (f'' = 0, as for
+    z0 = 0 or a saturated logistic ray) or the solve does not settle in
+    _RADIAL_STEPS steps.
     """
     lo, hi, tau = 0.0, np.inf, 1.0
     for _ in range(_RADIAL_STEPS):
@@ -241,7 +240,7 @@ def fit(dataset, loss, config=None):
     warm start, which is used as given.  Otherwise the start is the
     spectral initializer, or a seeded random factor when the spectrum is
     uninformative, rescaled along its ray to the loss's minimum there
-    (``_radial_scale``).  The data are read through ``data_route(dataset,
+    (``_radial_scale``).  The data are read through ``StackRoute(dataset,
     loss)``.  The quotient distance of the result to a known truth is
     ``geometry.align(result.theta0, truth).distance``.
     """
@@ -249,7 +248,7 @@ def fit(dataset, loss, config=None):
     config.validate()
     loss.validate_targets(dataset.y)
     d = dataset.d
-    route = data_route(dataset, loss)
+    route = StackRoute(dataset, loss)
 
     if isinstance(config.init, str):
         if config.init != "spectral":
@@ -274,7 +273,7 @@ def fit(dataset, loss, config=None):
             raise ValueError("warm start does not match the data dimension")
         point = route.at(theta)
 
-    trace = [route.value(point)]
+    trace = [point.f]
     if not np.isfinite(trace[0]):
         raise DivergenceError("non-finite loss at the initial point", trace)
     grad_norm = np.inf
@@ -296,26 +295,23 @@ def fit(dataset, loss, config=None):
             factor, uses = _newton_factor(route, theta, terms), 0
         D, rate, fallback = _search_direction(theta, G, terms, factor)
         step = 1.0
-        accepted = False
         while step >= _STEP_FLOOR:
-            cand = route.at(theta + step * D, base=point)
-            accepted, descended = route.compare(point, cand,
-                                                _ARMIJO * step * rate)
-            if accepted:
+            cand = route.at(theta + step * D)
+            if cand.f <= point.f - _ARMIJO * step * rate:
                 break
             step *= _SHRINK
-        if not accepted:
+        else:
             break
-        if not descended:
+        if cand.f < point.f:
+            null_steps = 0
+        else:
             # the Armijo decrease rounded below the loss's float resolution:
             # the step was accepted without representable descent
             null_steps += 1
             if null_steps >= 2:
                 break
-        else:
-            null_steps = 0
         point = cand
-        trace.append(route.value(point))
+        trace.append(point.f)
         iterations += 1
         gradient_steps += fallback
         uses += 1

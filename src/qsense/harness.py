@@ -7,9 +7,11 @@ them.  Under the Gaussian loss, noise and design (``gaussian`` or
 n >= 4 d^2, a replicate draws a ``Dataset`` of p + 1 rows whose moments
 and least-squares residual are those of n measurements
 (``model.draw_statistics``); everywhere else it draws the n measurements
-(``model.simulate``).  A run's records come back in columns
-(``ReplicationRecords``), read in index order.  Pooled runs share
-the process's one worker pool, forked at the first of them (``_pool``).
+(``model.simulate``), which the Gaussian loss compresses to such p + 1
+rows when the fit first reads them (``model.Dataset.compressed``).  A
+run's records come back in columns (``ReplicationRecords``), read in index
+order.  Pooled runs share the process's one worker pool, forked at the
+first of them (``_pool``).
 H* is exact and draws nothing; the normality report carries its condition
 number.
 """

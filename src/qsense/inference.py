@@ -6,10 +6,10 @@ becomes a symmetric matrix whose inverse is the asymptotic covariance of
 sqrt(n) times the coordinate error.
 
 The score, the curvature-vector product and the curvature matrix at the
-truth read the data through ``model.data_route``, as the fit does: from the
-moments (U^T U / n, U^T y / n) for the Gaussian loss, with no pass over
-the samples, and from the design U otherwise.
-``per_sample_scores`` stays on U, since it needs every sample.  H*
+truth read the data through ``model.StackRoute``, as the fit does: the
+p + 1 square-root rows of the dataset for the Gaussian loss
+(``Dataset.compressed``), the design U otherwise.  ``per_sample_scores``
+stays on U, since it needs every sample.  H*
 (``restricted_population_hessian``) is exact and reads no data.
 """
 
@@ -25,7 +25,7 @@ from scipy.special import ndtri
 from . import geometry
 from .errors import DegenerateHessianError
 from .jsonable import JsonFields
-from .model import (Dataset, curvature_apply, data_route, pair_coordinates,
+from .model import (Dataset, StackRoute, pair_coordinates,
                     population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
@@ -44,9 +44,8 @@ def represent(M, basis):
 def _restricted_gradient(terms, theta, E):
     """g_j = <Sbar theta, E_j> from a derivative pass ``terms`` at theta.
 
-    On the stack this equals A^T ell' / n with A = pair_coordinates(U,
-    theta, E), at the cost of one small matrix product instead of a pass
-    over the design.
+    This equals A^T ell' / n with A = pair_coordinates(U, theta, E), at
+    the cost of one small matrix product instead of a pass over the design.
     """
     return np.einsum("mik,ik->m", E, terms[1] @ theta)
 
@@ -56,12 +55,11 @@ def _restricted_terms(route, theta, E, terms=None):
 
     With ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)`` (computed
     when not supplied), returns g = ``_restricted_gradient`` and
-    H = ``route.curvature(theta, E, d2)`` + <E, Sbar E>: A^T diag(d2) A / n
-    for A = pair_coordinates(U, theta, E) on the stack, C Sigma_hat C^T /
-    sigma^2 for C = svec(theta E_j^T + E_j theta^T) on the moments.  In an
-    orthonormal horizontal basis g represents the gradient and H the
-    curvature.  On the stack H costs a pass over the design with m columns
-    (in L2-sized row blocks), one product H v two single passes
+    H = ``route.curvature(theta, E, d2)`` + <E, Sbar E>, with the design
+    part A^T diag(d2) A / n for A = pair_coordinates(U, theta, E) on the
+    route's rows.  In an orthonormal horizontal basis g represents the
+    gradient and H the curvature.  H costs a pass over the rows with m
+    columns (in L2-sized row blocks), one product H v two single passes
     (``RestrictedRepresentation.curvature_times``).
     """
     theta = np.asarray(theta, dtype=float)
@@ -76,7 +74,7 @@ def _restricted_terms(route, theta, E, terms=None):
 
 def restricted_hessian(dataset, theta_star, basis, loss):
     """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    return _restricted_terms(data_route(dataset, loss), theta_star,
+    return _restricted_terms(StackRoute(dataset, loss), theta_star,
                              basis.elements)[1]
 
 
@@ -109,8 +107,8 @@ class RestrictedRepresentation(JsonFields):
     ``distance`` its norm, the quotient distance.  ``score`` is the
     restricted gradient at the truth.  The restricted curvature there is
     computed on demand: ``curvature_times(v)`` applies it to one vector
-    (two passes over the design on the stack, none on the moments), and
-    ``hessian``, the full matrix, is built when first read.
+    (two passes over the route's rows), and ``hessian``, the full matrix,
+    is built when first read.
     """
 
     basis: object = field(repr=False)
@@ -127,8 +125,8 @@ class RestrictedRepresentation(JsonFields):
         """H v: the curvature operator on sum_j v_j e_j, represented."""
         E = self.basis.elements
         V = (v @ E.reshape(len(E), -1)).reshape(E.shape[1:])
-        return represent(curvature_apply(self.route, self.basis.anchor, V,
-                                         self.terms), self.basis)
+        return represent(self.route.curvature_apply(self.basis.anchor, V,
+                                                    self.terms), self.basis)
 
     @cached_property
     def hessian(self):
@@ -153,7 +151,7 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
     theta_star once; the representation is defined at any distance, but
     the aligned chord is a chart of the quotient only below the injectivity
     radius, which ``diagnostics.taylor_residual_check`` enforces.  One
-    derivative pass at the truth, through ``data_route(dataset, loss)``,
+    derivative pass at the truth, through ``StackRoute(dataset, loss)``,
     gives the score and, on demand, the curvature (see
     ``RestrictedRepresentation``).
     """
@@ -163,7 +161,7 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
     al = geometry.align(theta0, theta_star)
     chord = al.aligned - theta_star
     phi_star = represent(theta_star, basis)
-    route = data_route(dataset, loss)
+    route = StackRoute(dataset, loss)
     terms = route.derivative_pass(theta_star)
     return RestrictedRepresentation(
         basis=basis,
@@ -256,7 +254,7 @@ def _single_sample_objects(data, theta, basis, loss):
     a = pair_coordinates(data.U, theta, basis.elements)[0]
     mu1 = loss.d2(predictions(data, theta), data.y)[0]
     # the conditional mean kills the score term of the population curvature
-    return (*_restricted_terms(data_route(data, loss), theta, basis.elements),
+    return (*_restricted_terms(StackRoute(data, loss), theta, basis.elements),
             mu1 * np.outer(a, a))
 
 

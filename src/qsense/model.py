@@ -15,20 +15,18 @@ has 36): u_ii = X_ii, u_ij = (X_ij + X_ji) / sqrt 2 for i < j, and
 (``design_forward``, ``design_adjoint``); the stack X is derived from U
 when read, symmetric, and never stored.
 
-The fit and the inference at the truth read the data through a route
-(``data_route``): U for any loss but the Gaussian, and, for the Gaussian
-loss, the p x p moments (Sigma_hat, b) = (U^T U / n, U^T y / n).  A
-``Dataset`` builds them once (``Dataset.moments``), after which only the
-reported loss values touch its rows (one forward pass each).  Under
-Gaussian noise and a Gaussian design the harness need not draw the n
-samples at all: ``draw_statistics`` draws, by Bartlett's decomposition of
-the Wishart law, a dataset of p + 1 rows whose row means of u u^T, u y and
-(u^T m - y)^2 are those of n samples, so every loss value, derivative and
-curvature the fit reads is the n-sample one.  The public derivative
-functions below (``empirical_loss``, ``euclidean_gradient``,
-``hessian_operator``, ``hessian_bilinear``, ``third_derivative``) read the
-derived X: they are the finite-difference oracles the routes are checked
-against.
+The fit and the inference at the truth read the data through
+``StackRoute``, one BLAS call on the rows per operation.  The Gaussian loss
+reads the data only through the row means of u u^T, u y and y^2, so there
+the route reads ``Dataset.compressed``: p + 1 square-root rows with the
+n rows' means, built once per dataset, after which every loss value,
+derivative and curvature costs O(p^2), whatever n is.  Under Gaussian
+noise and a Gaussian design the harness need not draw the n samples at
+all: ``draw_statistics`` draws such p + 1 rows directly, by Bartlett's
+decomposition of the Wishart law.  The public derivative functions below
+(``empirical_loss``, ``euclidean_gradient``, ``hessian_operator``,
+``hessian_bilinear``, ``third_derivative``) read the derived X: they are
+the finite-difference oracles the route is checked against.
 
 The population curvature H* (``population_curvature``) is exact, without
 design draws, for every design and loss: Stein's identity, second moments,
@@ -48,7 +46,7 @@ from scipy.integrate import quad
 from scipy.linalg import lstsq
 from scipy.special import expit, spherical_jn
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateHessianError
 from .jsonable import JsonFields
 
 
@@ -303,13 +301,35 @@ class Dataset:
         return smat(self.U)
 
     @cached_property
-    def moments(self):
-        """(Sigma_hat, b) = (U^T U / n, U^T y / n).
+    def compressed(self):
+        """p + 1 square-root rows that the Gaussian loss reads as these n.
 
-        These are all the Gaussian loss's derivatives read of the data
-        (``MomentRoute``); built on first use, then kept.
+        With m_hat the least-squares solution of U^T U m = U^T y,
+        L = chol(U^T U), RSS = |U m_hat - y|^2 and c = sqrt((p + 1) / n),
+        the rows are c [L^T; 0] and the targets c [L^T m_hat; sqrt RSS]:
+        the form ``draw_statistics`` draws, with the n rows' means of u u^T,
+        u y and (u^T m - y)^2 for every m.  The dataset itself when it has
+        at most p + 1 rows or U^T U is rank deficient by the solve's rank (a
+        Cholesky factor can exist there, with pivots at rounding level).
+        Built on first use, then kept.
         """
-        return self.U.T @ self.U / self.n, self.U.T @ self.y / self.n
+        n, p = self.U.shape
+        if n <= p + 1:
+            return self
+        gram = self.U.T @ self.U
+        m_hat, rank = _least_squares(gram, self.U.T @ self.y)
+        if rank < p:
+            return self
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return self
+        r = self.U @ m_hat - self.y
+        c = math.sqrt((p + 1) / n)
+        U = np.zeros((p + 1, p))
+        U[:p] = c * L.T
+        y = c * np.append(L.T @ m_hat, math.sqrt(float(r @ r)))
+        return Dataset(U=U, y=y, k=self.k)
 
     def to_json(self):
         return json.dumps({
@@ -388,15 +408,12 @@ def pair_coordinates(U, theta, directions):
 
 
 # ---------------------------------------------------------------------------
-# Data routes
+# The data route
 # ---------------------------------------------------------------------------
 # The fit and the inference at the truth reach the data through three
-# operations: the loss at a factor and its change along a line search, the
-# derivative pass (ell'', Sbar), and the design part of the curvature on
-# pair matrices.  StackRoute computes them from U for any loss.  Under the
-# Gaussian loss the empirical loss is a quadratic in m = svec(theta theta^T),
-# so MomentRoute computes them from the moments alone and reads the rows
-# only for the loss value the fit reports (``value``).
+# operations: the loss at a factor, the derivative pass (ell'', Sbar), and
+# the design part of the curvature on pair matrices.  StackRoute computes
+# them from the rows, for any loss.
 
 # Rows per block of StackRoute.curvature.  At d = 6, k = 2 (p = 21, m = 11)
 # a block is 2048 * 21 * 8 = 344 KB of U and two (11, 2048) temporaries of
@@ -406,70 +423,71 @@ def pair_coordinates(U, theta, directions):
 _CURVATURE_ROWS = 2048
 
 
-def data_route(dataset, loss):
-    """The route the fit and the inference read ``dataset`` through.
-
-    MomentRoute for the Gaussian loss, StackRoute for any other.
-    """
-    if isinstance(loss, GaussianNLL):
-        return MomentRoute(dataset, loss)
-    return StackRoute(dataset, loss)
+def _least_squares(A, b):
+    """(x, rank): the minimum-norm least-squares solution of A x = b, by
+    LAPACK gelsy with numpy's rank cut, p eps for A with p columns."""
+    x, _, rank, _ = lstsq(A, b, cond=A.shape[1] * np.finfo(float).eps,
+                          lapack_driver="gelsy")
+    return x, rank
 
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
-    """A factor and its route's ``state``, linear in theta theta^T.
-
-    The stack route also holds the loss ``f``; the moment route holds
-    m = svec(theta theta^T) and the ``change`` of the loss from the iterate
-    it was tried against.  Either route's ``value`` gives the loss the fit
-    reports.
-    """
+    """A factor, its prediction vector ``state`` and the loss ``f`` there."""
 
     theta: np.ndarray
     state: np.ndarray
-    f: float = math.nan
-    change: float = math.nan
-    m: np.ndarray | None = None
+    f: float
 
 
 class StackRoute:
-    """The data operations on the (n, p) design U, for any loss.
+    """The data operations on the rows of a dataset, for any loss.
 
-    The state of a factor is its prediction vector z.
+    The Gaussian loss reads the rows only through their means of u u^T,
+    u y and y^2, so under it the route reads the dataset's p + 1
+    square-root rows (``Dataset.compressed``), which have the same means.
+    The state of a factor is its prediction vector z on the rows read.
     """
 
     def __init__(self, dataset, loss):
+        if isinstance(loss, GaussianNLL):
+            dataset = dataset.compressed
         self.U, self.y, self.n, self.loss = dataset.U, dataset.y, dataset.n, loss
 
     def spectral(self):
-        """(1/n) sum_i y_i sym X_i."""
+        """The matrix whose best rank-k part starts a fit.
+
+        (1/n) sum_i y_i sym X_i in general.  The Gaussian loss is
+        (m - m_hat)^T Sigma_hat (m - m_hat) / (2 sigma^2) plus a constant in
+        m = svec(theta theta^T), for m_hat the least-squares fit of y on U
+        and Sigma_hat = U^T U / n, so given more than p rows its matrix is
+        smat(m_hat): the best rank-k part (Eckart and Young, Psychometrika
+        1936) misses the minimizer by O(|Sigma_hat - I| dist(m_hat, rank k)),
+        where the backprojection smat(Sigma_hat m_hat) misses it by
+        O(|Sigma_hat - I| |M|).  A rank-deficient U gives the minimum-norm
+        m_hat.  With at most p rows every least-squares m_hat interpolates
+        the targets, a start that can lead the descent to another
+        minimizer; there the matrix is the backprojection.
+        """
+        if isinstance(self.loss, GaussianNLL) and self.n > self.U.shape[1]:
+            return smat(_least_squares(self.U, self.y)[0])
         return design_adjoint(self.U, self.y) / self.n
 
     def state(self, theta):
         return design_forward(self.U, theta @ theta.T)
 
-    def at(self, theta, state=None, base=None):
-        """The Iterate at theta (``base`` is not needed on this route)."""
+    def at(self, theta, state=None):
+        """The Iterate at theta."""
         # non-finite values are handled by the divergence/backtracking logic
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.state(theta) if state is None else state
             return Iterate(theta, z, float(np.mean(self.loss.value(z, self.y))))
-
-    def value(self, point):
-        """The empirical loss at ``point``."""
-        return point.f
 
     def ray(self, theta, state, tau):
         """(f'(tau), f''(tau)) for f(tau) the loss at theta sqrt(tau)."""
         d1, d2 = self.loss.d1_d2(tau * state, self.y)
         return (float(d1 @ state) / self.n,
                 float(d2 @ (state * state)) / self.n)
-
-    def compare(self, base, cand, bound):
-        """(f(cand) <= f(base) - bound with f(cand) finite, f(cand) < f(base))."""
-        return (bool(np.isfinite(cand.f)) and cand.f <= base.f - bound,
-                cand.f < base.f)
 
     def derivative_pass(self, theta, state=None):
         """(ell''(z), Sbar) with Sbar = pair_adjoint(U, ell'(z)) / n."""
@@ -493,116 +511,22 @@ class StackRoute:
             H += (At * d2[rows]) @ At.T
         return H / self.n
 
-    def curvature_times(self, theta, Z, d2):
-        """pair_adjoint(U, d2 a) theta / n for a_i = <X_i, theta Z^T + Z theta^T>."""
-        a = design_forward(self.U, _pair(theta, Z))
-        return pair_adjoint(self.U, d2 * a) @ theta / self.n
+    def curvature_apply(self, theta, Z, terms):
+        """The curvature operator at theta applied to Z, in two passes.
 
-
-class MomentRoute:
-    """The same operations from (Sigma_hat, b), for the Gaussian loss.
-
-    With m = svec(theta theta^T), the state of a factor is
-    q = Sigma_hat m, Sbar = 2 smat(q - b) / sigma^2, and ell'' = 1 / sigma^2.
-    The loss change to a candidate is the quadratic form
-    (dm^T Sigma_hat dm / 2 + dm^T (q - b)) / sigma^2 in
-    dm = svec(theta (dtheta)^T + dtheta theta^T + dtheta dtheta^T), which
-    avoids the cancellation of two loss values far above their difference.
-
-    The loss itself would be (m^T (q - 2 b) + y^T y / n) / (2 sigma^2),
-    which cancels terms about |M|^2 / sigma^2 times larger than its result,
-    so ``value`` takes it from one forward pass over the dataset's rows
-    instead: the one operation here that reads them, once per reported
-    iterate.  That is n rows for samples and p + 1 for the design
-    ``draw_statistics`` returns.
-    """
-
-    def __init__(self, dataset, loss):
-        self.gram, self.xy = dataset.moments
-        self.U, self.y, self.loss = dataset.U, dataset.y, loss
-        self.inv_var = loss._inv_var
-
-    def spectral(self):
-        """smat(m_hat), m_hat the least-squares solution of Sigma_hat m = b.
-
-        The loss is (m - m_hat)^T Sigma_hat (m - m_hat) / (2 sigma^2) plus
-        a constant, so the best rank-k part of smat(m_hat) (Eckart and
-        Young, Psychometrika 1936) misses the minimizer by
-        O(|Sigma_hat - I| dist(m_hat, rank k)), where smat(b) =
-        smat(Sigma_hat m_hat) misses it by O(|Sigma_hat - I| |M|).  The
-        solve is rank-revealing, with numpy's rank cut p eps, so a
-        rank-deficient Sigma_hat gives the minimum-norm m_hat.  With at most
-        p rows Sigma_hat is singular and every least-squares m_hat
-        interpolates the targets, a start that can lead the descent to
-        another minimizer; there the start is smat(b).
+        With ``terms`` = (d2, Sbar) = ``derivative_pass(theta)``, this is
+        pair_adjoint(U, d2 a) theta / n + Sbar Z for
+        a_i = <X_i, theta Z^T + Z theta^T>.
         """
-        p = len(self.xy)
-        if len(self.U) <= p:
-            return smat(self.xy)
-        m_hat = lstsq(self.gram, self.xy, cond=p * np.finfo(float).eps,
-                      lapack_driver="gelsy")[0]
-        return smat(m_hat)
-
-    def state(self, theta):
-        return self.gram @ svec(theta @ theta.T)
-
-    def at(self, theta, state=None, base=None):
-        """The Iterate at theta, with its loss change from ``base`` if given."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = svec(theta @ theta.T)
-            q = self.gram @ m if state is None else state
-            if base is None:
-                return Iterate(theta, q, m=m)
-            step = theta - base.theta
-            dm = svec(_pair(base.theta, step) + step @ step.T)
-            change = self.inv_var * float(
-                dm @ (0.5 * (self.gram @ dm) + base.state - self.xy))
-            return Iterate(theta, q, change=change, m=m)
-
-    def value(self, point):
-        """The empirical loss at ``point``: one forward pass over the rows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self.U @ point.m
-            return float(np.mean(self.loss.value(z, self.y)))
-
-    def ray(self, theta, state, tau):
-        m = svec(theta @ theta.T)
-        curv = float(m @ state)
-        return (self.inv_var * (tau * curv - float(m @ self.xy)),
-                self.inv_var * curv)
-
-    def compare(self, base, cand, bound):
-        return (bool(np.isfinite(cand.change)) and cand.change <= -bound,
-                cand.change < 0.0)
-
-    def derivative_pass(self, theta, state=None):
-        q = self.state(theta) if state is None else state
-        return self.inv_var, (2.0 * self.inv_var) * smat(q - self.xy)
-
-    def curvature(self, theta, E, d2):
-        C = svec(_pair(theta, E))
-        return d2 * (C @ self.gram @ C.T)
-
-    def curvature_times(self, theta, Z, d2):
-        W = smat(self.gram @ svec(_pair(theta, Z)))
-        return (2.0 * d2) * (W @ theta)
-
-
-def curvature_apply(route, theta, Z, terms):
-    """The curvature operator at theta applied to Z, from a derivative pass.
-
-    ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)``; the result is
-    the route's design part plus Sbar Z (the exact curvature-vector product,
-    two passes over U on the stack).
-    """
-    d2, Sbar = terms
-    return route.curvature_times(theta, Z, d2) + Sbar @ Z
+        d2, Sbar = terms
+        a = design_forward(self.U, _pair(theta, Z))
+        return pair_adjoint(self.U, d2 * a) @ theta / self.n + Sbar @ Z
 
 
 # ---------------------------------------------------------------------------
 # Core predictions and derivatives
 # ---------------------------------------------------------------------------
-# The derivative functions below are the oracles the routes are checked
+# The derivative functions below are the oracles the route is checked
 # against.  Their predictions come from ``predictions``, the forward map the
 # data are simulated with, so a noiseless truth is an exact zero of the
 # gradient; every other contraction reads the derived stack X, not U.
@@ -852,6 +776,17 @@ def _stein_moments(loss, s):
     return tuple(moments)
 
 
+# Most points the Fourier rule of _bounded_logistic_moments may take.  It
+# holds about nine (points, d^2) float arrays at once (v, f0, f1, f2, and
+# the products over the other coordinates with their prefix and suffix
+# factors): at d = 6 and this cap each is 16384 * 36 * 8 = 4.7 MB, about
+# 42 MB in all.  A truth of the criteria's scale, |vec M*|_1 about 8, takes
+# 112 points, 32 KB per array, inside a core's L2.  The cap admits
+# |vec M*|_1 up to (2 pi 16384 / 13 - 40) / sqrt 3 = 4,550; a truth entry
+# of 1e3 at d = 3 would take 3.6 million points, 0.26 GB per array.
+_FOURIER_POINTS = 16384
+
+
 def _bounded_logistic_moments(w, refine=1):
     """G = E[ell''(w^T x) x x^T] for the logistic loss, x uniform on [-a, a]^p.
 
@@ -862,12 +797,21 @@ def _bounded_logistic_moments(w, refine=1):
     (1/pi) int_0^inf ghat(t) f_kl(t) dt for f_kk = phi2(t w_k) prod_{j != k}
     phi0(t w_j) and f_kl = -phi1(t w_k) phi1(t w_l) prod_{j != k, l}
     phi0(t w_j).  phi0 has zeros, so the products leave factors out.
+    Raises DegenerateHessianError, before any array is built, when the rule
+    would take more than _FOURIER_POINTS points.
     """
     a = BOUNDED_XMAX
     # the trapezoid rule aliases the law of w^T x, on [-a |w|_1, a |w|_1],
     # against ell'' ~ e^-|z| at period 2 pi / h: an error of about e^-40;
     # ghat falls to 1.5e-16 at t = 13
-    h = 2.0 * math.pi / (a * float(np.abs(w).sum()) + 40.0) / refine
+    span = (a * float(np.abs(w).sum()) + 40.0) * refine
+    points = 13.0 * span / (2.0 * math.pi)
+    if not points <= _FOURIER_POINTS:
+        raise DegenerateHessianError(
+            f"the bounded-design curvature needs a Fourier grid of "
+            f"{points:.3g} points, above the {_FOURIER_POINTS} allowed; the "
+            f"truth is too large for the bounded design")
+    h = 2.0 * math.pi / span
     t = h * np.arange(math.ceil(13.0 / h) + 1)
     weight = h / np.pi * np.append(0.5, np.pi * t[1:] / np.sinh(np.pi * t[1:]))
     v = a * np.outer(t, w)

@@ -1,9 +1,10 @@
 """Shared test utilities: random problem instances and independent oracles."""
 
 import numpy as np
+import pytest
 
 import qsense as q
-from qsense.model import (Dataset, _pair, data_route, design_forward,
+from qsense.model import (Dataset, StackRoute, _pair, design_forward,
                           empirical_loss, euclidean_gradient, hessian_bilinear,
                           pair_coordinates, sample_design)
 
@@ -42,7 +43,15 @@ def random_instance(rng, d, k, n, loss_kind="gaussian"):
 def sbar_at(data, theta, loss):
     """Sbar at theta from one derivative pass, as ``FitResult.sbar`` holds it
     at a fit's estimate: the Taylor check's input at any other point."""
-    return data_route(data, loss).derivative_pass(theta)[1]
+    return StackRoute(data, loss).derivative_pass(theta)[1]
+
+
+def full_rows_route(data, loss):
+    """``StackRoute`` on all n rows of ``data``, also for the Gaussian loss,
+    which reads the p + 1 square-root rows otherwise: their oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dataset, "compressed", property(lambda data: data))
+        return StackRoute(data, loss)
 
 
 def fd_gradient(data, theta, loss, h=1e-6):

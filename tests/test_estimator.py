@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 import qsense as q
-import qsense.estimator as estimator
 import qsense.model as model
 from qsense.errors import DivergenceError, InitializationError
 from qsense.estimator import _radial_scale
 from qsense.harness import ExperimentConfig, make_truth, run_replications
-from qsense.model import (Dataset, MomentRoute, StackRoute, data_route,
-                         design_forward, empirical_loss, euclidean_gradient)
+from qsense.model import (Dataset, StackRoute, design_forward, empirical_loss,
+                          euclidean_gradient)
 
 from helpers import (dense_curvature, random_instance, random_orthogonal,
                      random_theta, rel_err, sbar_at)
 
 
 def _tau(data, loss, start):
-    route = data_route(data, loss)
+    route = StackRoute(data, loss)
     return _radial_scale(route, start, route.state(start))
 
 
@@ -64,12 +63,16 @@ def test_spectral_init_recovers_noiseless_truth_beyond_p_rows():
 @pytest.mark.parametrize("n", [15, 21])
 def test_spectral_matrix_is_smat_b_up_to_p_rows(n):
     # d = 6, p = 21: Sigma_hat is singular, and least squares would
-    # interpolate the targets
+    # interpolate the targets; the matrix is the backprojection smat(b),
+    # computed as for any other loss
     rng = np.random.default_rng(23)
     data = q.simulate(q.DataGeneratingProcess(
         theta_star=random_theta(rng, 6, 2), sigma=0.1, seed=24), n)
-    route = data_route(data, q.GaussianNLL(0.1))
-    assert np.array_equal(route.spectral(), model.smat(data.moments[1]))
+    route = StackRoute(data, q.GaussianNLL(0.1))
+    assert np.array_equal(route.spectral(),
+                          model.design_adjoint(data.U, data.y) / data.n)
+    assert rel_err(route.spectral(),
+                   model.smat(data.U.T @ data.y / data.n)) <= 1e-15
 
 
 def test_spectral_init_close_to_truth_at_scale():
@@ -216,7 +219,7 @@ def test_fit_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the moment route
+# the Gaussian loss on p + 1 square-root rows
 # ---------------------------------------------------------------------------
 
 def _criterion5_gaussian(sigma=0.1, n=8000):
@@ -227,8 +230,8 @@ def _criterion5_gaussian(sigma=0.1, n=8000):
 
 
 def _noiseless_minimum(warm):
-    # the quadratic form of the loss reads -4.4e-16 at the truth, this
-    # problem's minimum, where both starts stop without a step
+    # the truth is this problem's minimum, where both starts stop without a
+    # step
     rng = np.random.default_rng(14)
     theta = random_theta(rng, 4, 2)
     data = _noiseless(theta, 80, seed=15)
@@ -240,35 +243,36 @@ def _noiseless_minimum(warm):
     lambda: _noiseless_minimum(warm=False),
     lambda: _noiseless_minimum(warm=True),
     _criterion5_gaussian,
-    # the quadratic form cancels terms about |M*|^2 / sigma^2 times the loss
+    # the square-root rows' residuals cancel terms about |M*| / sigma times
+    # their own size
     lambda: _criterion5_gaussian(sigma=0.01),
 ], ids=["noiseless", "noiseless-warm-at-truth", "criterion-5-gaussian",
         "criterion-5-gaussian-sigma-0.01"])
 def test_reported_losses_are_true_values(problem):
     data, loss, cfg = problem()
-    assert isinstance(data_route(data, loss), MomentRoute)
+    assert StackRoute(data, loss).n == data.U.shape[1] + 1
     res = q.fit(data, loss, cfg)
     assert res.converged
     trace = res.loss_trace
     assert np.all(trace >= 0.0)
-    # accepted by its loss change, a step may raise the value by rounding
-    assert np.all(np.diff(trace) <= np.maximum(1e-12 * trace[:-1], 1e-14))
+    # a step is accepted on the loss values themselves
+    assert np.all(np.diff(trace) <= 0.0)
     true = empirical_loss(data, res.theta0, loss)
     assert abs(res.final_loss - true) <= max(1e-12 * true, 1e-14)
 
 
-def _fits_agree_on_both_routes(monkeypatch, data, loss, cfg):
-    assert isinstance(data_route(data, loss), MomentRoute)
-    # the routes start from different spectral matrices (least squares on
-    # the moments), so both descents take the moment route's start
+def _compressed_and_full_fits_agree(monkeypatch, data, loss, cfg):
+    # both descents take one start, the spectral one on the p + 1 rows
     cfg = replace(cfg, init=q.spectral_init(data, data.k, loss))
-    moments = q.fit(data, loss, cfg)
-    monkeypatch.setattr(estimator, "data_route", StackRoute)
-    stack = q.fit(data, loss, cfg)
-    assert moments.converged and stack.converged
-    assert moments.iterations == stack.iterations
-    assert (np.linalg.norm(moments.theta0 - stack.theta0)
-            <= 1e-10 * np.linalg.norm(stack.theta0))
+    compressed = q.fit(data, loss, cfg)
+    assert data.compressed is not data
+    monkeypatch.setattr(Dataset, "compressed", property(lambda data: data))
+    assert StackRoute(data, loss).n == data.n
+    full = q.fit(data, loss, cfg)
+    assert compressed.converged and full.converged
+    assert compressed.iterations == full.iterations
+    assert (np.linalg.norm(compressed.theta0 - full.theta0)
+            <= 1e-10 * np.linalg.norm(full.theta0))
 
 
 def test_row_blocked_and_dense_curvature_fits_agree(monkeypatch):
@@ -279,7 +283,6 @@ def test_row_blocked_and_dense_curvature_fits_agree(monkeypatch):
     theta_star = make_truth(cfg)
     data = q.simulate(cfg.make_dgp(theta_star, 1, 0), n)
     loss = cfg.make_loss()
-    assert isinstance(data_route(data, loss), StackRoute)
     blocked = q.fit(data, loss, cfg.fit_config(0))
     monkeypatch.setattr(StackRoute, "curvature", dense_curvature)
     dense = q.fit(data, loss, cfg.fit_config(0))
@@ -291,58 +294,58 @@ def test_row_blocked_and_dense_curvature_fits_agree(monkeypatch):
 
 
 def test_moment_and_stack_fits_agree(monkeypatch):
-    _fits_agree_on_both_routes(monkeypatch, *_criterion5_gaussian())
+    _compressed_and_full_fits_agree(monkeypatch, *_criterion5_gaussian())
 
 
 def test_moment_and_stack_fits_agree_below_4_d_squared(monkeypatch):
-    # n = 100 < 4 d^2 = 144: the Gaussian loss reads the moments at any n
-    _fits_agree_on_both_routes(monkeypatch, *_criterion5_gaussian(n=100))
+    # n = 100 < 4 d^2 = 144: library data of any size are compressed
+    _compressed_and_full_fits_agree(monkeypatch, *_criterion5_gaussian(n=100))
+
+
+def _count_compressions(monkeypatch):
+    """The datasets whose ``compressed`` is built as new rows, in order."""
+    compressed = []
+    original = Dataset.compressed.func
+
+    def counting(dataset):
+        result = original(dataset)
+        if result is not dataset:
+            compressed.append(dataset)
+        return result
+
+    prop = cached_property(counting)
+    prop.__set_name__(Dataset, "compressed")
+    monkeypatch.setattr(Dataset, "compressed", prop)
+    return compressed
 
 
 @pytest.mark.parametrize("loss, n, builds, draws", [
     ("logistic", 400, 0, 3),
-    # one sample short of 4 d^2 the harness simulates the n samples, from 4 d^2
-    # on it draws p + 1 rows; the Gaussian loss reads either through the
-    # moments, built once per replicate
+    # one sample short of 4 d^2 the harness simulates the n samples, which
+    # the Gaussian loss compresses once per replicate; from 4 d^2 on it
+    # draws p + 1 rows, read as they are
     ("gaussian", 4 * 36 - 1, 3, 3),
-    ("gaussian", 4 * 36, 3, 0),
+    ("gaussian", 4 * 36, 0, 0),
 ], ids=["logistic-400-0", "gaussian-143-0", "gaussian-144-0"])
 def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
                                                     builds, draws):
-    built, simulated = [], []
-    original = Dataset.moments.func
-
-    def counting(dataset):
-        built.append(dataset)
-        return original(dataset)
+    compressed, simulated = _count_compressions(monkeypatch), []
 
     def counting_simulate(dgp, size):
         simulated.append(size)
         return q.simulate(dgp, size)
 
-    prop = cached_property(counting)
-    prop.__set_name__(Dataset, "moments")
-    monkeypatch.setattr(Dataset, "moments", prop)
     monkeypatch.setattr(model, "simulate", counting_simulate)
     cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
                            replications=3, seed=5)
     records, _ = run_replications(cfg)
     assert not any(rec.diverged for rec in records)
-    assert len(built) == builds
+    assert len(compressed) == builds
     assert len(simulated) == draws
 
 
 def test_library_fit_builds_the_moments_once(monkeypatch):
-    built = []
-    original = Dataset.moments.func
-
-    def counting(dataset):
-        built.append(dataset)
-        return original(dataset)
-
-    prop = cached_property(counting)
-    prop.__set_name__(Dataset, "moments")
-    monkeypatch.setattr(Dataset, "moments", prop)
+    compressed = _count_compressions(monkeypatch)
     cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=4 * 36,
                            replications=1, seed=5)
     truth, loss = make_truth(cfg), cfg.make_loss()
@@ -351,7 +354,22 @@ def test_library_fit_builds_the_moments_once(monkeypatch):
     q.restricted_representation(data, truth, res.theta0,
                                 q.horizontal_basis(truth), loss)
     assert res.converged
-    assert built == [data]
+    assert compressed == [data]
+
+
+def test_tiny_noise_fits_stop_within_a_few_iterations():
+    # sigma = 1e-6: the decrease the Armijo test asks for soon falls below
+    # the loss's float resolution, where two null steps end the descent
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=1e-6, n=8000,
+                           replications=2, seed=2024)
+    records, _ = run_replications(cfg)
+    assert not any(rec.diverged for rec in records)
+    assert np.all(records.iterations <= 10)
+    data, loss, fit_cfg = _criterion5_gaussian(sigma=1e-6)
+    res = q.fit(data, loss, fit_cfg)
+    assert res.iterations <= 10
+    true = empirical_loss(data, res.theta0, loss)
+    assert abs(res.final_loss - true) <= 1e-10 * true
 
 
 @pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])

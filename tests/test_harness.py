@@ -771,6 +771,25 @@ def test_cli_reports_a_non_finite_population_curvature_as_numerical(
     assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
 
 
+@pytest.mark.parametrize("entry", [1e200, 1e3], ids=["1e200", "1e3"])
+def test_cli_reports_a_bounded_fourier_grid_beyond_its_cap_as_numerical(
+        tmp_path, capsys, entry):
+    # the bounded-design logistic H* takes 13 (a |vec M*|_1 + 40) / (2 pi)
+    # points: unboundedly many at 1e200, 3.6 million at 1e3, where each
+    # (points, d^2) array would take 0.26 GB; the count is checked before
+    # any array is built
+    cfg = _write_config(str(tmp_path), {
+        **_SMALL_NORMALITY, "design": "bounded", "loss": "logistic",
+        "truth": [[entry], [0], [0]]})
+    rc = cli_main(["verify-normality", "--config", cfg, "--threads", "1",
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "Fourier grid" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "report.json"))
+
+
 @pytest.mark.parametrize("spectrum", [
     # k = 1 reads only sigma_max, and an explicit truth reads neither
     {"k": 1, "sigma_min": 0},

@@ -14,17 +14,17 @@ import qsense.model as model
 from qsense.errors import ConfigurationError
 from qsense.inference import _restricted_terms
 from qsense.harness import ExperimentConfig, make_truth
-from qsense.model import (Dataset, LossModel, MomentRoute, StackRoute,
-                          _bounded_logistic_moments, _pair,
-                          _stein_moments, curvature_apply, data_route,
+from qsense.model import (Dataset, LossModel, StackRoute,
+                          _bounded_logistic_moments, _pair, _stein_moments,
                           design_adjoint, design_forward, draw_statistics,
                           pair_adjoint, pair_coordinates, population_curvature,
                           predictions, sample_design, smat, svec,
                           third_derivative_operator)
 
 from helpers import (dense_curvature, fd_gradient, fd_hessian_bilinear,
-                     fd_third, random_instance, random_orthogonal,
-                     random_theta, rel_err, sampled_curvature)
+                     fd_third, full_rows_route, random_instance,
+                     random_orthogonal, random_theta, rel_err,
+                     sampled_curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -407,51 +407,54 @@ def test_folded_bounded_design_has_unit_variance_and_its_bounds():
 
 
 # ---------------------------------------------------------------------------
-# data routes
+# the data route
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_stack_and_moment_routes_agree(seed):
+    # the Gaussian loss reads p + 1 square-root rows, whose moments are the
+    # n rows'; every operation on them matches the one on all n rows
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 6))
     k = int(rng.integers(1, min(d, 3) + 1))
     n = 4 * d * d + int(rng.integers(0, 600))
     data, theta, loss = random_instance(rng, d, k, n, "gaussian")
-    stack, moments = StackRoute(data, loss), MomentRoute(data, loss)
-    assert isinstance(data_route(data, loss), MomentRoute)
-    # the loss change: two values subtracted on the stack, a quadratic form
-    # in dm on the moments; the stack's own resolution is about eps f
+    root, rows = StackRoute(data, loss), full_rows_route(data, loss)
+    p = data.U.shape[1]
+    assert (root.n, rows.n) == (p + 1, n)
+    # the loss and its change: each side's own resolution is about eps f
     cand = theta + 0.3 * rng.standard_normal((d, k))
-    start = stack.at(theta)
-    change_x = stack.at(cand).f - start.f
-    change_m = moments.at(cand, base=moments.at(theta)).change
-    assert abs(change_m - change_x) <= 1e-10 * abs(change_x) + 1e-14 * start.f
-    assert moments.value(moments.at(theta)) == start.f
+    start, start_r = rows.at(theta), root.at(theta)
+    assert abs(start_r.f - start.f) <= 1e-12 * start.f
+    change_x = rows.at(cand).f - start.f
+    change_r = root.at(cand).f - start_r.f
+    assert abs(change_r - change_x) <= 1e-10 * abs(change_x) + 1e-14 * start.f
     # Sbar theta, the restricted curvature on a horizontal basis and H v
-    terms_x = stack.derivative_pass(theta)
-    terms_m = moments.derivative_pass(theta)
-    assert rel_err(terms_x[1] @ theta, terms_m[1] @ theta) <= 1e-10
+    terms_x = rows.derivative_pass(theta)
+    terms_r = root.derivative_pass(theta)
+    assert rel_err(terms_x[1] @ theta, terms_r[1] @ theta) <= 1e-10
     E = q.horizontal_basis(theta).elements
-    assert rel_err(_restricted_terms(stack, theta, E)[1],
-                   _restricted_terms(moments, theta, E)[1]) <= 1e-10
+    assert rel_err(_restricted_terms(rows, theta, E)[1],
+                   _restricted_terms(root, theta, E)[1]) <= 1e-10
     V = rng.standard_normal((d, k))
-    assert rel_err(curvature_apply(stack, theta, V, terms_x),
-                   curvature_apply(moments, theta, V, terms_m)) <= 1e-10
+    assert rel_err(rows.curvature_apply(theta, V, terms_x),
+                   root.curvature_apply(theta, V, terms_r)) <= 1e-10
     # the gradient at a perturbed point and the curvature, against the
     # oracles on the derived X
     far = theta + 0.1 * rng.standard_normal((d, k))
     assert rel_err(q.euclidean_gradient(data, far, loss),
-                   moments.derivative_pass(far)[1] @ far) <= 1e-10
+                   root.derivative_pass(far)[1] @ far) <= 1e-10
     assert rel_err(q.hessian_operator(data, theta, V, loss),
-                   curvature_apply(moments, theta, V, terms_m)) <= 1e-10
+                   root.curvature_apply(theta, V, terms_r)) <= 1e-10
     # and the starts: the spectral matrix, smat of the least-squares fit of
     # y on U, and the ray's derivatives
     m_hat = np.linalg.lstsq(data.U, data.y, rcond=None)[0]
-    assert rel_err(smat(m_hat), moments.spectral()) <= 1e-10
+    assert rel_err(smat(m_hat), root.spectral()) <= 1e-10
+    assert rel_err(smat(m_hat), rows.spectral()) <= 1e-10
     for tau in (0.5, 1.0, 2.0):
-        assert rel_err(stack.ray(theta, start.state, tau),
-                       moments.ray(theta, moments.state(theta), tau)) <= 1e-10
+        assert rel_err(rows.ray(theta, start.state, tau),
+                       root.ray(theta, start_r.state, tau)) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -466,29 +469,78 @@ def test_moment_spectral_is_the_minimum_norm_fit_on_a_rank_deficient_design(
     y = U @ rng.standard_normal(21) + 0.1 * rng.standard_normal(80)
     data = Dataset(U=U, y=y, k=2)
     m_hat = np.linalg.lstsq(U, y, rcond=None)[0]
-    assert rel_err(smat(m_hat),
-                   MomentRoute(data, q.GaussianNLL(0.1)).spectral()) <= 1e-10
+    route = StackRoute(data, q.GaussianNLL(0.1))
+    assert route.n == 80
+    assert rel_err(smat(m_hat), route.spectral()) <= 1e-10
+
+
+def test_compressed_rows_carry_the_moments_and_the_residual():
+    # the square-root form draw_statistics draws: c L^T above a zero row,
+    # the residual's square root as the last target
+    rng = np.random.default_rng(56)
+    theta = random_theta(rng, 4, 2)
+    data = q.simulate(_dgp(theta, sigma=0.3, seed=57), 300)
+    n, p = data.U.shape
+    root = data.compressed
+    assert data.compressed is root and root.compressed is root
+    assert root.U.shape == (p + 1, p) and root.k == data.k
+    assert not root.U[-1].any()
+    assert np.array_equal(root.U[:p], np.triu(root.U[:p]))
+    assert rel_err(root.U.T @ root.U / (p + 1),
+                   data.U.T @ data.U / n) <= 1e-14
+    assert rel_err(root.U.T @ root.y / (p + 1),
+                   data.U.T @ data.y / n) <= 1e-12
+    m_hat = np.linalg.lstsq(data.U, data.y, rcond=None)[0]
+    rss = float(np.sum((data.U @ m_hat - data.y) ** 2))
+    assert root.y[-1] == pytest.approx(math.sqrt((p + 1) / n * rss), rel=1e-10)
+    # p + 1 rows or fewer are read as they are
+    few = Dataset(U=data.U[:p + 1], y=data.y[:p + 1], k=2)
+    assert few.compressed is few
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_compression_keeps_the_rows_where_a_singular_gram_has_a_cholesky(
+        seed):
+    # 80 rows of rank p - 1 = 20: U^T U is singular, but its Cholesky
+    # factor exists with a pivot at rounding level (about 1e-8 of the
+    # largest); rows compressed from it would start the fit elsewhere than
+    # the minimum-norm least-squares fit
+    rng = np.random.default_rng([55, seed])
+    U = rng.standard_normal((80, 20)) @ rng.standard_normal((20, 21))
+    y = U @ rng.standard_normal(21) + 0.1 * rng.standard_normal(80)
+    L = np.linalg.cholesky(U.T @ U)
+    assert np.min(np.diag(L)) <= 1e-6 * np.max(np.diag(L))
+    data = Dataset(U=U, y=y, k=2)
+    assert data.compressed is data
+    route = StackRoute(data, q.GaussianNLL(0.1))
+    assert route.n == 80
+    m_hat = np.linalg.lstsq(U, y, rcond=None)[0]
+    assert rel_err(smat(m_hat), route.spectral()) <= 1e-10
 
 
 @pytest.mark.parametrize("loss_kind", ["gaussian", "logistic"])
 def test_stack_route_matches_the_oracles_on_the_derived_stack(loss_kind):
     rng = np.random.default_rng(50)
     data, theta, loss = random_instance(rng, 5, 2, 90, loss_kind)
-    stack = StackRoute(data, loss)
+    # on all n rows; the square-root rows are checked against these above
+    stack = full_rows_route(data, loss)
     X = data.X
     terms = stack.derivative_pass(theta)
     assert rel_err(terms[1] @ theta,
                    q.euclidean_gradient(data, theta, loss)) <= 1e-10
     V = rng.standard_normal(theta.shape)
-    assert rel_err(curvature_apply(stack, theta, V, terms),
+    assert rel_err(stack.curvature_apply(theta, V, terms),
                    q.hessian_operator(data, theta, V, loss)) <= 1e-10
     # the restricted curvature: <E_i, hess E_j> from the oracle
     E = q.horizontal_basis(theta).elements
     oracle = np.array([[q.hessian_bilinear(data, theta, Ei, Ej, loss)
                         for Ej in E] for Ei in E])
     assert rel_err(_restricted_terms(stack, theta, E)[1], oracle) <= 1e-10
-    assert rel_err(stack.spectral(),
-                   np.tensordot(data.y, X, axes=1) / data.n) <= 1e-10
+    # the backprojection, or for the Gaussian loss the least-squares fit
+    spectral = np.tensordot(data.y, X, axes=1) / data.n
+    if loss_kind == "gaussian":
+        spectral = smat(np.linalg.lstsq(data.U, data.y, rcond=None)[0])
+    assert rel_err(stack.spectral(), spectral) <= 1e-10
     assert rel_err(stack.state(theta),
                    np.einsum("nij,ij->n", X, theta @ theta.T)) <= 1e-10
 
@@ -501,11 +553,12 @@ _BLOCK = model._CURVATURE_ROWS
 @pytest.mark.parametrize("loss_kind", ["logistic", "gaussian"])
 def test_stack_curvature_matches_the_dense_build_across_row_blocks(loss_kind,
                                                                    n):
-    # the Gaussian loss takes the moment route in a fit; its stack route is
-    # built here directly
+    # the Gaussian loss reads p + 1 square-root rows in a fit; its route on
+    # all n rows is built here
     rng = np.random.default_rng([53, n])
     data, theta, loss = random_instance(rng, 6, 2, n, loss_kind)
-    stack = StackRoute(data, loss)
+    stack = full_rows_route(data, loss)
+    assert stack.n == n
     E = q.horizontal_basis(theta).elements
     d2 = stack.derivative_pass(theta)[0]
     assert rel_err(stack.curvature(theta, E, d2),
@@ -676,8 +729,9 @@ def test_simulate_rejects_nonpositive_n():
 # ---------------------------------------------------------------------------
 
 def test_anchored_loss_equals_the_empirical_loss():
-    # the (p + 1)-row square-root form of a simulated dataset, R of the QR
-    # of [U y], gives the n-sample loss as a row mean
+    # two (p + 1)-row square-root forms of a simulated dataset, R of the QR
+    # of [U y] and the Cholesky form the route reads, give the n-sample
+    # loss as a row mean
     rng = np.random.default_rng(30)
     theta = random_theta(rng, 4, 2)
     data = q.simulate(_dgp(theta, sigma=0.3, seed=31), 300)
@@ -686,11 +740,13 @@ def test_anchored_loss_equals_the_empirical_loss():
     R *= math.sqrt((p + 1) / data.n)
     root = Dataset(U=R[:, :p], y=R[:, p], k=2)
     loss = q.GaussianNLL(0.3)
-    route = MomentRoute(root, loss)
+    routes = (StackRoute(root, loss), StackRoute(data, loss))
+    assert [route.n for route in routes] == [p + 1, p + 1]
     for _ in range(20):
         at = theta + rng.standard_normal(theta.shape) * rng.choice([0.01, 1.0])
         true = q.empirical_loss(data, at, loss)
-        assert abs(route.value(route.at(at)) - true) <= 1e-12 * true
+        for route in routes:
+            assert abs(route.at(at).f - true) <= 1e-12 * true
 
 
 def test_drawn_statistics_satisfy_the_normal_equations():
@@ -706,7 +762,7 @@ def test_drawn_statistics_satisfy_the_normal_equations():
         assert np.array_equal(data.U[:p], np.triu(data.U[:p]))
         assert (data.y[-1] == 0.0) == (sigma == 0)
         # the top block's exact solve is the least-squares fit m_hat
-        gram, xy = data.moments
+        gram, xy = data.U.T @ data.U / data.n, data.U.T @ data.y / data.n
         m_hat = np.linalg.solve(data.U[:p], data.y[:p])
         assert np.linalg.norm(gram @ m_hat - xy) <= 1e-12 * np.linalg.norm(xy)
     again = draw_statistics(_dgp(theta, sigma=2.0, seed=33), 200)
@@ -740,12 +796,12 @@ def test_drawn_statistics_follow_the_documented_stream_order():
 
 def test_drawn_statistics_take_the_moment_route_below_its_ratio():
     # a drawn design is a dataset like any other: the Gaussian loss reads
-    # it through the moments, and the logistic loss rejects its targets
+    # its p + 1 rows as they are, and the logistic loss rejects its targets
     rng = np.random.default_rng(35)
     theta = random_theta(rng, 3, 2)
     data = draw_statistics(_dgp(theta, sigma=0.1, seed=36), 20)
     loss = q.GaussianNLL(0.1)
-    assert isinstance(data_route(data, loss), MomentRoute)
+    assert data.compressed is data
     assert q.fit(data, loss).converged
     with pytest.raises(ValueError, match="targets"):
         q.fit(data, q.Logistic())
@@ -772,8 +828,8 @@ def test_drawn_statistics_follow_the_wishart_and_chi_square_laws():
     draws = [draw_statistics(_dgp(theta, sigma=sigma, seed=(34, i)), n)
              for i in range(N)]
     upper = np.triu_indices(p)
-    gram = np.array([s.moments[0][upper] for s in draws])
-    xy = np.array([s.moments[1] for s in draws])
+    gram = np.array([(s.U.T @ s.U / s.n)[upper] for s in draws])
+    xy = np.array([s.U.T @ s.y / s.n for s in draws])
     resid = np.array([n / (p + 1) * s.y[-1] ** 2 for s in draws])
     diag = (upper[0] == upper[1]).astype(float)
     checks = [

@@ -36,11 +36,14 @@ definite (its Cholesky factorization succeeds); otherwise, or at a
 rank-deficient iterate with no horizontal basis, the direction is the
 negative gradient, and the result counts these steps.  Either direction
 is searched by Armijo backtracking from unit length on the loss values
-themselves, so the reported losses never rise.  Once the decrease the
-test asks for falls below the loss's float resolution, a step can pass it
-without descent; two such steps in a row end the descent, unconverged if
-the gradient is still above its tolerance (small noise scales, where the
-last Newton step would gain less than that resolution).
+themselves.  Near a minimizer the last Newton step lowers the loss by less
+than the rounding error of those values (``StackRoute.rounding``), so the
+test allows the two values' rounding errors: a step they cannot resolve is
+taken, and the reported loss may rise by at most that much.  After such a
+step the descent also stops, converged, once the gradient norm is within
+its own rounding error, which at small noise scales exceeds any useful
+tolerance (about 1e-4 at sigma = 1e-6 and criterion-5 scale); two steps in
+a row without descent end it unconverged.
 
 Building H takes a pass over the rows with one column per basis
 direction, in row blocks that fit a core's L2 cache
@@ -99,9 +102,10 @@ class FitConfig:
     """Optimizer settings.
 
     ``init`` is "spectral" or an explicit warm-start factor.  The descent
-    stops once the gradient norm is at most ``grad_tol`` or after
-    ``max_iters`` steps.  ``seed`` seeds the random start that replaces an
-    uninformative spectral one.
+    stops once the gradient norm is at most ``grad_tol`` (or its own
+    rounding error; module docstring) or after ``max_iters`` steps.
+    ``seed`` seeds the random start that replaces an uninformative
+    spectral one.
     """
 
     init: object = "spectral"
@@ -121,11 +125,12 @@ class FitResult(JsonFields):
     """The minimizer and how the descent got there.
 
     ``loss_trace`` holds the empirical loss at the start and after each
-    accepted step, non-increasing, computed as ``empirical_loss`` computes
-    it up to rounding (on the p + 1 square-root rows for the Gaussian
-    loss).  ``sbar`` is Sbar at theta0, from the fit's last derivative
-    pass; it depends on theta0 only through theta0 theta0^T, so it is also
-    Sbar at every rotation theta0 Q.
+    accepted step, computed as ``empirical_loss`` computes it up to
+    rounding (on the p + 1 square-root rows for the Gaussian loss); a step
+    below the loss's rounding error may raise it by that error.  ``sbar``
+    is Sbar at theta0, from the fit's last derivative pass; it depends on
+    theta0 only through theta0 theta0^T, so it is also Sbar at every
+    rotation theta0 Q.
     """
 
     theta0: np.ndarray
@@ -263,7 +268,9 @@ def fit(dataset, loss, config=None):
                 np.random.SeedSequence((config.seed, 0xFA11)))
             theta = rng.standard_normal((d, dataset.k))
         state = route.state(theta)
-        tau = _radial_scale(route, theta, state)
+        # a non-finite slope or curvature leaves the start as it is
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = _radial_scale(route, theta, state)
         if tau is not None:
             theta, state = theta * np.sqrt(tau), tau * state
         point = route.at(theta, state)
@@ -281,6 +288,7 @@ def fit(dataset, loss, config=None):
     iterations = 0
     gradient_steps = 0
     null_steps = 0
+    unresolved = False
     factor, uses = None, 0
     for _ in range(config.max_iters):
         theta = point.theta
@@ -290,6 +298,12 @@ def fit(dataset, loss, config=None):
         if grad_norm <= config.grad_tol:
             converged = True
             break
+        # once a step's descent is below the loss's rounding, the gradient
+        # may be at its own: no step can then lower it further
+        errors = route.rounding(point) if unresolved else None
+        if errors is not None and grad_norm <= errors[1]:
+            converged = True
+            break
         if (factor is None or uses >= _REUSE_STEPS
                 or grad_norm > _CONTRACTION * prev_norm):
             factor, uses = _newton_factor(route, theta, terms), 0
@@ -297,16 +311,20 @@ def fit(dataset, loss, config=None):
         step = 1.0
         while step >= _STEP_FLOOR:
             cand = route.at(theta + step * D)
-            if cand.f <= point.f - _ARMIJO * step * rate:
+            excess = cand.f - (point.f - _ARMIJO * step * rate)
+            if not excess <= 0.0 and errors is None:
+                errors = route.rounding(point)
+            # each of the two loss values carries a rounding error of df
+            if excess <= 0.0 or excess <= 2.0 * errors[0]:
                 break
             step *= _SHRINK
         else:
             break
+        unresolved = excess > 0.0
         if cand.f < point.f:
             null_steps = 0
         else:
-            # the Armijo decrease rounded below the loss's float resolution:
-            # the step was accepted without representable descent
+            # taken within the loss's rounding error without lowering it
             null_steps += 1
             if null_steps >= 2:
                 break

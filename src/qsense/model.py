@@ -309,26 +309,32 @@ class Dataset:
         the rows are c [L^T; 0] and the targets c [L^T m_hat; sqrt RSS]:
         the form ``draw_statistics`` draws, with the n rows' means of u u^T,
         u y and (u^T m - y)^2 for every m.  The dataset itself when it has
-        at most p + 1 rows or U^T U is rank deficient by the solve's rank (a
-        Cholesky factor can exist there, with pivots at rounding level).
+        at most p + 1 rows, U^T U is rank deficient by the solve's rank (a
+        Cholesky factor can exist there, with pivots at rounding level), or
+        a sum overflows.
         Built on first use, then kept.
         """
         n, p = self.U.shape
         if n <= p + 1:
             return self
-        gram = self.U.T @ self.U
-        m_hat, rank = _least_squares(gram, self.U.T @ self.y)
-        if rank < p:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram, xy = self.U.T @ self.U, self.U.T @ self.y
+            if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xy))):
+                return self
+            m_hat, rank = _least_squares(gram, xy)
+            if rank < p:
+                return self
+            try:
+                L = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                return self
+            r = self.U @ m_hat - self.y
+            c = math.sqrt((p + 1) / n)
+            y = c * np.append(L.T @ m_hat, math.sqrt(float(r @ r)))
+        if not np.all(np.isfinite(y)):
             return self
-        try:
-            L = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return self
-        r = self.U @ m_hat - self.y
-        c = math.sqrt((p + 1) / n)
         U = np.zeros((p + 1, p))
         U[:p] = c * L.T
-        y = c * np.append(L.T @ m_hat, math.sqrt(float(r @ r)))
         return Dataset(U=U, y=y, k=self.k)
 
     def to_json(self):
@@ -425,9 +431,10 @@ _CURVATURE_ROWS = 2048
 
 def _least_squares(A, b):
     """(x, rank): the minimum-norm least-squares solution of A x = b, by
-    LAPACK gelsy with numpy's rank cut, p eps for A with p columns."""
+    LAPACK gelsy with numpy's rank cut, p eps for A with p columns.  A and
+    b must be finite."""
     x, _, rank, _ = lstsq(A, b, cond=A.shape[1] * np.finfo(float).eps,
-                          lapack_driver="gelsy")
+                          lapack_driver="gelsy", check_finite=False)
     return x, rank
 
 
@@ -464,14 +471,23 @@ class StackRoute:
         smat(m_hat): the best rank-k part (Eckart and Young, Psychometrika
         1936) misses the minimizer by O(|Sigma_hat - I| dist(m_hat, rank k)),
         where the backprojection smat(Sigma_hat m_hat) misses it by
-        O(|Sigma_hat - I| |M|).  A rank-deficient U gives the minimum-norm
+        O(|Sigma_hat - I| |M|).  On the square-root rows [R; 0] of
+        ``Dataset.compressed`` and ``draw_statistics``, R invertible, m_hat
+        is one square solve; a rank-deficient U gives the minimum-norm
         m_hat.  With at most p rows every least-squares m_hat interpolates
         the targets, a start that can lead the descent to another
         minimizer; there the matrix is the backprojection.
         """
-        if isinstance(self.loss, GaussianNLL) and self.n > self.U.shape[1]:
-            return smat(_least_squares(self.U, self.y)[0])
-        return design_adjoint(self.U, self.y) / self.n
+        p = self.U.shape[1]
+        if not (isinstance(self.loss, GaussianNLL) and self.n > p):
+            return design_adjoint(self.U, self.y) / self.n
+        if self.n == p + 1 and not self.U[p].any():
+            # square-root rows [R; 0]: m_hat solves R m = y[:p]
+            try:
+                return smat(np.linalg.solve(self.U[:p], self.y[:p]))
+            except np.linalg.LinAlgError:
+                pass
+        return smat(_least_squares(self.U, self.y)[0])
 
     def state(self, theta):
         return design_forward(self.U, theta @ theta.T)
@@ -482,6 +498,28 @@ class StackRoute:
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.state(theta) if state is None else state
             return Iterate(theta, z, float(np.mean(self.loss.value(z, self.y))))
+
+    def rounding(self, point):
+        """(df, dG): first-order rounding errors of ``point.f`` and of G.
+
+        z_i = u_i^T m, m = svec(theta theta^T), is computed with an error
+        of about eps a_i, a = |U| |m|, which moves ell(z_i, y_i) by
+        |ell'| eps a_i and ell'(z_i, y_i) by ell'' eps a_i; evaluating ell
+        and ell' adds about eps |ell| and eps |ell'|.  Averaged as the
+        loss, and summed as G = pair_adjoint(U, ell') theta / n, these are
+        df and a bound dG on |G|'s error.
+        """
+        theta = point.theta
+        absU = np.abs(self.U)
+        a = absU @ np.abs(svec(theta @ theta.T))
+        eps = np.finfo(float).eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d2 = self.loss.d1_d2(point.state, self.y)
+            ell = np.abs(self.loss.value(point.state, self.y))
+            df = eps * float(np.mean(np.abs(d1) * a + ell))
+            w = eps * (np.abs(d2) * a + np.abs(d1))
+            dG = 2.0 * float(np.linalg.norm(absU.T @ w) * np.linalg.norm(theta))
+        return df, dG / self.n
 
     def ray(self, theta, state, tau):
         """(f'(tau), f''(tau)) for f(tau) the loss at theta sqrt(tau)."""

@@ -498,6 +498,30 @@ def test_compressed_rows_carry_the_moments_and_the_residual():
     assert few.compressed is few
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="no extended precision to compare with")
+@pytest.mark.parametrize("sigma", [0.01, 1e-6])
+def test_rounding_bounds_the_loss_and_gradient_errors(sigma):
+    # at a fitted factor, where the last steps are judged by these errors:
+    # the same sums in extended precision, from the same rows and m
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma, n=8000,
+                           replications=1, seed=2024)
+    data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
+    loss = cfg.make_loss()
+    route = StackRoute(data, loss)
+    theta = q.fit(data, loss, cfg.fit_config(0)).theta0
+    point = route.at(theta)
+    df, dG = route.rounding(point)
+    U, y = route.U.astype(np.longdouble), route.y.astype(np.longdouble)
+    m = model.svec(theta @ theta.T).astype(np.longdouble)
+    d1 = (U @ m - y) * np.longdouble(loss._inv_var)
+    f = np.mean((U @ m - y) * d1) / 2
+    G = 2 * model.smat(U.T @ d1) @ theta.astype(np.longdouble) / len(y)
+    G64 = route.derivative_pass(theta, point.state)[1] @ theta
+    assert abs(float(f - np.longdouble(point.f))) <= df
+    assert float(np.linalg.norm((G64 - G).astype(float))) <= dG
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_compression_keeps_the_rows_where_a_singular_gram_has_a_cholesky(
         seed):

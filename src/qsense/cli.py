@@ -25,7 +25,8 @@ from .model import Dataset, ProblemConstants, simulate
 # caught before ValueError, of which LinAlgError is a subclass
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
                      OutOfInjectivityError, InitializationError,
-                     DegenerateFactorError, np.linalg.LinAlgError)
+                     DegenerateFactorError, np.linalg.LinAlgError,
+                     FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +216,8 @@ def cli_main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"qsense: numerical abort: {exc}\n")
         return 2

@@ -3,9 +3,9 @@
 Every replicate draws its own RNG stream from (seed, tag, index), so results
 are bit-identical for a fixed seed regardless of how many workers execute
 them.  Under the Gaussian loss, noise and design (``gaussian`` or
-``symmetric``, which draw the same half-vectorized design) with
-n >= 4 d^2, a replicate draws a ``Dataset`` of p + 1 rows whose moments
-and least-squares residual are those of n measurements
+``symmetric``, which draw the same half-vectorized design) with n > p,
+p = d (d + 1) / 2, a replicate draws a ``Dataset`` of p + 1 rows whose
+moments and least-squares residual are those of n measurements
 (``model.draw_statistics``); everywhere else it draws the n measurements
 (``model.simulate``), which the Gaussian loss compresses to such p + 1
 rows when the fit first reads them (``model.Dataset.compressed``).  A
@@ -83,10 +83,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown loss {self.loss!r}")
         if not (0.0 < self.alpha < 1.0) or not (0.0 < self.delta < 1.0):
             raise ConfigurationError("alpha and delta must lie in (0, 1)")
-        if self.n_grid is not None:
-            grid = list(self.n_grid)
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigurationError("n_grid must be strictly increasing")
+        grid = list(self.n_grid or ())
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigurationError("n_grid must be strictly increasing")
         # below the quotient's dimension theta theta^T is not identified
         dim = geometry.horizontal_dim(self.d, self.k)
         for n in [self.n, *(self.n_grid or ())]:
@@ -94,14 +93,15 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
-        if self.loss == "gaussian":
-            try:
+        try:
+            if self.loss == "gaussian":
                 GaussianNLL(self.sigma)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
+            self.fit_config(0).validate()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
         for key, least in (("replications", 1), ("threads", 1), ("seed", 0),
-                           ("n_mc", 2)):
-            if getattr(self, key) < least:
+                           ("n_mc", 2), ("noise_sigma", 0)):
+            if (getattr(self, key) or 0) < least:  # noise_sigma may be None
                 raise ConfigurationError(f"{key} must be >= {least}")
         if self.truth is None:
             # the random truth's singular values run from sigma_max down to
@@ -353,16 +353,10 @@ class ReplicationRecords:
 
 
 def simulate(dgp, n, loss):
-    """One replicate's data: the drawn (p + 1)-row design or the n samples.
-
-    ``model.draw_statistics`` for the Gaussian loss, noise and design
-    (``gaussian`` or ``symmetric``), the law that draw follows, with
-    n >= 4 d^2; ``model.simulate`` otherwise.  The fit reads either the
-    same way; the 4 d^2 rule only picks which way a replicate draws, and so
-    which stream it reads.
-    """
+    """One replicate's data: ``model.draw_statistics`` under the Gaussian
+    loss, noise and design at n > d (d + 1) / 2, else ``model.simulate``."""
     if (dgp.design != "bounded" and dgp.noise == "gaussian"
-            and isinstance(loss, GaussianNLL) and n >= 4 * dgp.d ** 2):
+            and isinstance(loss, GaussianNLL) and n > dgp.d * (dgp.d + 1) // 2):
         return model.draw_statistics(dgp, n)
     return model.simulate(dgp, n)
 
@@ -663,10 +657,11 @@ def rate_experiment(config):
         q25.append(float(np.percentile(dist, 25)))
         q75.append(float(np.percentile(dist, 75)))
     medians = np.array(medians)
+    # floor-limited medians are rounding noise (or exactly 0): no rate to fit
+    resolution = 1024 * np.finfo(float).eps * np.linalg.norm(theta_star)
     floor = (config.resolved_noise() == "gaussian"
              and config.resolved_noise_sigma() == 0.0) \
-        or bool(np.all(medians < 1e-6))
-    # floor-limited medians are rounding noise (or exactly 0): no rate to fit
+        or bool(np.all(medians <= resolution))
     slope = intercept = None
     if not floor:
         slope, intercept = map(float, np.polyfit(np.log(grid),

@@ -304,15 +304,11 @@ class Dataset:
     def compressed(self):
         """p + 1 square-root rows that the Gaussian loss reads as these n.
 
-        With m_hat the least-squares solution of U^T U m = U^T y,
-        L = chol(U^T U), RSS = |U m_hat - y|^2 and c = sqrt((p + 1) / n),
-        the rows are c [L^T; 0] and the targets c [L^T m_hat; sqrt RSS]:
-        the form ``draw_statistics`` draws, with the n rows' means of u u^T,
-        u y and (u^T m - y)^2 for every m.  The dataset itself when it has
-        at most p + 1 rows, U^T U is rank deficient by the solve's rank (a
-        Cholesky factor can exist there, with pivots at rounding level), or
-        a sum overflows.
-        Built on first use, then kept.
+        The form ``draw_statistics`` draws (``_square_root_rows``), with
+        L = chol(U^T U) and m_hat the least-squares fit of y on U.  The
+        dataset itself when it has at most p + 1 rows, U^T U is rank
+        deficient by the solve's rank (a Cholesky factor can exist there,
+        with pivots at rounding level), or a sum overflows.
         """
         n, p = self.U.shape
         if n <= p + 1:
@@ -329,13 +325,10 @@ class Dataset:
             except np.linalg.LinAlgError:
                 return self
             r = self.U @ m_hat - self.y
-            c = math.sqrt((p + 1) / n)
-            y = c * np.append(L.T @ m_hat, math.sqrt(float(r @ r)))
-        if not np.all(np.isfinite(y)):
+            top, tail = L.T @ m_hat, math.sqrt(float(r @ r))
+        if not (math.isfinite(tail) and np.all(np.isfinite(top))):
             return self
-        U = np.zeros((p + 1, p))
-        U[:p] = c * L.T
-        return Dataset(U=U, y=y, k=self.k)
+        return _square_root_rows(L, top, tail, n, self.k)
 
     def to_json(self):
         return json.dumps({
@@ -761,16 +754,8 @@ def draw_statistics(dgp, n):
         |y - U m_hat|^2 = s^2 chi^2_{n-p}, independent of both,
 
     for m_hat the least-squares fit.  The result is their square-root
-    form: with c = sqrt((p + 1) / n), the p + 1 rows of U are c [L^T; 0]
-    and y is c [L^T m* + s xi; s sqrt(chi^2_{n-p})].  Its row means are
-    those of the n samples, U^T U / (p + 1) = Sigma_hat,
-    U^T y / (p + 1) = b and, for every m,
-
-        mean (U m - y)^2 = (m - m_hat)^T Sigma_hat (m - m_hat)
-                           + |y - U m_hat|^2 / n,
-
-    so the Gaussian loss at any factor, its derivatives and its curvature
-    are the n-sample ones.
+    form (``_square_root_rows``), with top L^T m* + s xi and tail
+    s sqrt(chi^2_{n-p}).
 
     The stream is drawn in that order: the p diagonal chi^2, the
     p (p - 1) / 2 entries below it row by row, xi, the residual's chi^2.
@@ -787,13 +772,31 @@ def draw_statistics(dgp, n):
     L[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     xi = rng.standard_normal(p)
     chi2 = float(rng.chisquare(n - p))
-    c = math.sqrt((p + 1) / n)
     m_star = svec(dgp.theta_star @ dgp.theta_star.T)
+    return _square_root_rows(L, L.T @ m_star + dgp.sigma * xi,
+                             dgp.sigma * math.sqrt(chi2), n, dgp.k)
+
+
+def _square_root_rows(L, top, tail, n, k):
+    """The rows c [L^T; 0] and targets c [top; tail], c = sqrt((p + 1) / n).
+
+    The square-root form of n samples (U, y) with U^T U = n Sigma_hat =
+    L L^T, L lower triangular, least-squares fit m_hat, top = L^T m_hat and
+    tail = |y - U m_hat|.  Its row means are those of the n samples,
+    U^T U / (p + 1) = Sigma_hat, U^T y / (p + 1) = b and, for every m,
+
+        mean (U m - y)^2 = (m - m_hat)^T Sigma_hat (m - m_hat)
+                           + |y - U m_hat|^2 / n,
+
+    so the Gaussian loss at any factor, its derivatives and its curvature
+    are the n-sample ones.
+    """
+    p = L.shape[0]
+    c = math.sqrt((p + 1) / n)
+    y = c * np.append(top, tail)
     U = np.zeros((p + 1, p))
     U[:p] = c * L.T
-    y = c * np.append(L.T @ m_star + dgp.sigma * xi,
-                      dgp.sigma * math.sqrt(chi2))
-    return Dataset(U=U, y=y, k=dgp.k)
+    return Dataset(U=U, y=y, k=k)
 
 
 def _stein_moments(loss, s):

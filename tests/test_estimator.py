@@ -298,7 +298,7 @@ def test_moment_and_stack_fits_agree(monkeypatch):
 
 
 def test_moment_and_stack_fits_agree_below_4_d_squared(monkeypatch):
-    # n = 100 < 4 d^2 = 144: library data of any size are compressed
+    # n = 100: library data of any size above p + 1 rows are compressed
     _compressed_and_full_fits_agree(monkeypatch, *_criterion5_gaussian(n=100))
 
 
@@ -319,16 +319,17 @@ def _count_compressions(monkeypatch):
     return compressed
 
 
-@pytest.mark.parametrize("loss, n, builds, draws", [
-    ("logistic", 400, 0, 3),
-    # one sample short of 4 d^2 the harness simulates the n samples, which
-    # the Gaussian loss compresses once per replicate; from 4 d^2 on it
-    # draws p + 1 rows, read as they are
-    ("gaussian", 4 * 36 - 1, 3, 3),
-    ("gaussian", 4 * 36, 0, 0),
-], ids=["logistic-400-0", "gaussian-143-0", "gaussian-144-0"])
-def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
-                                                    builds, draws):
+@pytest.mark.parametrize("loss, design, n, builds, draws", [
+    ("logistic", "gaussian", 400, 0, 3),
+    # at n = p = 21 the harness simulates the n samples, read as they are;
+    # from p + 1 on it draws p + 1 rows; the bounded design is simulated at
+    # every n, and the Gaussian loss compresses it once per replicate
+    ("gaussian", "gaussian", 21, 0, 3),
+    ("gaussian", "gaussian", 22, 0, 0),
+    ("gaussian", "bounded", 100, 3, 3),
+], ids=["logistic-400-0", "gaussian-p", "gaussian-p+1", "bounded-gaussian"])
+def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, design,
+                                                    n, builds, draws):
     compressed, simulated = _count_compressions(monkeypatch), []
 
     def counting_simulate(dgp, size):
@@ -336,12 +337,22 @@ def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, n,
         return q.simulate(dgp, size)
 
     monkeypatch.setattr(model, "simulate", counting_simulate)
-    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
-                           replications=3, seed=5)
+    cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, design=design,
+                           n=n, replications=3, seed=5)
     records, _ = run_replications(cfg)
     assert not any(rec.diverged for rec in records)
     assert len(compressed) == builds
     assert len(simulated) == draws
+
+
+def test_drawn_fit_at_one_sample_beyond_p_converges():
+    # n = p + 1: the residual row is sigma sqrt(chi^2) with one degree of
+    # freedom
+    cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=22,
+                           replications=1, seed=2024)
+    data = model.draw_statistics(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
+    assert data.U.shape == (22, 21) and data.y[-1] > 0.0
+    assert q.fit(data, cfg.make_loss(), cfg.fit_config(0)).converged
 
 
 def test_library_fit_builds_the_moments_once(monkeypatch):

@@ -9,7 +9,7 @@ import qsense as q
 from qsense.errors import DegenerateFactorError, OutOfInjectivityError
 from qsense.geometry import GS_DROP_TOL, check_within_radius, newton_basis
 
-from helpers import random_orthogonal, random_theta
+from helpers import random_orthogonal, random_theta, sbar_at
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +484,47 @@ def test_injectivity_radius_scales_linearly(scale, seed):
     theta = random_theta(np.random.default_rng(seed), 4, 2)
     assert q.injectivity_radius(scale * theta) == pytest.approx(
         scale * q.injectivity_radius(theta), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 5),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_out_of_injectivity_is_raised_exactly_from_the_radius_outward(
+        seed, d, side):
+    # theta0 = theta + t u w^T with u orthogonal to the columns of theta:
+    # theta0^T theta = theta^T theta, so the aligning rotation is the
+    # identity and the aligned distance is t, on either side of the radius
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, d))
+    theta = random_theta(rng, d, k)
+    radius = q.injectivity_radius(theta)
+    u = np.linalg.qr(np.column_stack([theta, rng.standard_normal(d)]))[0][:, -1]
+    w = rng.standard_normal(k)
+    t = (1.0 + side * 1e-6) * radius
+    theta0 = theta + t * np.outer(u, w / np.linalg.norm(w))
+    al = q.align(theta0, theta)
+    assert al.distance == pytest.approx(t, rel=1e-12)
+    assert np.allclose(al.aligned, theta0, rtol=0.0, atol=1e-12)
+    n, p = 40, d * (d + 1) // 2
+    data = q.Dataset(U=rng.standard_normal((n, p)),
+                     y=rng.standard_normal(n), k=k)
+    loss = q.GaussianNLL(1.0)
+    rep = q.restricted_representation(data, theta, theta0,
+                                      q.horizontal_basis(theta), loss)
+    assert rep.distance == al.distance
+    checks = [lambda: check_within_radius(theta, al.distance),
+              lambda: q.taylor_residual_check(rep, sbar_at(data, theta0,
+                                                           loss))]
+    for check in checks:
+        if side > 0:
+            with pytest.raises(OutOfInjectivityError):
+                check()
+        else:
+            check()
+    # the radius itself is outside, its float predecessor inside
+    with pytest.raises(OutOfInjectivityError):
+        check_within_radius(theta, radius)
+    check_within_radius(theta, np.nextafter(radius, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -7,10 +9,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsense as q
 from qsense.cli import cli_main
@@ -422,6 +427,16 @@ def test_rate_floor_limited_flag_when_noiseless():
     json.dumps(rep.to_json_dict(), allow_nan=False)
 
 
+def test_rate_fits_a_slope_at_small_noise():
+    # medians of 1.2e-7 down to 2.4e-8 lie far above rounding, which puts
+    # the noiseless medians near 2e-16 at this truth
+    cfg = _config(d=3, k=1, n=None, noise_sigma=1e-6,
+                  n_grid=[64, 128, 256, 512, 1024], replications=20)
+    rep = rate_experiment(cfg)
+    assert not rep.floor_limited
+    assert -0.75 <= rep.slope <= -0.3
+
+
 def test_newton_fit_takes_few_iterations_on_criterion_5_gaussian():
     cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
                            replications=20, seed=2024)
@@ -586,6 +601,120 @@ def test_cli_rejects_nonpositive_worker_counts_in_one_line(
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and "threads must be >= 1" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("noise_sigma", -0.1, "noise_sigma must be >= 0"),
+    ("grad_tol", 0, "grad_tol must be positive"),
+    ("max_iters", 0, "max_iters must be >= 1"),
+])
+def test_cli_rejects_bad_noise_and_fit_settings_before_any_work(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    def no_context(*args, **kwargs):
+        raise AssertionError("the experiment set-up ran")
+    monkeypatch.setattr("qsense.harness.build_context", no_context)
+    cfg = _write_config(str(tmp_path), {"d": 2, "k": 1, "n": 60,
+                                        "replications": 3, key: value})
+    rc = cli_main(["verify-normality", "--config", cfg,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and message in err
+
+
+# Generated experiment configs: a small valid config, varied within the
+# valid values, then at most one key set to a bad or extreme value.  Every
+# size stays small (d <= 4, n <= 200, R <= 4) and the runs are serial:
+# threads is 1 and never generated.
+_VALID_VALUES = {
+    "loss": ["gaussian", "logistic"],
+    "sigma": [0.1, 1.0],
+    "design": ["gaussian", "symmetric", "bounded"],
+    "noise": [None, "gaussian", "bernoulli"],
+    "noise_sigma": [None, 0.0, 1e-6, 0.5],
+    "sigma_min": [0.8, 1e-12],
+    "grad_tol": [1e-6, 1e-12],
+    "debug_include_vertical": [False, True],
+}
+_BAD_VALUES = {
+    "d": [0, 5.5, "four"], "k": [0, 5], "loss": ["poisson", 1],
+    "sigma": [0.0, -1.0, 1e-300, 1e300, "x"], "design": ["cubic"],
+    "noise": ["cauchy"], "noise_sigma": [-0.1, 1e300],
+    # a truth scale, set on the diagonal of a d x k factor
+    "truth": [0.0, 1e3, 1e200, "x"],
+    "sigma_min": [0.0, -1.0, 2.0], "sigma_max": [0.0, 1e200],
+    "n": [0, 2.5, None], "n_grid": [None, [8, 16, 32, 64], [64, 32, 16, 4]],
+    "replications": [0, 1], "alpha": [0.0, 1.0], "delta": [0.0, 2.0],
+    "seed": [-1], "grad_tol": [0.0, -1.0], "max_iters": [0], "n_mc": [1],
+}
+
+
+@st.composite
+def _generated_configs(draw):
+    d = draw(st.integers(1, 4))
+    config = {"d": d, "k": draw(st.integers(1, d)),
+              "n": draw(st.integers(1, 200)),
+              "n_grid": draw(st.sampled_from([[4, 8, 32, 64],
+                                              [12, 24, 96, 192]])),
+              "replications": draw(st.integers(2, 4)),
+              "seed": draw(st.integers(0, 3)), "threads": 1,
+              # every fit is cut short, so no generated run takes long
+              "max_iters": draw(st.sampled_from([1, 5, 200])), "n_mc": 200}
+    config.update(draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values)
+        for key, values in _VALID_VALUES.items()})))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        config[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+        if key == "truth" and config[key] != "x":
+            config[key] = (config[key] * np.eye(d, config["k"])).tolist()
+    return config
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of ``cli_main(argv)``, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_error_contract(rc, err):
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc != 0:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["verify-normality", "rate-sweep", "fit",
+                                "check-assumptions", "invariance-audit"]),
+       config=_generated_configs(),
+       dataset=st.sampled_from([None, "overflow", "nan", "text", "empty"]))
+def test_cli_keeps_its_error_contract_on_generated_configs(command, config,
+                                                           dataset):
+    with tempfile.TemporaryDirectory() as out:
+        path = _write_config(out, config)
+        common = ["--config", path, "--out-dir", out]
+        if command == "fit":
+            # the dataset comes from the same config, corrupted or not
+            rc, err = _run_cli(["simulate", *common])
+            _assert_error_contract(rc, err)
+            if rc != 0:
+                return
+            data = os.path.join(out, "dataset.json")
+            obj = _read_json(data)
+            for sample in obj["samples"]:
+                sample["y"] = {"overflow": sample["y"] * 1e200,
+                               "nan": math.nan,
+                               "text": "y"}.get(dataset, sample["y"])
+            if dataset == "empty":
+                obj["samples"] = []
+            with open(data, "w") as fh:
+                json.dump(obj, fh)
+            common += ["--dataset", data]
+        _assert_error_contract(*_run_cli([command, *common]))
 
 
 def test_cli_fit_rejects_config_of_another_shape(tmp_path, capsys):

@@ -169,9 +169,9 @@ def _cmd_invariance_audit(args):
     worst = 0.0
     per_object = {}
     for _ in range(config.replications):
-        U, _r = np.linalg.qr(rng.standard_normal((config.k, config.k)))
-        audit = inference.invariance_audit(theta_star, U, (data.X[0], data.y[0]),
-                                           loss, basis=basis)
+        rotation, _r = np.linalg.qr(rng.standard_normal((config.k, config.k)))
+        audit = inference.invariance_audit(
+            theta_star, rotation, (data.X[0], data.y[0]), loss, basis=basis)
         worst = max(worst, audit.max_discrepancy)
         for key, val in audit.discrepancies.items():
             per_object[key] = max(per_object.get(key, 0.0), val)

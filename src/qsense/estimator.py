@@ -26,37 +26,36 @@ by the factor E[ell''(z*)] for losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
 iterate one derivative pass gives ell'' and Sbar (pair_adjoint(U, ell') / n
-on the rows read); Sbar theta is the gradient the stop rule reads, and the
-same two give the loss's gradient and curvature in an orthonormal basis E
-of the horizontal space of R^(d x k) / O(k), where the curvature is
-invertible at a nondegenerate minimizer.  The Newton step -H^(-1) g is
-taken back to a d x k direction.  Newton steps alone are drawn to saddle
-points as well as minimizers, so the step is used only when H is positive
-definite (its Cholesky factorization succeeds); otherwise, or at a
-rank-deficient iterate with no horizontal basis, the direction is the
-negative gradient, and the result counts these steps.  Either direction
-is searched by Armijo backtracking from unit length on the loss values
-themselves.  Near a minimizer the last Newton step lowers the loss by less
-than the rounding error of those values (``StackRoute.rounding``), so the
-test allows the two values' rounding errors: a step they cannot resolve is
-taken, and the reported loss may rise by at most that much.  After such a
-step the descent also stops, converged, once the gradient norm is within
-its own rounding error, which at small noise scales exceeds any useful
-tolerance (about 1e-4 at sigma = 1e-6 and criterion-5 scale); two steps in
-a row without descent end it unconverged.
+on the rows read); G = Sbar theta is the gradient the stop rule reads.  In
+an orthonormal basis E of the horizontal space of R^(d x k) / O(k), where
+the curvature is invertible at a nondegenerate minimizer, the loss's
+gradient is g_j = <G, E_j> and its curvature H is ``StackRoute.curvature``
+from the same pass.  The Newton step -H^(-1) g is taken back to a d x k
+direction.  Newton steps alone are drawn to saddle points as well as
+minimizers, so the step is used only when H is positive definite (its
+Cholesky factorization succeeds); otherwise, or at a rank-deficient
+iterate with no horizontal basis, the direction is the negative gradient,
+and the result counts these steps.  Either direction is searched by Armijo
+backtracking from unit length on the loss values themselves.  Near a
+minimizer the last Newton step lowers the loss by less than the rounding
+error of those values (``StackRoute.rounding``), so the test allows the
+two values' rounding errors: a step they cannot resolve is taken, and the
+reported loss may rise by at most that much.  After such a step the
+descent also stops, converged, once the gradient norm is within its own
+rounding error, which at small noise scales exceeds any useful tolerance
+(about 1e-4 at sigma = 1e-6 and criterion-5 scale); two steps in a row
+without descent end it unconverged.
 
 Building H takes a pass over the rows with one column per basis
-direction, in row blocks that fit a core's L2 cache
-(``StackRoute.curvature``).  It is still the most expensive step of an
-iterate, so E and the Cholesky factor of H are reused (the chord or
-Shamanskii variant of Newton's method; Kelley, Iterative Methods for
-Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).  A factor serves at
-most two accepted steps (_REUSE_STEPS); it is rebuilt sooner when the
-gradient norm fails to halve from one iterate to the next (_CONTRACTION),
-and after every negative-gradient step.  An iterate that reuses the
-factor reads only g_j = <Sbar theta, E_j> from its own derivative pass,
-and its step -H^(-1) g is still a descent direction, since H is positive
-definite.
+direction, in row blocks that fit a core's L2 cache.  It is still the most
+expensive step of an iterate, so E and the Cholesky factor of H are reused
+(the chord or Shamanskii variant of Newton's method; Kelley, Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).  A
+factor serves at most two accepted steps (_REUSE_STEPS); it is rebuilt
+sooner when the gradient norm fails to halve from one iterate to the next
+(_CONTRACTION), and after every negative-gradient step.  An iterate that
+reuses the factor reads only g from its own G, and its step -H^(-1) g is
+still a descent direction, since H is positive definite.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from . import geometry, inference
+from . import geometry
 from .errors import DegenerateFactorError, DivergenceError, InitializationError
 from .jsonable import JsonFields
 from .model import StackRoute
@@ -215,24 +214,23 @@ def _newton_factor(route, theta, terms):
     """
     try:
         E = geometry.newton_basis(theta)
-        H = inference._restricted_terms(route, theta, E, terms)[1]
-        return E, np.linalg.cholesky(H)
+        return E, np.linalg.cholesky(route.curvature(theta, E, terms))
     except (DegenerateFactorError, np.linalg.LinAlgError):
         return None
 
 
-def _search_direction(theta, G, terms, factor):
+def _search_direction(G, factor):
     """Search direction D, its decrease rate -<G, D>, and whether D is -G.
 
     With a ``_newton_factor`` (E, L), possibly built at an earlier iterate,
-    D = sum_j s_j E_j for L L^T s = -g, g the restricted gradient of the
-    derivative pass ``terms`` on E.  Without one, D is the negative
+    D = sum_j s_j E_j for L L^T s = -g, g_j = <G, E_j> the gradient
+    G = Sbar theta restricted to E.  Without one, D is the negative
     gradient G.
     """
     if factor is None:
         return -G, float(np.sum(G * G)), True
     E, L = factor
-    g = inference._restricted_gradient(terms, theta, E)
+    g = np.einsum("mik,ik->m", E, G)
     s = -cho_solve((L, True), g, check_finite=False)
     D = (s @ E.reshape(len(s), -1)).reshape(E.shape[1:])
     return D, -float(g @ s), False
@@ -307,7 +305,7 @@ def fit(dataset, loss, config=None):
         if (factor is None or uses >= _REUSE_STEPS
                 or grad_norm > _CONTRACTION * prev_norm):
             factor, uses = _newton_factor(route, theta, terms), 0
-        D, rate, fallback = _search_direction(theta, G, terms, factor)
+        D, rate, fallback = _search_direction(G, factor)
         step = 1.0
         while step >= _STEP_FLOOR:
             cand = route.at(theta + step * D)

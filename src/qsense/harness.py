@@ -74,7 +74,6 @@ class ExperimentConfig:
     grad_tol: float = 1e-6
     max_iters: int = 20000
     n_mc: int = 100_000
-    debug_include_vertical: bool = False
 
     def validate(self):
         if not (1 <= self.k <= self.d):
@@ -94,8 +93,7 @@ class ExperimentConfig:
                     f"sample size {n} is below the quotient dimension {dim} "
                     f"of d={self.d}, k={self.k}")
         try:
-            if self.loss == "gaussian":
-                GaussianNLL(self.sigma)
+            self.make_loss()
             self.fit_config(0).validate()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
@@ -158,9 +156,9 @@ def _convert(kind, value):
     """``value`` as ``kind`` where that loses nothing; raises otherwise.
 
     Numbers may come as numeric strings, and integers as integral floats;
-    booleans are never numbers.
+    no field takes a boolean.
     """
-    if isinstance(value, bool) != (kind is bool):
+    if isinstance(value, bool):
         raise TypeError
     if kind in (int, float):
         converted = kind(value)
@@ -173,7 +171,7 @@ def _convert(kind, value):
     return value
 
 
-_KINDS = {"int": int, "float": float, "str": str, "bool": bool, "list": list}
+_KINDS = {"int": int, "float": float, "str": str, "list": list}
 
 
 def coerce_field(key, declared, value, what):
@@ -390,34 +388,17 @@ def _replicate(ctx, r):
         taylor_ratio=t_ratio)
 
 
-def _with_debug_vertical(basis):
-    """Append a normalized vertical direction to the basis (debug only)."""
-    theta = basis.anchor
-    k = theta.shape[1]
-    if k < 2:
-        raise ConfigurationError(
-            "debug vertical direction needs k >= 2 (no rotation freedom)")
-    A = geometry.skew_basis(k)[0]
-    vert = theta @ A
-    vert = vert / np.linalg.norm(vert)
-    elements = np.concatenate([basis.elements, vert[None]], axis=0)
-    return geometry.HorizontalBasis(anchor=theta, elements=elements,
-                                    tag=basis.tag + "+vertical")
-
-
 def build_context(config, n, stream_tag=_RUN_TAG):
     """Shared per-experiment state: truth, basis, H* and its covariance."""
     config.validate()
     theta_star = make_truth(config)
     basis = geometry.horizontal_basis(theta_star)
-    if config.debug_include_vertical:
-        basis = _with_debug_vertical(basis)
     hstar = inference.restricted_population_hessian(
         config.make_dgp(theta_star), theta_star, basis, config.make_loss())
     return RunContext(config=config, n=n, stream_tag=stream_tag,
                       theta_star=theta_star, basis=basis, hstar=hstar,
-                      # raises DegenerateHessianError if a vertical
-                      # direction leaked in
+                      # raises DegenerateHessianError on a non-finite or
+                      # numerically singular H*
                       covariance=inference.asymptotic_covariance(hstar))
 
 

@@ -8,7 +8,10 @@ sqrt(n) times the coordinate error.
 The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.StackRoute``, as the fit does: the
 p + 1 square-root rows of the dataset for the Gaussian loss
-(``Dataset.compressed``), the design U otherwise.  ``per_sample_scores``
+(``Dataset.compressed``), the design U otherwise.  From one derivative
+pass (ell'', Sbar) at the truth the score is Sbar theta* represented in
+the basis, and the curvature matrix is ``StackRoute.curvature``, the
+matrix of ``StackRoute.curvature_apply`` on the basis.  ``per_sample_scores``
 stays on U, since it needs every sample.  H*
 (``restricted_population_hessian``) is exact and reads no data.
 """
@@ -29,7 +32,7 @@ from .model import (Dataset, StackRoute, pair_coordinates,
                     population_curvature, predictions)
 
 # Absolute eigenvalue floor below which restricted curvature is treated as
-# singular (the vertical-direction pathology).
+# singular.
 EIG_FLOOR = 1e-10
 
 
@@ -41,41 +44,12 @@ def represent(M, basis):
     return np.einsum("mik,ik->m", basis.elements, M)
 
 
-def _restricted_gradient(terms, theta, E):
-    """g_j = <Sbar theta, E_j> from a derivative pass ``terms`` at theta.
-
-    This equals A^T ell' / n with A = pair_coordinates(U, theta, E), at
-    the cost of one small matrix product instead of a pass over the design.
-    """
-    return np.einsum("mik,ik->m", E, terms[1] @ theta)
-
-
-def _restricted_terms(route, theta, E, terms=None):
-    """Restricted gradient and curvature at theta along a (m, d, k) stack E.
-
-    With ``terms`` = (d2, Sbar) = ``route.derivative_pass(theta)`` (computed
-    when not supplied), returns g = ``_restricted_gradient`` and
-    H = ``route.curvature(theta, E, d2)`` + <E, Sbar E>, with the design
-    part A^T diag(d2) A / n for A = pair_coordinates(U, theta, E) on the
-    route's rows.  In an orthonormal horizontal basis g represents the
-    gradient and H the curvature.  H costs a pass over the rows with m
-    columns (in L2-sized row blocks), one product H v two single passes
-    (``RestrictedRepresentation.curvature_times``).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if terms is None:
-        terms = route.derivative_pass(theta)
-    d2, Sbar = terms
-    m = E.shape[0]
-    H = (route.curvature(theta, E, d2)
-         + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
-    return _restricted_gradient(terms, theta, E), 0.5 * (H + H.T)
-
-
 def restricted_hessian(dataset, theta_star, basis, loss):
     """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    return _restricted_terms(StackRoute(dataset, loss), theta_star,
-                             basis.elements)[1]
+    theta_star = np.asarray(theta_star, dtype=float)
+    route = StackRoute(dataset, loss)
+    return route.curvature(theta_star, basis.elements,
+                           route.derivative_pass(theta_star))
 
 
 def per_sample_scores(dataset, theta_star, basis, loss):
@@ -107,8 +81,8 @@ class RestrictedRepresentation(JsonFields):
     ``distance`` its norm, the quotient distance.  ``score`` is the
     restricted gradient at the truth.  The restricted curvature there is
     computed on demand: ``curvature_times(v)`` applies it to one vector
-    (two passes over the route's rows), and ``hessian``, the full matrix,
-    is built when first read.
+    (two passes over the route's rows), and ``hessian``, the full matrix
+    (``StackRoute.curvature``), is built when first read.
     """
 
     basis: object = field(repr=False)
@@ -130,8 +104,8 @@ class RestrictedRepresentation(JsonFields):
 
     @cached_property
     def hessian(self):
-        return _restricted_terms(self.route, self.basis.anchor,
-                                 self.basis.elements, self.terms)[1]
+        return self.route.curvature(self.basis.anchor, self.basis.elements,
+                                    self.terms)
 
     def to_json_dict(self):
         # the basis is identified by its tag and a digest of the anchor's
@@ -167,7 +141,7 @@ def restricted_representation(dataset, theta_star, theta0, basis, loss):
         basis=basis,
         phi_star=phi_star,
         phi0=phi_star + represent(chord, basis),
-        score=_restricted_gradient(terms, theta_star, basis.elements),
+        score=represent(terms[1] @ theta_star, basis),
         chord=chord,
         distance=al.distance,
         route=route,
@@ -186,9 +160,10 @@ def asymptotic_covariance(hstar):
 
     The inverse is the asymptotic covariance of sqrt(n) times the
     coordinate error, and the root whitens that error.  Raises
-    DegenerateHessianError when the smallest eigenvalue is at or below the
-    floor, which is what happens if a loss-invariant (vertical) direction
-    leaks into the basis, and when H is not finite.
+    DegenerateHessianError when H is not finite, and when its smallest
+    eigenvalue is at or below EIG_FLOOR: the loss is numerically flat along
+    a direction of the basis, as along a vertical direction, or along every
+    direction under a loss scale so large that the curvature vanishes.
     """
     hstar = np.asarray(hstar, dtype=float)
     if not np.all(np.isfinite(hstar)):
@@ -198,8 +173,9 @@ def asymptotic_covariance(hstar):
     lam, V = np.linalg.eigh(0.5 * (hstar + hstar.T))
     if lam[0] <= EIG_FLOOR:
         raise DegenerateHessianError(
-            f"restricted curvature has minimum eigenvalue {lam[0]:.3e}; "
-            "a rotation-invariant direction is present in the basis")
+            f"restricted curvature has minimum eigenvalue {lam[0]:.3e}, at "
+            f"or below {EIG_FLOOR:.0e}; the loss is numerically flat along a "
+            "direction of the basis, as under a very large loss scale")
     inv = (V / lam[None, :]) @ V.T
     return CovarianceEstimate(inverse_hessian=0.5 * (inv + inv.T),
                               root=(V * np.sqrt(lam)[None, :]) @ V.T,
@@ -251,11 +227,12 @@ def wald_intervals(phi0, cov, n, alpha, phi_star=None):
 
 def _single_sample_objects(data, theta, basis, loss):
     """Score, curvature and population curvature of a 1-sample dataset."""
-    a = pair_coordinates(data.U, theta, basis.elements)[0]
-    mu1 = loss.d2(predictions(data, theta), data.y)[0]
+    route = StackRoute(data, loss)
+    d2, Sbar = route.derivative_pass(theta)
     # the conditional mean kills the score term of the population curvature
-    return (*_restricted_terms(StackRoute(data, loss), theta, basis.elements),
-            mu1 * np.outer(a, a))
+    return (represent(Sbar @ theta, basis),
+            route.curvature(theta, basis.elements, (d2, Sbar)),
+            route.curvature(theta, basis.elements, (d2, 0.0 * Sbar)))
 
 
 @dataclass
@@ -264,16 +241,16 @@ class InvarianceAudit(JsonFields):
     max_discrepancy: float
 
 
-def invariance_audit(theta_star, U, sample, loss, basis=None):
+def invariance_audit(theta_star, rotation, sample, loss, basis=None):
     """Check that representations do not depend on the orbit representative.
 
     Computes phi/score/curvature objects in a basis at theta_star and again
-    in the pushed-forward basis at theta_star U (with the estimate point, a
-    deterministic offset of theta_star, rotated the same way) and reports
-    the largest absolute discrepancy.
+    in the pushed-forward basis at theta_star @ rotation (with the estimate
+    point, a deterministic offset of theta_star, rotated the same way) and
+    reports the largest absolute discrepancy.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    U = np.asarray(U, dtype=float)
+    rotation = np.asarray(rotation, dtype=float)
     X, y = sample
     data = Dataset(X=np.asarray(X, dtype=float)[None], y=[y])
     probe = np.ones_like(theta_star)
@@ -282,17 +259,17 @@ def invariance_audit(theta_star, U, sample, loss, basis=None):
     theta0 = theta_star + 0.1 * np.linalg.norm(theta_star) * probe
     if basis is None:
         basis = geometry.horizontal_basis(theta_star)
-    rotated = geometry.rotate_basis(basis, U)
+    rotated = geometry.rotate_basis(basis, rotation)
 
     phi_star = represent(theta_star, basis)
     phi0 = represent(theta0, basis)
     score, hess, hess_pop = _single_sample_objects(data, theta_star, basis,
                                                    loss)
 
-    phi_star_r = represent(theta_star @ U, rotated)
-    phi0_r = represent(theta0 @ U, rotated)
+    phi_star_r = represent(theta_star @ rotation, rotated)
+    phi0_r = represent(theta0 @ rotation, rotated)
     score_r, hess_r, hess_pop_r = _single_sample_objects(
-        data, theta_star @ U, rotated, loss)
+        data, theta_star @ rotation, rotated, loss)
 
     disc = {
         "phi_star": float(np.max(np.abs(phi_star - phi_star_r))),

@@ -446,7 +446,10 @@ class StackRoute:
     The Gaussian loss reads the rows only through their means of u u^T,
     u y and y^2, so under it the route reads the dataset's p + 1
     square-root rows (``Dataset.compressed``), which have the same means.
-    The state of a factor is its prediction vector z on the rows read.
+    The state of a factor is its prediction vector z on the rows read.  The
+    restricted curvature is built here alone, for the fit and the inference
+    alike: as a matrix on a stack of directions (``curvature``) and as the
+    operator it represents (``curvature_apply``).
     """
 
     def __init__(self, dataset, loss):
@@ -526,21 +529,28 @@ class StackRoute:
         d1, d2 = self.loss.d1_d2(z, self.y)
         return d2, pair_adjoint(self.U, d1) / self.n
 
-    def curvature(self, theta, E, d2):
-        """A^T diag(d2) A / n for A = pair_coordinates(U, theta, E).
+    def curvature(self, theta, E, terms):
+        """The restricted curvature H_ij = <E_i, hess E_j> on a stack E.
 
-        Summed over blocks of _CURVATURE_ROWS rows: with the (m, p) pair
-        coordinates C = svec(theta E_j^T + E_j theta^T), built once, a block
-        adds A_b^T diag(d2_b) A_b for A_b^T = C U_b^T.  Each block's operands
-        stay in a core's L2 cache, where A for all n rows would not.
+        With ``terms`` = (d2, Sbar) = ``derivative_pass(theta)``, H is the
+        matrix of ``curvature_apply`` on E: A^T diag(d2) A / n for
+        A = pair_coordinates(U, theta, E), plus <E_i, Sbar E_j>, symmetrized.
+        The design part is summed over blocks of _CURVATURE_ROWS rows: with
+        the (m, p) pair coordinates C = svec(theta E_j^T + E_j theta^T),
+        built once, a block adds A_b^T diag(d2_b) A_b for A_b^T = C U_b^T.
+        Each block's operands stay in a core's L2 cache, where A for all n
+        rows would not.
         """
+        d2, Sbar = terms
         C = svec(_pair(theta, E))
-        H = np.zeros((len(C), len(C)))
+        m = len(C)
+        H = np.zeros((m, m))
         for start in range(0, self.n, _CURVATURE_ROWS):
             rows = slice(start, start + _CURVATURE_ROWS)
             At = C @ self.U[rows].T
             H += (At * d2[rows]) @ At.T
-        return H / self.n
+        H = H / self.n + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T
+        return 0.5 * (H + H.T)
 
     def curvature_apply(self, theta, Z, terms):
         """The curvature operator at theta applied to Z, in two passes.

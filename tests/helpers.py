@@ -80,11 +80,16 @@ def fd_third(data, theta, Z, W, V, loss, h=1e-5):
     return (bp - bm) / (2 * h)
 
 
-def dense_curvature(route, theta, E, d2):
+def dense_curvature(route, theta, E, terms):
     """``StackRoute.curvature`` over all n rows at once, A^T diag(d2) A / n
-    for A = pair_coordinates(U, theta, E): the row-blocked build's oracle."""
+    for A = pair_coordinates(U, theta, E) plus <E_i, Sbar E_j>, symmetrized:
+    the row-blocked build's oracle."""
+    d2, Sbar = terms
     A = pair_coordinates(route.U, theta, E)
-    return (A * d2[:, None]).T @ A / route.n
+    m = len(E)
+    H = ((A * d2[:, None]).T @ A / route.n
+         + E.reshape(m, -1) @ (Sbar @ E).reshape(m, -1).T)
+    return 0.5 * (H + H.T)
 
 
 def rel_err(a, b, floor=1e-10):

@@ -170,6 +170,22 @@ def test_fit_requires_rank_for_spectral_init():
         q.fit(data, q.GaussianNLL(1.0))
 
 
+def test_fit_falls_back_to_a_seeded_random_start():
+    # y_i = -<X_i, B B^T>: the spectral matrix is negative semidefinite, so
+    # the spectral start is uninformative and the fit draws its own
+    rng = np.random.default_rng(61)
+    B = random_theta(rng, 4, 2)
+    data = _noiseless(B, 200, seed=62)
+    data = Dataset(U=data.U, y=-data.y, k=2)
+    loss = q.GaussianNLL(1.0)
+    with pytest.raises(InitializationError):
+        q.spectral_init(data, 2, loss)
+    starts = [q.fit(data, loss, q.FitConfig(seed=seed, max_iters=3))
+              .loss_trace[0] for seed in (0, 0, 1)]
+    assert np.isfinite(starts[0])
+    assert starts[0] == starts[1] != starts[2]
+
+
 def test_fit_logistic_recovers_truth_direction():
     rng = np.random.default_rng(10)
     theta = random_theta(rng, 4, 2)
@@ -293,11 +309,11 @@ def test_row_blocked_and_dense_curvature_fits_agree(monkeypatch):
                    dense.theta0 @ dense.theta0.T) <= 1e-10
 
 
-def test_moment_and_stack_fits_agree(monkeypatch):
+def test_compressed_and_full_row_fits_agree(monkeypatch):
     _compressed_and_full_fits_agree(monkeypatch, *_criterion5_gaussian())
 
 
-def test_moment_and_stack_fits_agree_below_4_d_squared(monkeypatch):
+def test_compressed_and_full_row_fits_agree_at_n_100(monkeypatch):
     # n = 100: library data of any size above p + 1 rows are compressed
     _compressed_and_full_fits_agree(monkeypatch, *_criterion5_gaussian(n=100))
 
@@ -328,8 +344,8 @@ def _count_compressions(monkeypatch):
     ("gaussian", "gaussian", 22, 0, 0),
     ("gaussian", "bounded", 100, 3, 3),
 ], ids=["logistic-400-0", "gaussian-p", "gaussian-p+1", "bounded-gaussian"])
-def test_moments_are_built_only_on_the_moment_route(monkeypatch, loss, design,
-                                                    n, builds, draws):
+def test_replicates_simulate_and_compress_only_where_needed(
+        monkeypatch, loss, design, n, builds, draws):
     compressed, simulated = _count_compressions(monkeypatch), []
 
     def counting_simulate(dgp, size):

@@ -24,6 +24,7 @@ from qsense.harness import (_RATE_TAG_BASE, ExperimentConfig, build_context,
                             constants_for, ks_distances, make_truth,
                             normality_experiment, rate_experiment,
                             run_replications)
+from qsense.model import StackRoute
 
 
 def _config(**kw):
@@ -317,10 +318,19 @@ def test_consecutive_pooled_runs_on_one_pool_match_serial_runs():
     assert pools[0] is pools[1] is not None
 
 
-def test_debug_vertical_direction_aborts():
-    cfg = _config(d=4, k=2, debug_include_vertical=True)
-    with pytest.raises(DegenerateHessianError):
-        build_context(cfg, cfg.n)
+def test_vertical_direction_in_the_basis_aborts():
+    # theta A, A skew, rotates theta within its orbit: the loss is flat
+    # along it, so H* on a basis that holds it is singular
+    cfg = _config(d=4, k=2)
+    theta = make_truth(cfg)
+    basis = q.horizontal_basis(theta)
+    vertical = theta @ q.skew_basis(2)[0]
+    basis = dataclasses.replace(basis, elements=np.concatenate(
+        [basis.elements, (vertical / np.linalg.norm(vertical))[None]]))
+    hstar = q.restricted_population_hessian(cfg.make_dgp(theta), theta,
+                                            basis, cfg.make_loss())
+    with pytest.raises(DegenerateHessianError, match="minimum eigenvalue"):
+        q.asymptotic_covariance(hstar)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +576,12 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_numerical_abort_exit_code(tmp_path):
+    # the bounded-design logistic H* needs a Fourier grid beyond its cap
     cfg = _write_config(str(tmp_path), {"d": 3, "k": 2, "n": 100,
                                         "replications": 2,
-                                        "debug_include_vertical": True})
+                                        "design": "bounded",
+                                        "loss": "logistic",
+                                        "truth": [[1e3, 0], [0, 1e3], [0, 0]]})
     rc = cli_main(["verify-normality", "--config", cfg,
                    "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -634,7 +647,6 @@ _VALID_VALUES = {
     "noise_sigma": [None, 0.0, 1e-6, 0.5],
     "sigma_min": [0.8, 1e-12],
     "grad_tol": [1e-6, 1e-12],
-    "debug_include_vertical": [False, True],
 }
 _BAD_VALUES = {
     "d": [0, 5.5, "four"], "k": [0, 5], "loss": ["poisson", 1],
@@ -1041,7 +1053,7 @@ def test_config_values_are_type_checked():
     assert type(cfg.d) is int and type(cfg.sigma) is float
     for bad in ({"replications": 2.5}, {"d": "six"}, {"seed": True},
                 {"sigma": "nan"}, {"loss": 3}, {"n_grid": 512},
-                {"debug_include_vertical": 1}):
+                {"debug_include_vertical": False}):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"d": 4, "k": 2, **bad})
     with pytest.raises(ConfigurationError):
@@ -1161,14 +1173,13 @@ def test_serial_run_builds_curvature_only_inside_fits(monkeypatch, loss, n):
     # the fit builds the restricted curvature at most once per two accepted
     # steps, plus once per gradient fallback; the truth needs only H v
     import qsense.harness as harness
-    import qsense.inference as inf
 
     builds, fits = [], []
-    original_terms, original_fit = inf._restricted_terms, harness.fit
+    original_curvature, original_fit = StackRoute.curvature, harness.fit
 
-    def counting_terms(*args, **kwargs):
+    def counting_curvature(*args, **kwargs):
         builds.append(1)
-        return original_terms(*args, **kwargs)
+        return original_curvature(*args, **kwargs)
 
     def counting_fit(*args, **kwargs):
         before = len(builds)
@@ -1176,7 +1187,7 @@ def test_serial_run_builds_curvature_only_inside_fits(monkeypatch, loss, n):
         fits.append((res, len(builds) - before))
         return res
 
-    monkeypatch.setattr(inf, "_restricted_terms", counting_terms)
+    monkeypatch.setattr(StackRoute, "curvature", counting_curvature)
     monkeypatch.setattr(harness, "fit", counting_fit)
     cfg = ExperimentConfig(d=6, k=2, loss=loss, sigma=0.1, n=n,
                            replications=4, seed=2024)

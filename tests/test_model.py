@@ -12,7 +12,6 @@ from scipy.integrate import IntegrationWarning
 import qsense as q
 import qsense.model as model
 from qsense.errors import ConfigurationError
-from qsense.inference import _restricted_terms
 from qsense.harness import ExperimentConfig, make_truth
 from qsense.model import (Dataset, LossModel, StackRoute,
                           _bounded_logistic_moments, _pair, _stein_moments,
@@ -412,7 +411,7 @@ def test_folded_bounded_design_has_unit_variance_and_its_bounds():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_stack_and_moment_routes_agree(seed):
+def test_compressed_and_full_row_routes_agree(seed):
     # the Gaussian loss reads p + 1 square-root rows, whose moments are the
     # n rows'; every operation on them matches the one on all n rows
     rng = np.random.default_rng(seed)
@@ -435,8 +434,8 @@ def test_stack_and_moment_routes_agree(seed):
     terms_r = root.derivative_pass(theta)
     assert rel_err(terms_x[1] @ theta, terms_r[1] @ theta) <= 1e-10
     E = q.horizontal_basis(theta).elements
-    assert rel_err(_restricted_terms(rows, theta, E)[1],
-                   _restricted_terms(root, theta, E)[1]) <= 1e-10
+    assert rel_err(rows.curvature(theta, E, terms_x),
+                   root.curvature(theta, E, terms_r)) <= 1e-10
     V = rng.standard_normal((d, k))
     assert rel_err(rows.curvature_apply(theta, V, terms_x),
                    root.curvature_apply(theta, V, terms_r)) <= 1e-10
@@ -458,7 +457,7 @@ def test_stack_and_moment_routes_agree(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_moment_spectral_is_the_minimum_norm_fit_on_a_rank_deficient_design(
+def test_gaussian_spectral_is_the_minimum_norm_fit_on_a_rank_deficient_design(
         seed):
     # 80 rows in a rank-10 subspace of the p = 21 coordinates: Sigma_hat is
     # singular up to rounding, and the start is smat of the minimum-norm
@@ -559,7 +558,7 @@ def test_stack_route_matches_the_oracles_on_the_derived_stack(loss_kind):
     E = q.horizontal_basis(theta).elements
     oracle = np.array([[q.hessian_bilinear(data, theta, Ei, Ej, loss)
                         for Ej in E] for Ei in E])
-    assert rel_err(_restricted_terms(stack, theta, E)[1], oracle) <= 1e-10
+    assert rel_err(stack.curvature(theta, E, terms), oracle) <= 1e-10
     # the backprojection, or for the Gaussian loss the least-squares fit
     spectral = np.tensordot(data.y, X, axes=1) / data.n
     if loss_kind == "gaussian":
@@ -584,9 +583,9 @@ def test_stack_curvature_matches_the_dense_build_across_row_blocks(loss_kind,
     stack = full_rows_route(data, loss)
     assert stack.n == n
     E = q.horizontal_basis(theta).elements
-    d2 = stack.derivative_pass(theta)[0]
-    assert rel_err(stack.curvature(theta, E, d2),
-                   dense_curvature(stack, theta, E, d2)) <= 1e-12
+    terms = stack.derivative_pass(theta)
+    assert rel_err(stack.curvature(theta, E, terms),
+                   dense_curvature(stack, theta, E, terms)) <= 1e-12
 
 
 def test_stack_curvature_holds_one_row_block_at_a_time():
@@ -599,11 +598,11 @@ def test_stack_curvature_holds_one_row_block_at_a_time():
                    y=(rng.random(n) < 0.5).astype(float), k=2)
     stack = StackRoute(data, q.Logistic())
     E = q.horizontal_basis(theta).elements
-    d2 = stack.derivative_pass(theta)[0]
+    terms = stack.derivative_pass(theta)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        stack.curvature(theta, E, d2)
+        stack.curvature(theta, E, terms)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -818,7 +817,7 @@ def test_drawn_statistics_follow_the_documented_stream_order():
         dgp.sigma * math.sqrt(resid_chi2))).tobytes()
 
 
-def test_drawn_statistics_take_the_moment_route_below_its_ratio():
+def test_drawn_statistics_are_fit_as_they_are():
     # a drawn design is a dataset like any other: the Gaussian loss reads
     # its p + 1 rows as they are, and the logistic loss rejects its targets
     rng = np.random.default_rng(35)

@@ -29,12 +29,13 @@ class DivergenceError(QsenseError):
 
 
 class DegenerateHessianError(QsenseError):
-    """The restricted curvature matrix is numerically singular.
+    """The restricted curvature matrix is not finite or numerically singular.
 
-    This is the signature of a basis that still contains loss-invariant
-    (rotation) directions: the full-space curvature always annihilates
-    them, so inverting it is only possible after restricting to their
-    orthogonal complement.
+    The loss is flat, to working precision, along some direction of the
+    basis: a vertical (rotation) direction, which the curvature always
+    annihilates, or a direction the data do not resolve.  Also raised when
+    the curvature cannot be built in floating point: a non-finite H, or a
+    bounded-design Fourier grid beyond its cap.
     """
 
 

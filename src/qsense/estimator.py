@@ -25,26 +25,35 @@ step is exact).  This corrects the spectral estimate's scale, which is off
 by the factor E[ell''(z*)] for losses other than the Gaussian.
 
 From there, guarded Newton iteration in horizontal coordinates.  At each
-iterate one derivative pass gives ell'' and Sbar (pair_adjoint(U, ell') / n
-on the rows read); G = Sbar theta is the gradient the stop rule reads.  In
+iterate one derivative pass gives ell'', Sbar (pair_adjoint(U, ell') / n
+on the rows read) and the dispersion phi = mean(ell'^2) / mean(ell'').  In
 an orthonormal basis E of the horizontal space of R^(d x k) / O(k), where
 the curvature is invertible at a nondegenerate minimizer, the loss's
-gradient is g_j = <G, E_j> and its curvature H is ``StackRoute.curvature``
-from the same pass.  The Newton step -H^(-1) g is taken back to a d x k
-direction.  Newton steps alone are drawn to saddle points as well as
-minimizers, so the step is used only when H is positive definite (its
-Cholesky factorization succeeds); otherwise, or at a rank-deficient
-iterate with no horizontal basis, the direction is the negative gradient,
-and the result counts these steps.  Either direction is searched by Armijo
-backtracking from unit length on the loss values themselves.  Near a
-minimizer the last Newton step lowers the loss by less than the rounding
-error of those values (``StackRoute.rounding``), so the test allows the
-two values' rounding errors: a step they cannot resolve is taken, and the
-reported loss may rise by at most that much.  After such a step the
-descent also stops, converged, once the gradient norm is within its own
-rounding error, which at small noise scales exceeds any useful tolerance
-(about 1e-4 at sigma = 1e-6 and criterion-5 scale); two steps in a row
-without descent end it unconverged.
+gradient is g_j = <G, E_j>, G = Sbar theta, and its curvature H is
+``StackRoute.curvature`` from the same pass.  The Newton step -H^(-1) g is
+taken back to a d x k direction.  Newton steps alone are drawn to saddle
+points as well as minimizers, so the step is used only when H is positive
+definite (its Cholesky factorization succeeds); otherwise, or at a
+rank-deficient iterate with no horizontal basis, the direction is the
+negative gradient, and the result counts these steps.
+
+The descent stops, converged, before a step once n lambda^2 <= _ZTOL^2 phi,
+n the samples the data stand for.  lambda^2 = g^T H^(-1) g is the squared
+Newton decrement (Boyd and Vandenberghe, Convex Optimization, sec. 9.5.1;
+|G|^2 for a gradient step).  The estimate's limit law has covariance about
+phi H^(-1) / n, so the Newton step still to take moves its standardized
+error z by about sqrt(n lambda^2 / phi) <= _ZTOL.  Both sides scale alike
+with the loss, so the loss's scale does not move the estimate.  Where phi
+vanishes (zero noise, or a saturated ray) the descent instead stops once
+the step D is below theta's own rounding, |D| <= _STEP_ROUNDING |theta|.
+
+Either direction is searched by Armijo backtracking from unit length on
+the loss values themselves.  Near a minimizer a Newton step lowers the
+loss by less than the rounding error of those values
+(``StackRoute.rounding``), so the test allows the two values' rounding
+errors: a step they cannot resolve is taken, and the reported loss may
+rise by at most that much.  Two steps in a row without descent end the
+descent unconverged.
 
 Building H takes a pass over the rows with one column per basis
 direction, in row blocks that fit a core's L2 cache.  It is still the most
@@ -55,7 +64,9 @@ factor serves at most two accepted steps (_REUSE_STEPS); it is rebuilt
 sooner when the gradient norm fails to halve from one iterate to the next
 (_CONTRACTION), and after every negative-gradient step.  An iterate that
 reuses the factor reads only g from its own G, and its step -H^(-1) g is
-still a descent direction, since H is positive definite.
+still a descent direction, since H is positive definite.  The stop rule
+reads lambda^2 from the factor in hand, before any rebuild, so the last
+iterate builds no curvature it will not use.
 """
 
 from __future__ import annotations
@@ -85,6 +96,11 @@ _STEP_FLOOR = 1e-20
 _REUSE_STEPS = 2
 _CONTRACTION = 0.5
 
+# Stop rule (module docstring): the step still to take moves z by at most
+# _ZTOL, or it is at most _STEP_ROUNDING |theta|, a few roundings of theta.
+_ZTOL = 1e-4
+_STEP_ROUNDING = 4.0 * np.finfo(float).eps
+
 # Eigenvalue floor for the spectral initializer.
 _EIG_FLOOR = 1e-12
 
@@ -101,20 +117,16 @@ class FitConfig:
     """Optimizer settings.
 
     ``init`` is "spectral" or an explicit warm-start factor.  The descent
-    stops once the gradient norm is at most ``grad_tol`` (or its own
-    rounding error; module docstring) or after ``max_iters`` steps.
-    ``seed`` seeds the random start that replaces an uninformative
-    spectral one.
+    stops on its own rule, worked out from the data (module docstring), or
+    unconverged after ``max_iters`` steps.  ``seed`` seeds the random start
+    that replaces an uninformative spectral one.
     """
 
     init: object = "spectral"
-    grad_tol: float = 1e-9
     max_iters: int = 100_000
     seed: int = 0
 
     def validate(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -129,7 +141,7 @@ class FitResult(JsonFields):
     below the loss's rounding error may raise it by that error.  ``sbar``
     is Sbar at theta0, from the fit's last derivative pass; it depends on
     theta0 only through theta0 theta0^T, so it is also Sbar at every
-    rotation theta0 Q.
+    rotation theta0 Q; ``grad_norm`` is |Sbar theta0|_F from the same pass.
     """
 
     theta0: np.ndarray
@@ -283,42 +295,42 @@ def fit(dataset, loss, config=None):
         raise DivergenceError("non-finite loss at the initial point", trace)
     grad_norm = np.inf
     converged = False
-    iterations = 0
     gradient_steps = 0
     null_steps = 0
-    unresolved = False
     factor, uses = None, 0
-    for _ in range(config.max_iters):
+    for iterations in range(config.max_iters + 1):
         theta = point.theta
         terms = route.derivative_pass(theta, point.state)
         G = terms[1] @ theta
         prev_norm, grad_norm = grad_norm, np.sqrt(float(np.sum(G * G)))
-        if grad_norm <= config.grad_tol:
-            converged = True
+        if iterations == config.max_iters:
             break
-        # once a step's descent is below the loss's rounding, the gradient
-        # may be at its own: no step can then lower it further
-        errors = route.rounding(point) if unresolved else None
-        if errors is not None and grad_norm <= errors[1]:
-            converged = True
-            break
-        if (factor is None or uses >= _REUSE_STEPS
-                or grad_norm > _CONTRACTION * prev_norm):
+        fresh = factor is None
+        if fresh:
             factor, uses = _newton_factor(route, theta, terms), 0
         D, rate, fallback = _search_direction(G, factor)
-        step = 1.0
+        if (dataset.samples * rate <= _ZTOL**2 * terms[2] or
+                np.linalg.norm(D) <= _STEP_ROUNDING * np.linalg.norm(theta)):
+            converged = True
+            break
+        if not fresh and (uses >= _REUSE_STEPS
+                          or grad_norm > _CONTRACTION * prev_norm):
+            factor, uses = _newton_factor(route, theta, terms), 0
+            D, rate, fallback = _search_direction(G, factor)
+        step, df = 1.0, None
         while step >= _STEP_FLOOR:
             cand = route.at(theta + step * D)
             excess = cand.f - (point.f - _ARMIJO * step * rate)
-            if not excess <= 0.0 and errors is None:
-                errors = route.rounding(point)
+            if excess <= 0.0:
+                break
+            if df is None:
+                df = route.rounding(point)
             # each of the two loss values carries a rounding error of df
-            if excess <= 0.0 or excess <= 2.0 * errors[0]:
+            if excess <= 2.0 * df:
                 break
             step *= _SHRINK
         else:
             break
-        unresolved = excess > 0.0
         if cand.f < point.f:
             null_steps = 0
         else:
@@ -328,13 +340,8 @@ def fit(dataset, loss, config=None):
                 break
         point = cand
         trace.append(point.f)
-        iterations += 1
         gradient_steps += fallback
         uses += 1
-    else:
-        # out of iterations: the last derivative pass was at the previous
-        # iterate
-        terms = route.derivative_pass(point.theta, point.state)
     return FitResult(theta0=point.theta, grad_norm=float(grad_norm),
                      iterations=iterations, gradient_steps=gradient_steps,
                      loss_trace=np.array(trace), converged=converged,

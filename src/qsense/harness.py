@@ -71,7 +71,6 @@ class ExperimentConfig:
     delta: float = 0.05
     seed: int = 0
     threads: int = 1
-    grad_tol: float = 1e-6
     max_iters: int = 20000
     n_mc: int = 100_000
 
@@ -148,8 +147,7 @@ class ExperimentConfig:
 
     def fit_config(self, seed):
         """The configured optimizer settings; ``seed`` seeds a fallback start."""
-        return FitConfig(grad_tol=self.grad_tol, max_iters=self.max_iters,
-                         seed=seed)
+        return FitConfig(max_iters=self.max_iters, seed=seed)
 
 
 def _convert(kind, value):

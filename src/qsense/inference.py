@@ -31,8 +31,8 @@ from .jsonable import JsonFields
 from .model import (Dataset, StackRoute, pair_coordinates,
                     population_curvature, predictions)
 
-# Absolute eigenvalue floor below which restricted curvature is treated as
-# singular.
+# Eigenvalue floor, relative to the largest eigenvalue, at or below which
+# restricted curvature is treated as singular.
 EIG_FLOOR = 1e-10
 
 
@@ -161,9 +161,10 @@ def asymptotic_covariance(hstar):
     The inverse is the asymptotic covariance of sqrt(n) times the
     coordinate error, and the root whitens that error.  Raises
     DegenerateHessianError when H is not finite, and when its smallest
-    eigenvalue is at or below EIG_FLOOR: the loss is numerically flat along
-    a direction of the basis, as along a vertical direction, or along every
-    direction under a loss scale so large that the curvature vanishes.
+    eigenvalue is at or below EIG_FLOOR times its largest: the loss is
+    numerically flat along a direction of the basis, as along a vertical
+    direction.  The floor is relative, so the loss's scale, which
+    multiplies H, does not move it.
     """
     hstar = np.asarray(hstar, dtype=float)
     if not np.all(np.isfinite(hstar)):
@@ -171,11 +172,11 @@ def asymptotic_covariance(hstar):
             "restricted curvature is not finite; the truth or the loss scale "
             "is out of floating-point range")
     lam, V = np.linalg.eigh(0.5 * (hstar + hstar.T))
-    if lam[0] <= EIG_FLOOR:
+    if lam[0] <= EIG_FLOOR * lam[-1]:
         raise DegenerateHessianError(
             f"restricted curvature has minimum eigenvalue {lam[0]:.3e}, at "
-            f"or below {EIG_FLOOR:.0e}; the loss is numerically flat along a "
-            "direction of the basis, as under a very large loss scale")
+            f"or below {EIG_FLOOR:.0e} times its maximum {lam[-1]:.3e}; the "
+            "loss is numerically flat along a direction of the basis")
     inv = (V / lam[None, :]) @ V.T
     return CovarianceEstimate(inverse_hessian=0.5 * (inv + inv.T),
                               root=(V * np.sqrt(lam)[None, :]) @ V.T,
@@ -228,11 +229,11 @@ def wald_intervals(phi0, cov, n, alpha, phi_star=None):
 def _single_sample_objects(data, theta, basis, loss):
     """Score, curvature and population curvature of a 1-sample dataset."""
     route = StackRoute(data, loss)
-    d2, Sbar = route.derivative_pass(theta)
+    d2, Sbar, phi = route.derivative_pass(theta)
     # the conditional mean kills the score term of the population curvature
     return (represent(Sbar @ theta, basis),
-            route.curvature(theta, basis.elements, (d2, Sbar)),
-            route.curvature(theta, basis.elements, (d2, 0.0 * Sbar)))
+            route.curvature(theta, basis.elements, (d2, Sbar, phi)),
+            route.curvature(theta, basis.elements, (d2, 0.0 * Sbar, phi)))
 
 
 @dataclass

@@ -255,15 +255,18 @@ class Dataset:
     ``Dataset(X=X, y=y, k=k)`` folds an (n, d, d) stack of any matrices
     into U; ``Dataset(U=U, y=y, k=k)`` takes U as it is.  ``X`` is the
     symmetric stack sym X_i, derived from U on every read and never stored.
-    k is the target rank.  ``draw_statistics`` returns one whose p + 1 rows
-    the Gaussian loss reads as n samples.
+    k is the target rank.  ``samples`` is the number of samples the rows
+    stand for: the row count unless given.  ``draw_statistics`` and
+    ``compressed`` return p + 1 rows that the Gaussian loss reads as n
+    samples, with ``samples`` n.
     """
 
     U: np.ndarray
     y: np.ndarray
     k: int | None = None
+    samples: int | None = None
 
-    def __init__(self, X=None, y=None, k=None, *, U=None):
+    def __init__(self, X=None, y=None, k=None, *, U=None, samples=None):
         if (X is None) == (U is None):
             raise ValueError("a dataset takes exactly one of X and U")
         if X is not None:
@@ -284,9 +287,13 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
             raise ValueError("dataset entries must be finite")
+        samples = U.shape[0] if samples is None else samples
+        if samples < 1:
+            raise ValueError("a dataset stands for at least one sample")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def n(self):
@@ -328,7 +335,7 @@ class Dataset:
             top, tail = L.T @ m_hat, math.sqrt(float(r @ r))
         if not (math.isfinite(tail) and np.all(np.isfinite(top))):
             return self
-        return _square_root_rows(L, top, tail, n, self.k)
+        return _square_root_rows(L, top, tail, n, self.k, self.samples)
 
     def to_json(self):
         return json.dumps({
@@ -496,26 +503,18 @@ class StackRoute:
             return Iterate(theta, z, float(np.mean(self.loss.value(z, self.y))))
 
     def rounding(self, point):
-        """(df, dG): first-order rounding errors of ``point.f`` and of G.
+        """df, the first-order rounding error of ``point.f``.
 
         z_i = u_i^T m, m = svec(theta theta^T), is computed with an error
         of about eps a_i, a = |U| |m|, which moves ell(z_i, y_i) by
-        |ell'| eps a_i and ell'(z_i, y_i) by ell'' eps a_i; evaluating ell
-        and ell' adds about eps |ell| and eps |ell'|.  Averaged as the
-        loss, and summed as G = pair_adjoint(U, ell') theta / n, these are
-        df and a bound dG on |G|'s error.
+        |ell'| eps a_i; evaluating ell adds about eps |ell|.  df is their
+        mean, as the loss is.
         """
-        theta = point.theta
-        absU = np.abs(self.U)
-        a = absU @ np.abs(svec(theta @ theta.T))
-        eps = np.finfo(float).eps
+        a = np.abs(self.U) @ np.abs(svec(point.theta @ point.theta.T))
         with np.errstate(over="ignore", invalid="ignore"):
-            d1, d2 = self.loss.d1_d2(point.state, self.y)
+            d1 = self.loss.d1(point.state, self.y)
             ell = np.abs(self.loss.value(point.state, self.y))
-            df = eps * float(np.mean(np.abs(d1) * a + ell))
-            w = eps * (np.abs(d2) * a + np.abs(d1))
-            dG = 2.0 * float(np.linalg.norm(absU.T @ w) * np.linalg.norm(theta))
-        return df, dG / self.n
+            return np.finfo(float).eps * float(np.mean(np.abs(d1) * a + ell))
 
     def ray(self, theta, state, tau):
         """(f'(tau), f''(tau)) for f(tau) the loss at theta sqrt(tau)."""
@@ -524,15 +523,18 @@ class StackRoute:
                 float(d2 @ (state * state)) / self.n)
 
     def derivative_pass(self, theta, state=None):
-        """(ell''(z), Sbar) with Sbar = pair_adjoint(U, ell'(z)) / n."""
+        """(ell''(z), Sbar, phi): Sbar = pair_adjoint(U, ell'(z)) / n and the
+        dispersion phi = mean(ell'^2) / mean(ell''), 0 where ell'' is."""
         z = self.state(theta) if state is None else state
         d1, d2 = self.loss.d1_d2(z, self.y)
-        return d2, pair_adjoint(self.U, d1) / self.n
+        total = float(np.sum(d2))
+        phi = float(d1 @ d1) / total if total > 0.0 else 0.0
+        return d2, pair_adjoint(self.U, d1) / self.n, phi
 
     def curvature(self, theta, E, terms):
         """The restricted curvature H_ij = <E_i, hess E_j> on a stack E.
 
-        With ``terms`` = (d2, Sbar) = ``derivative_pass(theta)``, H is the
+        With ``terms`` = (d2, Sbar, _) = ``derivative_pass(theta)``, H is the
         matrix of ``curvature_apply`` on E: A^T diag(d2) A / n for
         A = pair_coordinates(U, theta, E), plus <E_i, Sbar E_j>, symmetrized.
         The design part is summed over blocks of _CURVATURE_ROWS rows: with
@@ -541,7 +543,7 @@ class StackRoute:
         Each block's operands stay in a core's L2 cache, where A for all n
         rows would not.
         """
-        d2, Sbar = terms
+        d2, Sbar, _ = terms
         C = svec(_pair(theta, E))
         m = len(C)
         H = np.zeros((m, m))
@@ -555,11 +557,11 @@ class StackRoute:
     def curvature_apply(self, theta, Z, terms):
         """The curvature operator at theta applied to Z, in two passes.
 
-        With ``terms`` = (d2, Sbar) = ``derivative_pass(theta)``, this is
+        With ``terms`` = (d2, Sbar, _) = ``derivative_pass(theta)``, this is
         pair_adjoint(U, d2 a) theta / n + Sbar Z for
         a_i = <X_i, theta Z^T + Z theta^T>.
         """
-        d2, Sbar = terms
+        d2, Sbar, _ = terms
         a = design_forward(self.U, _pair(theta, Z))
         return pair_adjoint(self.U, d2 * a) @ theta / self.n + Sbar @ Z
 
@@ -784,11 +786,12 @@ def draw_statistics(dgp, n):
     chi2 = float(rng.chisquare(n - p))
     m_star = svec(dgp.theta_star @ dgp.theta_star.T)
     return _square_root_rows(L, L.T @ m_star + dgp.sigma * xi,
-                             dgp.sigma * math.sqrt(chi2), n, dgp.k)
+                             dgp.sigma * math.sqrt(chi2), n, dgp.k, n)
 
 
-def _square_root_rows(L, top, tail, n, k):
-    """The rows c [L^T; 0] and targets c [top; tail], c = sqrt((p + 1) / n).
+def _square_root_rows(L, top, tail, n, k, samples):
+    """The rows c [L^T; 0] and targets c [top; tail], c = sqrt((p + 1) / n),
+    standing for ``samples`` samples.
 
     The square-root form of n samples (U, y) with U^T U = n Sigma_hat =
     L L^T, L lower triangular, least-squares fit m_hat, top = L^T m_hat and
@@ -806,7 +809,7 @@ def _square_root_rows(L, top, tail, n, k):
     y = c * np.append(top, tail)
     U = np.zeros((p + 1, p))
     U[:p] = c * L.T
-    return Dataset(U=U, y=y, k=k)
+    return Dataset(U=U, y=y, k=k, samples=samples)
 
 
 def _stein_moments(loss, s):

@@ -84,7 +84,7 @@ def dense_curvature(route, theta, E, terms):
     """``StackRoute.curvature`` over all n rows at once, A^T diag(d2) A / n
     for A = pair_coordinates(U, theta, E) plus <E_i, Sbar E_j>, symmetrized:
     the row-blocked build's oracle."""
-    d2, Sbar = terms
+    d2, Sbar, _ = terms
     A = pair_coordinates(route.U, theta, E)
     m = len(E)
     H = ((A * d2[:, None]).T @ A / route.n

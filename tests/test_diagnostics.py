@@ -116,7 +116,7 @@ def test_taylor_residual_tiny_at_noiseless_minimizer():
     theta = random_theta(rng, 4, 2)
     data = q.simulate(_dgp(theta, seed=15, sigma=0.0), 80)
     loss = q.GaussianNLL(1.0)
-    res = q.fit(data, loss, q.FitConfig(grad_tol=1e-12, max_iters=50_000))
+    res = q.fit(data, loss, q.FitConfig(max_iters=50_000))
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
         q.restricted_representation(data, theta, res.theta0, basis, loss),
@@ -268,7 +268,7 @@ def test_hessian_maps_into_horizontal_at_critical_point():
     theta = random_theta(rng, 4, 2)
     data = q.simulate(_dgp(theta, seed=37, sigma=0.0), 60)
     loss = q.GaussianNLL(1.0)
-    res = q.fit(data, loss, q.FitConfig(grad_tol=1e-12, max_iters=50_000))
+    res = q.fit(data, loss, q.FitConfig(max_iters=50_000))
     for _ in range(5):
         Z = rng.standard_normal((4, 2))
         HZ = hessian_operator(data, res.theta0, Z, loss)

@@ -101,7 +101,7 @@ def test_fit_noiseless_exact_recovery():
     theta = random_theta(rng, 4, 1)
     data = _noiseless(theta, 50, seed=5)
     res = q.fit(data, q.GaussianNLL(1.0),
-                q.FitConfig(grad_tol=1e-11, max_iters=50_000))
+                q.FitConfig(max_iters=50_000))
     assert res.converged
     assert q.align(res.theta0, theta).distance <= 1e-6
     assert res.final_loss <= 1e-12
@@ -124,8 +124,8 @@ def test_fit_sign_symmetry_k1():
     data = q.simulate(dgp, 80)
     init = theta + 0.1 * rng.standard_normal((4, 1))
     loss = q.GaussianNLL(0.3)
-    r1 = q.fit(data, loss, q.FitConfig(init=init, grad_tol=1e-9))
-    r2 = q.fit(data, loss, q.FitConfig(init=-init, grad_tol=1e-9))
+    r1 = q.fit(data, loss, q.FitConfig(init=init))
+    r2 = q.fit(data, loss, q.FitConfig(init=-init))
     assert q.align(r1.theta0, theta).distance == pytest.approx(
         q.align(r2.theta0, theta).distance, abs=1e-8)
 
@@ -136,7 +136,7 @@ def test_fit_trace_monotone():
     dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
                                   noise="gaussian", sigma=0.5, seed=8)
     data = q.simulate(dgp, 200)
-    res = q.fit(data, q.GaussianNLL(0.5), q.FitConfig(grad_tol=1e-8))
+    res = q.fit(data, q.GaussianNLL(0.5), q.FitConfig())
     assert np.all(np.diff(res.loss_trace) <= 0.0)
 
 
@@ -149,8 +149,8 @@ def test_fit_rotation_equivariance_of_argmin():
     loss = q.GaussianNLL(0.2)
     init = theta + 0.1 * rng.standard_normal((4, 2))
     U = random_orthogonal(rng, 2)
-    r1 = q.fit(data, loss, q.FitConfig(init=init, grad_tol=1e-9))
-    r2 = q.fit(data, loss, q.FitConfig(init=init @ U, grad_tol=1e-9))
+    r1 = q.fit(data, loss, q.FitConfig(init=init))
+    r2 = q.fit(data, loss, q.FitConfig(init=init @ U))
     assert r1.final_loss == pytest.approx(r2.final_loss, abs=1e-8)
 
 
@@ -192,7 +192,7 @@ def test_fit_logistic_recovers_truth_direction():
     dgp = q.DataGeneratingProcess(theta_star=theta, design="gaussian",
                                   noise="bernoulli", seed=12)
     data = q.simulate(dgp, 6000)
-    res = q.fit(data, q.Logistic(), q.FitConfig(grad_tol=1e-7))
+    res = q.fit(data, q.Logistic(), q.FitConfig())
     assert res.converged
     assert q.align(res.theta0, theta).distance < 0.3
 
@@ -228,10 +228,36 @@ def test_fit_from_rank_deficient_warm_start_falls_back_to_gradient():
     assert 1 <= res.gradient_steps <= res.iterations
 
 
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_fit_out_of_iterations_reports_the_gradient_norm_at_its_estimate(
+        max_iters):
+    cfg = ExperimentConfig(d=6, k=2, loss="logistic", n=2000, seed=3)
+    data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
+    res = q.fit(data, cfg.make_loss(), q.FitConfig(max_iters=max_iters))
+    assert res.iterations == max_iters and not res.converged
+    assert res.grad_norm == pytest.approx(
+        np.linalg.norm(res.sbar @ res.theta0), rel=1e-12)
+
+
+def test_loss_scale_does_not_move_the_estimate():
+    # the Gaussian loss's sigma scales the loss and its derivatives by
+    # 1 / sigma^2 and leaves the minimizer where it is; so does the stop rule
+    distances = []
+    for sigma in (0.1, 1e4):
+        cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma,
+                               noise_sigma=1.0, design="bounded", n=200,
+                               replications=50, seed=5)
+        records, _ = run_replications(cfg)
+        assert all(records.converged)
+        assert np.min(records.iterations) >= 1
+        distances.append(np.array(records.distance))
+    assert np.all(np.abs(distances[1] - distances[0])
+                  <= 1e-12 * distances[0])
+
+
 def test_fit_config_validation():
-    for bad in (dict(grad_tol=0.0), dict(max_iters=0)):
-        with pytest.raises(ValueError):
-            q.FitConfig(**bad).validate()
+    with pytest.raises(ValueError):
+        q.FitConfig(max_iters=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +278,7 @@ def _noiseless_minimum(warm):
     theta = random_theta(rng, 4, 2)
     data = _noiseless(theta, 80, seed=15)
     return data, q.GaussianNLL(1.0), q.FitConfig(
-        init=theta if warm else "spectral", grad_tol=1e-12, max_iters=50_000)
+        init=theta if warm else "spectral", max_iters=50_000)
 
 
 @pytest.mark.parametrize("problem", [
@@ -526,7 +552,7 @@ def test_certificate_at_converged_fit():
     theta = random_theta(rng, 4, 2)
     data = _noiseless(theta, 60, seed=13)
     loss = q.GaussianNLL(1.0)
-    res = q.fit(data, loss, q.FitConfig(grad_tol=1e-10, max_iters=50_000))
+    res = q.fit(data, loss, q.FitConfig(max_iters=50_000))
     assert res.converged
     basis = q.horizontal_basis(res.theta0)
     assert np.linalg.norm(euclidean_gradient(data, res.theta0, loss)) <= 1e-10

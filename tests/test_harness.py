@@ -98,8 +98,7 @@ def test_records_identical_across_thread_counts():
 
 
 def test_noiseless_runs_hit_solver_floor():
-    cfg = _config(noise_sigma=0.0, grad_tol=1e-11, max_iters=50_000,
-                  replications=4)
+    cfg = _config(noise_sigma=0.0, max_iters=50_000, replications=4)
     records, _ = run_replications(cfg)
     assert all(rec.distance <= 1e-6 for rec in records)
     # the drawn residual row is exactly 0 at sigma = 0
@@ -427,7 +426,7 @@ def test_rate_slope_near_half_small():
 def test_rate_floor_limited_flag_when_noiseless():
     cfg = _config(d=3, k=1, n=None, noise_sigma=0.0,
                   n_grid=[64, 128, 256, 512, 1024], replications=4,
-                  grad_tol=1e-11, max_iters=50_000)
+                  max_iters=50_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = rate_experiment(cfg)
@@ -456,7 +455,8 @@ def test_newton_fit_takes_few_iterations_on_criterion_5_gaussian():
 
 
 def test_criterion_6_grid_converges_on_every_replicate():
-    # descent that stalls just above grad_tol leaves replicates unconverged
+    # descent that stalls short of its stop rule leaves replicates
+    # unconverged
     grid = [512, 1024, 2048, 4096, 8192, 16384]
     cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1,
                            n_grid=grid, replications=10, seed=7, delta=0.05)
@@ -511,7 +511,7 @@ def test_cli_certificate_all_ones(tmp_path, capsys):
 
 def test_cli_simulate_fit_round_trip(tmp_path):
     cfg_obj = {"d": 3, "k": 1, "loss": "gaussian", "sigma": 0.2, "n": 120,
-               "replications": 1, "seed": 21, "grad_tol": 1e-9}
+               "replications": 1, "seed": 21}
     path = _write_config(str(tmp_path), cfg_obj)
     assert cli_main(["simulate", "--config", path,
                      "--out-dir", str(tmp_path)]) == 0
@@ -532,8 +532,7 @@ def test_cli_simulate_fit_round_trip(tmp_path):
     # into U costs a rounding or two per entry
     assert np.allclose(disk.U, data.U, rtol=1e-15, atol=0.0)
     assert np.array_equal(disk.y, data.y)
-    fit_config = q.FitConfig(grad_tol=1e-9, max_iters=config.max_iters,
-                             seed=21)
+    fit_config = q.FitConfig(max_iters=config.max_iters, seed=21)
     res = q.fit(disk, q.GaussianNLL(0.2), fit_config)
     assert cli_result["theta0"] == res.theta0.tolist()
     assert cli_result["final_loss"] == res.final_loss
@@ -587,6 +586,21 @@ def test_cli_numerical_abort_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_runs_at_a_large_loss_scale(tmp_path):
+    # H* scales with 1 / sigma^2: at sigma = 3e5 its smallest eigenvalue is
+    # 1.4e-11, with a condition number of 4.5
+    sigma = 3e5
+    cfg = _write_config(str(tmp_path), {"d": 4, "k": 2, "sigma": sigma,
+                                        "noise_sigma": sigma,
+                                        "n": int(4000 * sigma**2),
+                                        "replications": 20, "seed": 5})
+    rc = cli_main(["verify-normality", "--config", cfg,
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = _read_json(os.path.join(str(tmp_path), "report.json"))["report"]
+    assert report["hstar_condition_number"] == pytest.approx(4.5, rel=1e-6)
+
+
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("QSENSE_THREADS", "2")
     cfg = _write_config(str(tmp_path), {"d": 2, "k": 1, "n": 60,
@@ -618,7 +632,7 @@ def test_cli_rejects_nonpositive_worker_counts_in_one_line(
 
 @pytest.mark.parametrize("key, value, message", [
     ("noise_sigma", -0.1, "noise_sigma must be >= 0"),
-    ("grad_tol", 0, "grad_tol must be positive"),
+    ("grad_tol", 0, "unknown config keys: ['grad_tol']"),
     ("max_iters", 0, "max_iters must be >= 1"),
 ])
 def test_cli_rejects_bad_noise_and_fit_settings_before_any_work(
@@ -646,7 +660,6 @@ _VALID_VALUES = {
     "noise": [None, "gaussian", "bernoulli"],
     "noise_sigma": [None, 0.0, 1e-6, 0.5],
     "sigma_min": [0.8, 1e-12],
-    "grad_tol": [1e-6, 1e-12],
 }
 _BAD_VALUES = {
     "d": [0, 5.5, "four"], "k": [0, 5], "loss": ["poisson", 1],
@@ -657,7 +670,7 @@ _BAD_VALUES = {
     "sigma_min": [0.0, -1.0, 2.0], "sigma_max": [0.0, 1e200],
     "n": [0, 2.5, None], "n_grid": [None, [8, 16, 32, 64], [64, 32, 16, 4]],
     "replications": [0, 1], "alpha": [0.0, 1.0], "delta": [0.0, 2.0],
-    "seed": [-1], "grad_tol": [0.0, -1.0], "max_iters": [0], "n_mc": [1],
+    "seed": [-1], "max_iters": [0], "n_mc": [1],
 }
 
 
@@ -1042,7 +1055,7 @@ def test_fit_falls_back_to_random_init_when_spectrum_flat():
     rng = np.random.default_rng(60)
     X = rng.standard_normal((40, 3, 3))
     data = q.Dataset(X=X, y=np.zeros(40), k=1)
-    res = q.fit(data, q.GaussianNLL(1.0), q.FitConfig(grad_tol=1e-8))
+    res = q.fit(data, q.GaussianNLL(1.0), q.FitConfig())
     assert np.all(np.isfinite(res.theta0))
 
 

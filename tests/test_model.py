@@ -501,8 +501,9 @@ def test_compressed_rows_carry_the_moments_and_the_residual():
                     reason="no extended precision to compare with")
 @pytest.mark.parametrize("sigma", [0.01, 1e-6])
 def test_rounding_bounds_the_loss_and_gradient_errors(sigma):
-    # at a fitted factor, where the last steps are judged by these errors:
-    # the same sums in extended precision, from the same rows and m
+    # at a fitted factor, where the last steps are judged by the loss's
+    # error (the route bounds no gradient error): the same sum in extended
+    # precision, from the same rows and m
     cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=sigma, n=8000,
                            replications=1, seed=2024)
     data = q.simulate(cfg.make_dgp(make_truth(cfg), 1, 0), cfg.n)
@@ -510,15 +511,11 @@ def test_rounding_bounds_the_loss_and_gradient_errors(sigma):
     route = StackRoute(data, loss)
     theta = q.fit(data, loss, cfg.fit_config(0)).theta0
     point = route.at(theta)
-    df, dG = route.rounding(point)
     U, y = route.U.astype(np.longdouble), route.y.astype(np.longdouble)
     m = model.svec(theta @ theta.T).astype(np.longdouble)
-    d1 = (U @ m - y) * np.longdouble(loss._inv_var)
-    f = np.mean((U @ m - y) * d1) / 2
-    G = 2 * model.smat(U.T @ d1) @ theta.astype(np.longdouble) / len(y)
-    G64 = route.derivative_pass(theta, point.state)[1] @ theta
-    assert abs(float(f - np.longdouble(point.f))) <= df
-    assert float(np.linalg.norm((G64 - G).astype(float))) <= dG
+    r = U @ m - y
+    f = np.mean(r * r) * np.longdouble(loss._inv_var) / 2
+    assert abs(float(f - np.longdouble(point.f))) <= route.rounding(point)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -791,6 +788,19 @@ def test_drawn_statistics_satisfy_the_normal_equations():
     again = draw_statistics(_dgp(theta, sigma=2.0, seed=33), 200)
     assert again.U.tobytes() == data.U.tobytes()
     assert again.y.tobytes() == data.y.tobytes()
+
+
+def test_datasets_carry_the_samples_they_stand_for():
+    # p + 1 = 22 rows at d = 6, drawn or compressed, stand for all n samples
+    rng = np.random.default_rng(34)
+    dgp = _dgp(random_theta(rng, 6, 2), sigma=0.5, seed=35)
+    drawn = draw_statistics(dgp, 8000)
+    assert (drawn.n, drawn.samples) == (22, 8000)
+    rows = q.simulate(dgp, 100)
+    assert (rows.n, rows.samples) == (100, 100)
+    compressed = rows.compressed
+    assert compressed is not rows
+    assert (compressed.n, compressed.samples) == (22, 100)
 
 
 def test_drawn_statistics_follow_the_documented_stream_order():

@@ -6,10 +6,10 @@ form theta A with A skew-symmetric ("vertical") are collapsed by that
 symmetry; their Frobenius-orthogonal complement ("horizontal") is where
 estimation error lives.  One complete QR of the vertical directions at
 theta, the vertical frame, splits R^{d k} into the two; the projections,
-the fit's Newton basis and the reported (Gram-Schmidt) horizontal basis all
-read it.  The module also provides the skew basis, Procrustes alignment and
-the quotient distance it induces, and the injectivity radius (the smallest
-singular value of the anchor factor).
+the fit's Newton basis and the reported horizontal basis (a Gram-Schmidt
+in the frame's coordinates) all read it.  The module also provides the skew
+basis, Procrustes alignment and the quotient distance it induces, and the
+injectivity radius (the smallest singular value of the anchor factor).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .jsonable import JsonFields
 # deficient by the vertical frame.
 RANK_RTOL = 1e-10
 
-# Relative floor on the vertical frame's R diagonal, and the Gram-Schmidt
-# drop tolerance for horizontal basis construction.
+# Relative floor on the vertical frame's R diagonal, and the one tolerance of
+# the reported basis: the Gram-Schmidt drops residuals below it.
 GS_DROP_TOL = 1e-8
 
 
@@ -134,47 +134,43 @@ def horizontal_basis(theta):
     """Deterministic orthonormal basis of the horizontal space at theta.
 
     Orthonormalizes the horizontal projections of the canonical d x k unit
-    matrices, the rows of I - V V^T, in lexicographic order by two-pass
-    Gram-Schmidt, dropping residuals whose horizontal part is below
-    ``GS_DROP_TOL`` and stopping once m = d k - k (k - 1) / 2 are kept, each
-    within 1e-9 of horizontal.  These are the coordinates the package reports.
+    matrices in lexicographic order by two-pass Gram-Schmidt, dropping
+    residuals below ``GS_DROP_TOL`` and stopping once m = d k - k (k - 1) / 2
+    are kept.  It works in the coordinates of H^T = ``newton_basis``: the
+    projection is P = H H^T, so row i of H is projected unit matrix i.  The
+    kept coefficients C give the elements C H^T, horizontal by construction.
+    These are the coordinates the package reports.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape
     target = horizontal_dim(d, k)
-    Q, s = _vertical_frame(theta)
-    V = Q[:, :s]
-    kept = np.empty((d * k, d * k))
+    E = newton_basis(theta).reshape(target, -1)
+    kept = np.empty((target, target))
     m = 0
-    for v in np.eye(d * k) - V @ V.T:
+    for v in E.T:
         if m == target:
             break
         # two orthogonalization passes keep the Gram matrix at ~1e-15
         for _ in range(2):
             v = v - kept[:m].T @ (kept[:m] @ v)
-        # earlier rows' rounding, divided by small residuals, leaks into the
-        # vertical space: drop a residual made of leak, and keep only the
-        # horizontal part of one whose leak passes 1e-9 of it
-        h = v - V @ (V.T @ v)
-        norm = np.linalg.norm(h)
+        norm = np.linalg.norm(v)
         if norm > GS_DROP_TOL:
-            leaky = np.linalg.norm(v - h) > 1e-9 * norm
-            kept[m] = h / norm if leaky else v / np.linalg.norm(v)
+            kept[m] = v / norm
             m += 1
     if m != target:
         raise DegenerateFactorError(
             f"horizontal basis construction found {m} directions, "
             f"expected {target}")
-    return HorizontalBasis(anchor=theta, elements=kept[:m].reshape(m, d, k))
+    return HorizontalBasis(anchor=theta, elements=(kept @ E).reshape(m, d, k))
 
 
 def newton_basis(theta):
     """An orthonormal (m, d, k) basis of the horizontal space at theta.
 
-    The horizontal block of ``_vertical_frame``: it spans the space
-    ``horizontal_basis`` spans, in other coordinates, without the
-    Gram-Schmidt loop.  The fit's Newton step does not depend on the basis,
-    while the reported coordinates are those of ``horizontal_basis``.
+    H^T, H the horizontal block of ``_vertical_frame``: ``horizontal_basis``
+    is C H^T for an orthogonal m x m C, without its Gram-Schmidt loop.  The
+    fit's Newton step does not depend on the basis, while the reported
+    coordinates are those of ``horizontal_basis``.
     """
     theta = np.asarray(theta, dtype=float)
     d, k = theta.shape

@@ -341,6 +341,7 @@ class Dataset:
         return json.dumps({
             "d": self.d,
             "k": self.k,
+            "n": self.samples,
             "samples": [{"X": Xi.tolist(), "y": float(yi)}
                         for Xi, yi in zip(self.X, self.y)],
         })
@@ -358,6 +359,9 @@ class Dataset:
                 isinstance(s, dict) and "X" in s and "y" in s for s in samples):
             raise ValueError("dataset key 'samples' must be a list of "
                              "objects with 'X' and 'y'")
+        n = obj.get("n")  # a file without "n" stands for its rows
+        if "n" in obj and not (type(n) is int and n >= 1):
+            raise ValueError("dataset key 'n' must be an integer >= 1")
         try:
             X = np.array([s["X"] for s in samples], dtype=float)
             y = np.array([s["y"] for s in samples], dtype=float)
@@ -365,7 +369,7 @@ class Dataset:
             raise ValueError("dataset samples must hold numbers") from None
         if X.shape[1:] != (d, d):
             raise ValueError("sample matrices do not match declared dimension")
-        return cls(X=X, y=y, k=k)
+        return cls(X=X, y=y, k=k, samples=n)
 
 
 # ---------------------------------------------------------------------------

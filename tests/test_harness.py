@@ -759,6 +759,25 @@ def test_cli_fit_rejects_config_of_another_shape(tmp_path, capsys):
     assert not os.path.exists(os.path.join(str(tmp_path), "fit.json"))
 
 
+def test_cli_fit_rejects_a_bad_sample_count(tmp_path, capsys):
+    cfg = _write_config(str(tmp_path), {"d": 3, "k": 1, "n": 40, "seed": 1})
+    assert cli_main(["simulate", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+    path = os.path.join(str(tmp_path), "dataset.json")
+    obj = _read_json(path)
+    assert obj["n"] == 40
+    obj["n"] = 0
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    rc = cli_main(["fit", "--config", cfg, "--dataset", path,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "'n' must be an integer" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "fit.json"))
+
+
 def test_cli_reports_an_overflowing_gaussian_fit_as_numerical(tmp_path,
                                                              capsys):
     # finite targets near 1e160 whose residual sum of squares overflows:

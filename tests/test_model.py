@@ -965,6 +965,25 @@ def test_dataset_json_round_trip():
     assert np.array_equal(X, X.transpose(0, 2, 1))
 
 
+def test_dataset_json_keeps_the_samples_it_stands_for():
+    # p + 1 = 7 drawn rows at d = 3 stand for 8000 samples, on disk as well
+    dgp = _dgp(np.array([[0.9], [-0.4], [0.2]]), sigma=0.5, seed=36)
+    drawn = draw_statistics(dgp, 8000)
+    text = drawn.to_json()
+    assert json.loads(text)["n"] == 8000
+    back = Dataset.from_json(text)
+    assert (back.n, back.samples) == (7, 8000)
+    # a file written before the key existed stands for its rows
+    obj = json.loads(text)
+    del obj["n"]
+    old = Dataset.from_json(json.dumps(obj))
+    assert (old.n, old.samples) == (7, 7)
+    for bad in (0, -3, 2.5, "8000", True, None):
+        obj["n"] = bad
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            Dataset.from_json(json.dumps(obj))
+
+
 def test_dataset_takes_exactly_one_design_of_a_valid_shape():
     with pytest.raises(ValueError, match="exactly one"):
         Dataset(y=np.zeros(2))

@@ -22,11 +22,13 @@ from .errors import (ConfigurationError, DegenerateFactorError,
 from .estimator import fit
 from .model import Dataset, ProblemConstants, simulate
 
-# caught before ValueError, of which LinAlgError is a subclass
+# caught before ValueError, of which LinAlgError is a subclass;
+# ArithmeticError holds numpy's FloatingPointError and the ZeroDivisionError
+# and OverflowError of Python float arithmetic
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
                      OutOfInjectivityError, InitializationError,
                      DegenerateFactorError, np.linalg.LinAlgError,
-                     FloatingPointError)
+                     ArithmeticError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,10 +128,9 @@ def _cmd_rate_sweep(args):
 
 def _cmd_check_assumptions(args):
     config = _experiment_config(args)
-    theta_star = harness.make_truth(config)
-    report = diagnostics.assumption_report(config.make_dgp(theta_star, 0xA55),
-                                           theta_star, config.make_loss(),
-                                           config.n_mc)
+    report = diagnostics.assumption_report(
+        config.make_dgp(harness.make_truth(config), 0xA55), config.make_loss(),
+        config.n_mc)
     _emit(args, config, report.to_json_dict())
     return 0
 
@@ -161,17 +162,16 @@ def _cmd_certificate(args):
 
 def _cmd_invariance_audit(args):
     config = _experiment_config(args)
-    theta_star = harness.make_truth(config)
+    basis = geometry.horizontal_basis(harness.make_truth(config))
     loss = config.make_loss()
-    data = simulate(config.make_dgp(theta_star, 0xAD1), 1)
+    data = simulate(config.make_dgp(basis.anchor, 0xAD1), 1)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xAD2)))
-    basis = geometry.horizontal_basis(theta_star)
     worst = 0.0
     per_object = {}
     for _ in range(config.replications):
         rotation, _r = np.linalg.qr(rng.standard_normal((config.k, config.k)))
         audit = inference.invariance_audit(
-            theta_star, rotation, (data.X[0], data.y[0]), loss, basis=basis)
+            basis, rotation, (data.X[0], data.y[0]), loss)
         worst = max(worst, audit.max_discrepancy)
         for key, val in audit.discrepancies.items():
             per_object[key] = max(per_object.get(key, 0.0), val)

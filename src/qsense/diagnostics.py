@@ -1,10 +1,10 @@
 """Certificates and runtime checks backing the statistical guarantees.
 
-Everything here is simulation-side: it assumes access to the ground truth
-(and often the data generating process) and sets a concrete instance
-against the guarantees: the closed-form constants of the convergence
-theorem, the quadratic remainder of the local expansion, and the standing
-moment assumptions.
+Everything here is simulation-side: it reads the ground truth from the
+data generating process or from a basis anchored there, and sets a
+concrete instance against the guarantees: the closed-form constants of the
+convergence theorem, the quadratic remainder of the local expansion, and
+the standing moment assumptions.
 """
 
 from __future__ import annotations
@@ -160,10 +160,11 @@ class AssumptionReport(JsonFields):
         return {**super().to_json_dict(), "all_pass": self.all_pass()}
 
 
-def assumption_report(dgp, theta_star, loss, n_mc):
+def assumption_report(dgp, loss, n_mc):
     """Monte Carlo check of the three standing moment assumptions.
 
-    On ``n_mc`` >= 2 draws, checks that
+    On ``n_mc`` >= 2 draws from ``dgp``, at its truth ``dgp.theta_star``,
+    checks that
     1. the score has zero conditional mean at the truth (checked through
        the unconditional mean against 4 standard errors),
     2. the conditional curvature stays positive across design draws,
@@ -175,10 +176,9 @@ def assumption_report(dgp, theta_star, loss, n_mc):
     if n_mc < 2:
         # the score's standard error divides by n_mc - 1
         raise ValueError("Monte Carlo budget n_mc must be >= 2")
-    theta_star = np.asarray(theta_star, dtype=float)
-    basis = geometry.horizontal_basis(theta_star)
+    basis = geometry.horizontal_basis(dgp.theta_star)
     data = simulate(dgp, n_mc)
-    z = predictions(data, theta_star)
+    z = predictions(data, basis.anchor)
     scores_scalar = loss.d1(z, data.y)
     score_mean = float(np.mean(scores_scalar))
     score_se = float(np.std(scores_scalar, ddof=1) / np.sqrt(n_mc))
@@ -188,10 +188,10 @@ def assumption_report(dgp, theta_star, loss, n_mc):
     min_curv = float(np.min(cond_curv))
     curvature_pass = min_curv > 0.0
 
-    G = inference.per_sample_scores(data, theta_star, basis, loss)
+    G = inference.per_sample_scores(data, basis, loss)
     centered = G - G.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / n_mc
-    H = inference.restricted_hessian(data, theta_star, basis, loss)
+    H = inference.restricted_hessian(data, basis, loss)
     gap = float(np.linalg.norm(cov - H) / np.linalg.norm(H))
     ratio = float(np.trace(cov) / np.trace(H))
     return AssumptionReport(

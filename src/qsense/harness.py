@@ -32,8 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import __version__, diagnostics, geometry, inference, model
-from .errors import (ConfigurationError, DivergenceError, HarnessAbort,
-                     InitializationError)
+from .errors import ConfigurationError, DivergenceError, HarnessAbort
 from .estimator import FitConfig, fit
 from .jsonable import JsonFields
 from .model import (BOUNDED_XMAX, DataGeneratingProcess, GaussianNLL,
@@ -274,12 +273,14 @@ def constants_for(config, theta_star):
 
 @dataclass
 class RunContext:
-    """Everything a replicate needs; a pooled run sends it with each task."""
+    """Everything a replicate needs; a pooled run sends it with each task.
+
+    The truth is ``basis.anchor``.
+    """
 
     config: ExperimentConfig
     n: int
     stream_tag: int
-    theta_star: np.ndarray
     basis: geometry.HorizontalBasis
     hstar: np.ndarray
     covariance: inference.CovarianceEstimate
@@ -359,15 +360,15 @@ def simulate(dgp, n, loss):
 
 def _replicate(ctx, r):
     loss = ctx.config.make_loss()
-    dgp = ctx.config.make_dgp(ctx.theta_star, ctx.stream_tag, r)
+    dgp = ctx.config.make_dgp(ctx.basis.anchor, ctx.stream_tag, r)
     data = simulate(dgp, ctx.n, loss)
     try:
         res = fit(data, loss,
                   ctx.config.fit_config(ctx.config.seed * 1_000_003 + r))
-    except (DivergenceError, InitializationError) as exc:
+    except DivergenceError as exc:
         return ReplicationRecord(index=r, diverged=True, message=str(exc))
-    rep = inference.restricted_representation(data, ctx.theta_star,
-                                              res.theta0, ctx.basis, loss)
+    rep = inference.restricted_representation(data, res.theta0, ctx.basis,
+                                              loss)
     ci = inference.wald_intervals(rep.phi0, ctx.covariance, ctx.n,
                                   ctx.config.alpha, phi_star=rep.phi_star)
     try:
@@ -389,12 +390,11 @@ def _replicate(ctx, r):
 def build_context(config, n, stream_tag=_RUN_TAG):
     """Shared per-experiment state: truth, basis, H* and its covariance."""
     config.validate()
-    theta_star = make_truth(config)
-    basis = geometry.horizontal_basis(theta_star)
+    basis = geometry.horizontal_basis(make_truth(config))
     hstar = inference.restricted_population_hessian(
-        config.make_dgp(theta_star), theta_star, basis, config.make_loss())
+        config.make_dgp(basis.anchor), basis, config.make_loss())
     return RunContext(config=config, n=n, stream_tag=stream_tag,
-                      theta_star=theta_star, basis=basis, hstar=hstar,
+                      basis=basis, hstar=hstar,
                       # raises DegenerateHessianError on a non-finite or
                       # numerically singular H*
                       covariance=inference.asymptotic_covariance(hstar))
@@ -626,16 +626,16 @@ def rate_experiment(config):
     if grid[-1] < 16 * grid[0]:
         raise ConfigurationError("n_grid must span at least a factor of 16")
     medians, q25, q75, excluded = [], [], [], []
-    theta_star = make_truth(config)
     for i, n in enumerate(grid):
-        records, _ = run_replications(config, n=n,
-                                      stream_tag=_RATE_TAG_BASE + i)
+        records, context = run_replications(config, n=n,
+                                            stream_tag=_RATE_TAG_BASE + i)
         dist = records.distance[~records.diverged]
         excluded.append(config.replications - dist.size)
         medians.append(float(np.median(dist)))
         q25.append(float(np.percentile(dist, 25)))
         q75.append(float(np.percentile(dist, 75)))
     medians = np.array(medians)
+    theta_star = context.basis.anchor
     # floor-limited medians are rounding noise (or exactly 0): no rate to fit
     resolution = 1024 * np.finfo(float).eps * np.linalg.norm(theta_star)
     floor = (config.resolved_noise() == "gaussian"

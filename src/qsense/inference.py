@@ -3,7 +3,8 @@
 All inference happens in the coordinates of an orthonormal horizontal basis
 at the (aligned) truth: estimates and scores become vectors, curvature
 becomes a symmetric matrix whose inverse is the asymptotic covariance of
-sqrt(n) times the coordinate error.
+sqrt(n) times the coordinate error.  Every call reads that point from the
+basis (``HorizontalBasis.anchor``), never from a second argument.
 
 The score, the curvature-vector product and the curvature matrix at the
 truth read the data through ``model.StackRoute``, as the fit does: the
@@ -44,30 +45,30 @@ def represent(M, basis):
     return np.einsum("mik,ik->m", basis.elements, M)
 
 
-def restricted_hessian(dataset, theta_star, basis, loss):
-    """Empirical curvature matrix H_ij = <e_i, hess e_j> in the basis."""
-    theta_star = np.asarray(theta_star, dtype=float)
+def restricted_hessian(dataset, basis, loss):
+    """Empirical curvature matrix H_ij = <e_i, hess e_j> at the basis anchor."""
     route = StackRoute(dataset, loss)
-    return route.curvature(theta_star, basis.elements,
-                           route.derivative_pass(theta_star))
+    return route.curvature(basis.anchor, basis.elements,
+                           route.derivative_pass(basis.anchor))
 
 
-def per_sample_scores(dataset, theta_star, basis, loss):
-    """(n, d') matrix whose rows represent each sample's loss gradient."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    z = predictions(dataset, theta_star)
-    A = pair_coordinates(dataset.U, theta_star, basis.elements)
+def per_sample_scores(dataset, basis, loss):
+    """(n, d') matrix whose rows represent each sample's loss gradient at
+    the basis anchor."""
+    z = predictions(dataset, basis.anchor)
+    A = pair_coordinates(dataset.U, basis.anchor, basis.elements)
     return A * loss.d1(z, dataset.y)[:, None]
 
 
-def restricted_population_hessian(dgp, theta_star, basis, loss):
-    """H*: ``population_curvature`` on the basis elements, exact for every
-    design and loss the package draws.  Its inverse and root come from
+def restricted_population_hessian(dgp, basis, loss):
+    """H*: ``population_curvature`` at the basis anchor on the basis
+    elements, exact for every design and loss the package draws; only the
+    design of ``dgp`` is read.  Its inverse and root come from
     ``asymptotic_covariance``, which rejects the non-finite H of a truth
     too large to square.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return population_curvature(dgp, theta_star, basis.elements, loss)
+        return population_curvature(dgp, basis.anchor, basis.elements, loss)
 
 
 @dataclass
@@ -118,20 +119,17 @@ class RestrictedRepresentation(JsonFields):
                 "hessian": self.hessian.tolist()}
 
 
-def restricted_representation(dataset, theta_star, theta0, basis, loss):
+def restricted_representation(dataset, theta0, basis, loss):
     """Bundle phi*, phi0 and the restricted score at the truth.
 
-    ``basis`` must be anchored at theta_star.  theta0 is aligned onto
-    theta_star once; the representation is defined at any distance, but
-    the aligned chord is a chart of the quotient only below the injectivity
-    radius, which ``diagnostics.taylor_residual_check`` enforces.  One
-    derivative pass at the truth, through ``StackRoute(dataset, loss)``,
-    gives the score and, on demand, the curvature (see
-    ``RestrictedRepresentation``).
+    The truth theta* is the basis anchor.  theta0 is aligned onto it once;
+    the representation is defined at any distance, but the aligned chord is
+    a chart of the quotient only below the injectivity radius, which
+    ``diagnostics.taylor_residual_check`` enforces.  One derivative pass at
+    the truth, through ``StackRoute(dataset, loss)``, gives the score and,
+    on demand, the curvature (see ``RestrictedRepresentation``).
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    if not np.array_equal(basis.anchor, theta_star):
-        raise ValueError("basis must be anchored at theta_star")
+    theta_star = basis.anchor
     al = geometry.align(theta0, theta_star)
     chord = al.aligned - theta_star
     phi_star = represent(theta_star, basis)
@@ -226,8 +224,10 @@ def wald_intervals(phi0, cov, n, alpha, phi_star=None):
 # Rotation invariance audit
 # ---------------------------------------------------------------------------
 
-def _single_sample_objects(data, theta, basis, loss):
-    """Score, curvature and population curvature of a 1-sample dataset."""
+def _single_sample_objects(data, basis, loss):
+    """Score, curvature and population curvature of a 1-sample dataset at
+    the basis anchor."""
+    theta = basis.anchor
     route = StackRoute(data, loss)
     d2, Sbar, phi = route.derivative_pass(theta)
     # the conditional mean kills the score term of the population curvature
@@ -242,15 +242,16 @@ class InvarianceAudit(JsonFields):
     max_discrepancy: float
 
 
-def invariance_audit(theta_star, rotation, sample, loss, basis=None):
+def invariance_audit(basis, rotation, sample, loss):
     """Check that representations do not depend on the orbit representative.
 
-    Computes phi/score/curvature objects in a basis at theta_star and again
-    in the pushed-forward basis at theta_star @ rotation (with the estimate
-    point, a deterministic offset of theta_star, rotated the same way) and
-    reports the largest absolute discrepancy.
+    Computes phi/score/curvature objects in ``basis``, at its anchor
+    theta_star, and again in the pushed-forward basis at theta_star @
+    rotation (with the estimate point, a deterministic offset of
+    theta_star, rotated the same way) and reports the largest absolute
+    discrepancy.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
+    theta_star = basis.anchor
     rotation = np.asarray(rotation, dtype=float)
     X, y = sample
     data = Dataset(X=np.asarray(X, dtype=float)[None], y=[y])
@@ -258,19 +259,15 @@ def invariance_audit(theta_star, rotation, sample, loss, basis=None):
     probe[0, 0] += 1.0
     probe /= np.linalg.norm(probe)
     theta0 = theta_star + 0.1 * np.linalg.norm(theta_star) * probe
-    if basis is None:
-        basis = geometry.horizontal_basis(theta_star)
     rotated = geometry.rotate_basis(basis, rotation)
 
     phi_star = represent(theta_star, basis)
     phi0 = represent(theta0, basis)
-    score, hess, hess_pop = _single_sample_objects(data, theta_star, basis,
-                                                   loss)
+    score, hess, hess_pop = _single_sample_objects(data, basis, loss)
 
-    phi_star_r = represent(theta_star @ rotation, rotated)
+    phi_star_r = represent(rotated.anchor, rotated)
     phi0_r = represent(theta0 @ rotation, rotated)
-    score_r, hess_r, hess_pop_r = _single_sample_objects(
-        data, theta_star @ rotation, rotated, loss)
+    score_r, hess_r, hess_pop_r = _single_sample_objects(data, rotated, loss)
 
     disc = {
         "phi_star": float(np.max(np.abs(phi_star - phi_star_r))),

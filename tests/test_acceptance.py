@@ -154,7 +154,8 @@ def test_criterion_3_representation_invariance():
                                       sigma=1.0, seed=trial)
         data = q.simulate(dgp, 1)
         U = random_orthogonal(rng, k)
-        audit = q.invariance_audit(theta, U, (data.X[0], data.y[0]), loss)
+        audit = q.invariance_audit(q.horizontal_basis(theta), U,
+                                   (data.X[0], data.y[0]), loss)
         worst = max(worst, audit.max_discrepancy)
     _check(3, "representation invariance under 50 random rotations",
            worst <= 1e-9, f"max discrepancy {worst:.2e}")
@@ -172,7 +173,7 @@ def test_criterion_4_degeneracy_and_restriction():
         vertical_worst = max(vertical_worst, abs(q.population_curvature(
             dgp, theta, np.stack([Z, Z]), loss)[0, 1]))
     basis = q.horizontal_basis(theta)
-    H = q.restricted_population_hessian(dgp, theta, basis, loss)
+    H = q.restricted_population_hessian(dgp, basis, loss)
     lam_min = float(np.linalg.eigvalsh(H)[0])
     floor = 2.0 * q.injectivity_radius(theta) ** 2
     ok = vertical_worst <= 1e-10 and lam_min >= floor - 1e-10
@@ -244,8 +245,7 @@ def test_criterion_7_taylor_residual():
     dists, rems, ratios_ok = [], [], True
     for r in radii:
         rep = q.taylor_residual_check(
-            q.restricted_representation(data, theta, theta + r * W, basis,
-                                        loss),
+            q.restricted_representation(data, theta + r * W, basis, loss),
             sbar_at(data, theta + r * W, loss), certificate_k=cert.K)
         dists.append(rep.distance)
         rems.append(rep.remainder)
@@ -262,11 +262,11 @@ def test_criterion_8_assumption_checkers():
     matched = q.assumption_report(
         q.DataGeneratingProcess(theta_star=theta, noise="gaussian", sigma=1.0,
                                 seed=8),
-        theta, q.GaussianNLL(1.0), 100_000)
+        q.GaussianNLL(1.0), 100_000)
     mismatched = q.assumption_report(
         q.DataGeneratingProcess(theta_star=theta, noise="gaussian", sigma=2.0,
                                 seed=9),
-        theta, q.GaussianNLL(1.0), 100_000)
+        q.GaussianNLL(1.0), 100_000)
     ok = (matched.all_pass()
           and not mismatched.bartlett_pass
           and abs(mismatched.bartlett_ratio - 4.0) <= 0.2 * 4.0)

@@ -29,10 +29,10 @@ def test_lambda_min_matches_closed_form_at_scale():
     theta = random_theta(rng, 4, 2)
     basis = q.horizontal_basis(theta)
     loss = q.GaussianNLL(1.0)
-    Hstar = q.restricted_population_hessian(_dgp(theta), theta, basis, loss)
+    Hstar = q.restricted_population_hessian(_dgp(theta), basis, loss)
     target = float(np.linalg.eigvalsh(Hstar)[0])
     data = q.simulate(_dgp(theta, seed=9), 100_000)
-    lam = np.linalg.eigvalsh(q.restricted_hessian(data, theta, basis, loss))[0]
+    lam = np.linalg.eigvalsh(q.restricted_hessian(data, basis, loss))[0]
     assert lam == pytest.approx(target, rel=0.05)
 
 
@@ -46,7 +46,7 @@ def test_vertical_direction_kills_population_min_eigenvalue():
                                  elements=np.concatenate([basis.elements,
                                                           vert[None]]),
                                  tag="debug")
-    H = q.restricted_population_hessian(_dgp(theta), theta, extended,
+    H = q.restricted_population_hessian(_dgp(theta), extended,
                                         q.GaussianNLL(1.0))
     assert abs(np.linalg.eigvalsh(H)[0]) <= 1e-10
 
@@ -103,7 +103,7 @@ def test_taylor_lhs_is_score_norm_at_truth():
     loss = q.GaussianNLL(0.5)
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        q.restricted_representation(data, theta, theta, basis, loss),
+        q.restricted_representation(data, theta, basis, loss),
         sbar_at(data, theta, loss))
     g0 = q.represent(euclidean_gradient(data, theta, loss), basis)
     assert rep.lhs == pytest.approx(float(np.linalg.norm(g0)), rel=1e-12)
@@ -119,7 +119,7 @@ def test_taylor_residual_tiny_at_noiseless_minimizer():
     res = q.fit(data, loss, q.FitConfig(max_iters=50_000))
     basis = q.horizontal_basis(theta)
     rep = q.taylor_residual_check(
-        q.restricted_representation(data, theta, res.theta0, basis, loss),
+        q.restricted_representation(data, res.theta0, basis, loss),
         res.sbar)
     assert rep.lhs <= 1e-8
 
@@ -136,7 +136,7 @@ def test_taylor_remainder_scales_quadratically():
     dists, rems = [], []
     for r in radii:
         rep = q.taylor_residual_check(q.restricted_representation(
-            data, theta, theta + r * W, basis, loss),
+            data, theta + r * W, basis, loss),
             sbar_at(data, theta + r * W, loss))
         dists.append(rep.distance)
         rems.append(rep.remainder)
@@ -158,8 +158,7 @@ def test_taylor_remainder_below_certificate():
     W /= np.linalg.norm(W)
     for r in 0.1 * 0.5 ** np.arange(5):
         rep = q.taylor_residual_check(
-            q.restricted_representation(data, theta, theta + r * W, basis,
-                                        loss),
+            q.restricted_representation(data, theta + r * W, basis, loss),
             sbar_at(data, theta + r * W, loss), certificate_k=cert.K)
         assert rep.remainder <= rep.certificate_rhs
         assert rep.ratio <= cert.K / 2.0
@@ -171,8 +170,7 @@ def test_taylor_check_rejects_far_points():
     data = q.simulate(_dgp(theta, seed=21), 50)
     basis = q.horizontal_basis(theta)
     loss = q.GaussianNLL(1.0)
-    rep = q.restricted_representation(data, theta, 10.0 * theta + 1.0, basis,
-                                      loss)
+    rep = q.restricted_representation(data, 10.0 * theta + 1.0, basis, loss)
     with pytest.raises(OutOfInjectivityError):
         q.taylor_residual_check(rep, sbar_at(data, 10.0 * theta + 1.0, loss))
 
@@ -189,7 +187,7 @@ def test_taylor_check_on_the_fits_sbar_matches_a_pass_at_the_aligned_estimate(
     loss = q.GaussianNLL(0.3) if loss_kind == "gaussian" else q.Logistic()
     res = q.fit(data, loss)
     basis = q.horizontal_basis(theta)
-    rep = q.restricted_representation(data, theta, res.theta0, basis, loss)
+    rep = q.restricted_representation(data, res.theta0, basis, loss)
     aligned = theta + rep.chord
     assert rel_err(res.sbar, sbar_at(data, aligned, loss)) <= 1e-12
     Q = random_orthogonal(rng, 2)
@@ -209,7 +207,7 @@ def test_taylor_check_on_the_fits_sbar_matches_a_pass_at_the_aligned_estimate(
 def test_assumptions_pass_for_matched_gaussian():
     rng = np.random.default_rng(28)
     theta = random_theta(rng, 4, 2)
-    report = q.assumption_report(_dgp(theta, seed=29, sigma=1.0), theta,
+    report = q.assumption_report(_dgp(theta, seed=29, sigma=1.0),
                                  q.GaussianNLL(1.0), 100_000)
     assert report.all_pass()
     assert report.bartlett_ratio == pytest.approx(1.0, abs=0.1)
@@ -219,7 +217,7 @@ def test_assumptions_pass_for_matched_logistic():
     rng = np.random.default_rng(30)
     theta = random_theta(rng, 4, 2)
     report = q.assumption_report(_dgp(theta, seed=31, noise="bernoulli"),
-                                 theta, q.Logistic(), 100_000)
+                                 q.Logistic(), 100_000)
     assert report.score_mean_pass
     assert report.curvature_pass
     assert report.bartlett_pass
@@ -229,7 +227,7 @@ def test_assumptions_flag_scale_mismatch():
     # data noise 2 against loss scale 1: score covariance is 4x the curvature
     rng = np.random.default_rng(32)
     theta = random_theta(rng, 4, 2)
-    report = q.assumption_report(_dgp(theta, seed=33, sigma=2.0), theta,
+    report = q.assumption_report(_dgp(theta, seed=33, sigma=2.0),
                                  q.GaussianNLL(1.0), 100_000)
     assert report.score_mean_pass  # first moment still centered
     assert not report.bartlett_pass
@@ -241,7 +239,7 @@ def test_assumptions_reject_budget_without_standard_error():
     rng = np.random.default_rng(35)
     theta = random_theta(rng, 3, 1)
     with pytest.raises(ValueError, match="n_mc must be >= 2"):
-        q.assumption_report(_dgp(theta, seed=36, noise="bernoulli"), theta,
+        q.assumption_report(_dgp(theta, seed=36, noise="bernoulli"),
                             q.Logistic(), 1)
 
 

@@ -208,8 +208,7 @@ def test_fit_escapes_saddle_where_curvature_is_indefinite():
     res = q.fit(data, loss, cfg.fit_config(cfg.seed * 1_000_003 + 31))
     assert res.converged
     assert q.align(res.theta0, theta_star).distance < 0.2
-    H = q.restricted_hessian(data, res.theta0, q.horizontal_basis(res.theta0),
-                             loss)
+    H = q.restricted_hessian(data, q.horizontal_basis(res.theta0), loss)
     assert np.linalg.eigvalsh(H)[0] > 0.0
 
 
@@ -404,7 +403,7 @@ def test_library_fit_builds_the_moments_once(monkeypatch):
     truth, loss = make_truth(cfg), cfg.make_loss()
     data = q.simulate(cfg.make_dgp(truth, 1, 0), cfg.n)
     res = q.fit(data, loss, cfg.fit_config(0))
-    q.restricted_representation(data, truth, res.theta0,
+    q.restricted_representation(data, res.theta0,
                                 q.horizontal_basis(truth), loss)
     assert res.converged
     assert compressed == [data]
@@ -556,7 +555,7 @@ def test_certificate_at_converged_fit():
     assert res.converged
     basis = q.horizontal_basis(res.theta0)
     assert np.linalg.norm(euclidean_gradient(data, res.theta0, loss)) <= 1e-10
-    H = q.restricted_hessian(data, res.theta0, basis, loss)
+    H = q.restricted_hessian(data, basis, loss)
     assert np.linalg.eigvalsh(H)[0] > 0.0
     assert q.align(res.theta0, theta).distance <= 1e-6
 

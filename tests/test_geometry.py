@@ -515,7 +515,7 @@ def test_out_of_injectivity_is_raised_exactly_from_the_radius_outward(
     data = q.Dataset(U=rng.standard_normal((n, p)),
                      y=rng.standard_normal(n), k=k)
     loss = q.GaussianNLL(1.0)
-    rep = q.restricted_representation(data, theta, theta0,
+    rep = q.restricted_representation(data, theta0,
                                       q.horizontal_basis(theta), loss)
     assert rep.distance == al.distance
     checks = [lambda: check_within_radius(theta, al.distance),

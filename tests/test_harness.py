@@ -326,8 +326,8 @@ def test_vertical_direction_in_the_basis_aborts():
     vertical = theta @ q.skew_basis(2)[0]
     basis = dataclasses.replace(basis, elements=np.concatenate(
         [basis.elements, (vertical / np.linalg.norm(vertical))[None]]))
-    hstar = q.restricted_population_hessian(cfg.make_dgp(theta), theta,
-                                            basis, cfg.make_loss())
+    hstar = q.restricted_population_hessian(cfg.make_dgp(theta), basis,
+                                            cfg.make_loss())
     with pytest.raises(DegenerateHessianError, match="minimum eigenvalue"):
         q.asymptotic_covariance(hstar)
 
@@ -886,6 +886,34 @@ def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, cfg, output", [
+    # mu0**2 underflows to 0 in the rate bound's denominator
+    ("certificate", {"constants": {**_ALL_ONES, "mu0": 1e-200}, "n": 100},
+     "certificate.json"),
+    # X_max**4 overflows a Python float in K
+    ("certificate", {"constants": {**_ALL_ONES, "X_max": 1e200}, "n": 100},
+     "certificate.json"),
+    # sigma_min**2 underflows to 0 in n_required's denominator
+    ("certificate", {"constants": {**_ALL_ONES, "sigma_min": 1e-200},
+                     "n": 100}, "certificate.json"),
+    # mu0 = 1 / sigma^2, whose square underflows in the rate bound
+    ("rate-sweep", {"d": 3, "k": 2, "n_grid": [50, 100, 200, 800],
+                    "replications": 3, "sigma": 1e82, "noise_sigma": 0.1},
+     "report.json"),
+], ids=["mu0-underflow", "X_max-overflow", "sigma_min-underflow",
+        "rate-sweep-mu0-underflow"])
+def test_cli_reports_certificate_arithmetic_errors_in_one_line(
+        tmp_path, capsys, command, cfg, output):
+    path = _write_config(str(tmp_path), cfg)
+    rc = cli_main([command, "--config", path, "--threads", "1",
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "numerical abort" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(str(tmp_path), output))
+
+
 _BOUNDED_LOGISTIC = {"d": 3, "k": 1, "loss": "logistic", "design": "bounded",
                      "n": 200, "replications": 3}
 
@@ -1124,6 +1152,35 @@ def test_cli_worker_crash_exits_2(tmp_path, monkeypatch, capsys, fresh_pool):
     assert _record_lines(pooled) == _record_lines(serial)
 
 
+@pytest.mark.parametrize("command, cfg, outputs", [
+    ("verify-normality", {"d": 4, "k": 2, "loss": "gaussian", "sigma": 0.1,
+                          "n": 800, "replications": 40, "seed": 99},
+     ("report.json", "z.csv")),
+    ("rate-sweep", {"d": 3, "k": 1, "n_grid": [64, 128, 256, 1024],
+                    "replications": 10},
+     ("report.json", "rate.csv")),
+], ids=["verify-normality", "rate-sweep"])
+def test_cli_module_outputs_are_byte_identical_across_processes(
+        tmp_path, command, cfg, outputs):
+    # each run is a fresh interpreter through the -m entry point, with its
+    # own string-hash seed
+    path = _write_config(str(tmp_path), cfg)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for hash_seed in ("0", "12345"):
+        out_dir = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "qsense.cli", command,
+                        "--config", path, "--threads", "1",
+                        "--out-dir", str(out_dir)],
+                       env=env, timeout=120, capture_output=True, check=True)
+        runs.append([(out_dir / name).read_bytes() for name in outputs])
+    assert all(runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_pooled_process_exits_and_leaves_no_worker():
     # concurrent.futures joins the kept pool at interpreter exit
     code = (
@@ -1154,7 +1211,8 @@ def test_cached_whitening_matches_wald_intervals(loss):
         assert not rec.diverged
         ref = q.wald_intervals(rec.phi0, q.asymptotic_covariance(ctx.hstar),
                                ctx.n, cfg.alpha,
-                               phi_star=q.represent(ctx.theta_star, ctx.basis))
+                               phi_star=q.represent(ctx.basis.anchor,
+                                                    ctx.basis))
         assert np.array_equal(rec.z, ref.standardized)
         assert np.array_equal(rec.ci_hits, ref.covers)
 
@@ -1164,7 +1222,7 @@ def test_replicates_beyond_the_injectivity_radius_keep_z_and_coverage():
     # the aligned chord is no chart: their Taylor fields are NaN, while the
     # whitened error and coverage are recorded and nothing counts as diverged
     records, ctx = run_replications(_config(sigma=3.0, n=20, replications=60))
-    radius = q.injectivity_radius(ctx.theta_star)
+    radius = q.injectivity_radius(ctx.basis.anchor)
     far = [rec for rec in records if rec.distance >= radius]
     near = [rec for rec in records if rec.distance < radius]
     assert len(far) >= 30 and near

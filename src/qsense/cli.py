@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics, geometry, harness, inference
 from .errors import (ConfigurationError, DegenerateFactorError,
                      DegenerateHessianError, DivergenceError, HarnessAbort,
-                     InitializationError, OutOfInjectivityError)
+                     OutOfInjectivityError)
 from .estimator import fit
 from .model import Dataset, ProblemConstants, simulate
 
@@ -26,9 +26,8 @@ from .model import Dataset, ProblemConstants, simulate
 # ArithmeticError holds numpy's FloatingPointError and the ZeroDivisionError
 # and OverflowError of Python float arithmetic
 _NUMERICAL_ERRORS = (DivergenceError, DegenerateHessianError, HarnessAbort,
-                     OutOfInjectivityError, InitializationError,
-                     DegenerateFactorError, np.linalg.LinAlgError,
-                     ArithmeticError)
+                     OutOfInjectivityError, DegenerateFactorError,
+                     np.linalg.LinAlgError, ArithmeticError)
 
 
 class _Parser(argparse.ArgumentParser):

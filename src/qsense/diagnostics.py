@@ -48,9 +48,10 @@ class TheoryCertificate(JsonFields):
 
     def rate_bound(self, n):
         c = self.constants
-        return math.sqrt(512.0 * c.d * c.k**2 * c.sigma_max**2 * c.sigma_eps**2
-                         * c.X_max**2 * math.log(8.0 * c.d * c.k / self.delta)
-                         / (n * c.mu0**2 * c.lambda0**2 * c.sigma_min**4))
+        return _evaluate("rate_bound", lambda: math.sqrt(
+            512.0 * c.d * c.k**2 * c.sigma_max**2 * c.sigma_eps**2
+            * c.X_max**2 * math.log(8.0 * c.d * c.k / self.delta)
+            / (n * c.mu0**2 * c.lambda0**2 * c.sigma_min**4)))
 
     def lambda_min_lower_bound(self, n):
         c = self.constants
@@ -58,6 +59,15 @@ class TheoryCertificate(JsonFields):
                         * c.sigma_eps**2
                         * math.log(6.0 * c.d**2 * c.k**2 / self.delta) / n)
         return self.lambda_min_population - dev
+
+
+def _evaluate(name, formula):
+    """``formula()``, with ``name`` before the message of an arithmetic error."""
+    try:
+        return formula()
+    except ArithmeticError as exc:
+        # Python's OverflowError carries (errno, message)
+        raise type(exc)(f"{name}: {exc.args[-1]}") from exc
 
 
 def theory_constants(constants, delta):
@@ -72,10 +82,14 @@ def theory_constants(constants, delta):
         raise ValueError("delta must lie in (0, 1)")
     c = constants
     lip = c.K_ell + c.mu_max + 15.0 * c.sigma_eps
-    K = 160.0 * c.X_max**4 * c.sigma_max**5 * c.d**4 * c.k**2.5 * lip
-    n_required = (640.0 * c.d**2 * c.k**6 * c.X_max**4 * c.sigma_max**4
-                  * c.sigma_eps**2 * math.log(12.0 * c.d**2 * c.k**2 / delta)
-                  / (c.mu0 * c.lambda0 * c.sigma_min**2))
+    K = _evaluate("K", lambda: 160.0 * c.X_max**4 * c.sigma_max**5 * c.d**4
+                  * c.k**2.5 * lip)
+    n_required = _evaluate("n_required", lambda: (
+        640.0 * c.d**2 * c.k**6 * c.X_max**4 * c.sigma_max**4
+        * c.sigma_eps**2 * math.log(12.0 * c.d**2 * c.k**2 / delta)
+        / (c.mu0 * c.lambda0 * c.sigma_min**2)))
+    # radius_required and lambda_min_lower_bound divide by no constant and
+    # raise none to a power that K or n_required does not: those fail first
     radius_required = min(
         c.sigma_min,
         c.mu0 * c.lambda0 * c.sigma_min**3

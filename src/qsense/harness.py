@@ -12,8 +12,8 @@ rows when the fit first reads them (``model.Dataset.compressed``).  A
 run's records come back in columns (``ReplicationRecords``), read in index
 order.  Pooled runs share the process's one worker pool, forked at the
 first of them (``_pool``).
-H* is exact and draws nothing; the normality report carries its condition
-number.
+H* is exact and draws nothing; the normality experiment whitens and covers
+a run's phi0 block with it in one ``inference.wald_intervals`` call.
 """
 
 from __future__ import annotations
@@ -275,14 +275,14 @@ def constants_for(config, theta_star):
 class RunContext:
     """Everything a replicate needs; a pooled run sends it with each task.
 
-    The truth is ``basis.anchor``.
+    The truth is ``basis.anchor``; ``covariance`` is that of H*, which the
+    normality experiment whitens with.
     """
 
     config: ExperimentConfig
     n: int
     stream_tag: int
     basis: geometry.HorizontalBasis
-    hstar: np.ndarray
     covariance: inference.CovarianceEstimate
 
 
@@ -297,8 +297,6 @@ class ReplicationRecord(JsonFields):
     final_loss: float = float("nan")
     distance: float = float("nan")
     phi0: np.ndarray | None = None
-    z: np.ndarray | None = None
-    ci_hits: np.ndarray | None = None
     taylor_lhs: float = float("nan")
     taylor_remainder: float = float("nan")
     taylor_ratio: float = float("nan")
@@ -307,32 +305,29 @@ class ReplicationRecord(JsonFields):
 class ReplicationRecords:
     """The records of one run in columns, one array per record field.
 
+    A record holds only what depends on its replicate's data.
     ``len()`` and iteration give ``ReplicationRecord`` rows in index order,
     so the store reads like the list of records it replaces, at a few
-    hundred bytes per replicate.  The vector fields ``phi0``, ``z`` and
-    ``ci_hits`` are (R, m) arrays whose diverged rows read None; ``message``
-    is a list.
+    hundred bytes per replicate.  ``phi0`` is an (R, m) array whose
+    diverged rows read None; ``message`` is a list.
     """
 
     _SCALARS = {"index": int, "diverged": bool, "converged": bool,
                 "iterations": int, "grad_norm": float, "final_loss": float,
                 "distance": float, "taylor_lhs": float,
                 "taylor_remainder": float, "taylor_ratio": float}
-    _VECTORS = {"phi0": float, "z": float, "ci_hits": bool}
 
     def __init__(self, records, size, m):
         """Store ``size`` records, taken from the iterable ``records``."""
         for name, kind in self._SCALARS.items():
             setattr(self, name, np.empty(size, kind))
-        for name, kind in self._VECTORS.items():
-            setattr(self, name, np.zeros((size, m), kind))
+        self.phi0 = np.zeros((size, m))
         self.message = [""] * size
         for row, rec in enumerate(records):
             for name in self._SCALARS:
                 getattr(self, name)[row] = getattr(rec, name)
             if not rec.diverged:
-                for name in self._VECTORS:
-                    getattr(self, name)[row] = getattr(rec, name)
+                self.phi0[row] = rec.phi0
             self.message[row] = rec.message
 
     def __len__(self):
@@ -344,8 +339,7 @@ class ReplicationRecords:
             rec = ReplicationRecord(**dict(zip(self._SCALARS, values)),
                                     message=self.message[row])
             if not rec.diverged:
-                for name in self._VECTORS:
-                    setattr(rec, name, getattr(self, name)[row].copy())
+                rec.phi0 = self.phi0[row].copy()
             yield rec
 
 
@@ -369,22 +363,19 @@ def _replicate(ctx, r):
         return ReplicationRecord(index=r, diverged=True, message=str(exc))
     rep = inference.restricted_representation(data, res.theta0, ctx.basis,
                                               loss)
-    ci = inference.wald_intervals(rep.phi0, ctx.covariance, ctx.n,
-                                  ctx.config.alpha, phi_star=rep.phi_star)
     try:
         taylor = diagnostics.taylor_residual_check(rep, res.sbar)
         t_lhs, t_rem = taylor.lhs, taylor.remainder
         t_ratio = float("nan") if taylor.ratio is None else taylor.ratio
     except geometry.OutOfInjectivityError:
-        # beyond the radius the chord is no chart: z and coverage stand,
-        # the expansion does not
+        # beyond the radius the chord is no chart: phi0 and the distance
+        # stand, the expansion does not
         t_lhs = t_rem = t_ratio = float("nan")
     return ReplicationRecord(
         index=r, converged=res.converged, iterations=res.iterations,
         grad_norm=res.grad_norm, final_loss=res.final_loss,
-        distance=rep.distance, phi0=rep.phi0, z=ci.standardized,
-        ci_hits=ci.covers, taylor_lhs=t_lhs, taylor_remainder=t_rem,
-        taylor_ratio=t_ratio)
+        distance=rep.distance, phi0=rep.phi0, taylor_lhs=t_lhs,
+        taylor_remainder=t_rem, taylor_ratio=t_ratio)
 
 
 def build_context(config, n, stream_tag=_RUN_TAG):
@@ -393,8 +384,7 @@ def build_context(config, n, stream_tag=_RUN_TAG):
     basis = geometry.horizontal_basis(make_truth(config))
     hstar = inference.restricted_population_hessian(
         config.make_dgp(basis.anchor), basis, config.make_loss())
-    return RunContext(config=config, n=n, stream_tag=stream_tag,
-                      basis=basis, hstar=hstar,
+    return RunContext(config=config, n=n, stream_tag=stream_tag, basis=basis,
                       # raises DegenerateHessianError on a non-finite or
                       # numerically singular H*
                       covariance=inference.asymptotic_covariance(hstar))
@@ -576,9 +566,10 @@ def normality_experiment(config):
             "normality experiment requires replications >= 2")
     records, context = run_replications(config)
     good = ~records.diverged
-    # the records' block itself when nothing diverged: no copy per run
-    Z = records.z if good.all() else records.z[good]
-    hits = records.ci_hits[good]
+    ci = inference.wald_intervals(
+        records.phi0[good], context.covariance, context.n, config.alpha,
+        phi_star=inference.represent(context.basis.anchor, context.basis))
+    Z, hits = ci.standardized, ci.covers
     distances = records.distance[good]
     m = Z.shape[1]
     cov = np.cov(Z, rowvar=False, ddof=1)

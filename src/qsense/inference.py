@@ -200,10 +200,12 @@ class ConfidenceReport(JsonFields):
 def wald_intervals(phi0, cov, n, alpha, phi_star=None):
     """Per-coordinate (1 - alpha) intervals phi0_i +/- z sqrt(Hinv_ii / n).
 
+    ``phi0`` is one estimate (m,) or a block of them (R, m), one per row;
     ``cov`` is the ``asymptotic_covariance`` of H.  With ``phi_star``
     supplied, also records the whitened error sqrt(n) H^(1/2) (phi0 -
     phi_star) and the coverage indicators |phi0_i - phi_star_i| <= half
-    width.
+    width, in the shape of ``phi0``.  A row of a block reads the same bits
+    as that estimate alone.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
@@ -215,7 +217,8 @@ def wald_intervals(phi0, cov, n, alpha, phi_star=None):
                               half_width=half)
     if phi_star is not None:
         diff = phi0 - np.asarray(phi_star, dtype=float)
-        report.standardized = np.sqrt(n) * (cov.root @ diff)
+        # a matrix-vector product per row: a block's rows match single calls
+        report.standardized = np.sqrt(n) * (cov.root @ diff[..., None])[..., 0]
         report.covers = np.abs(diff) <= half
     return report
 

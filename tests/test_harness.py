@@ -186,7 +186,7 @@ def test_record_store_rows_are_the_replicates_records(monkeypatch):
     rows = list(records)
     assert len(records) == len(rows) == cfg.replications
     assert all(_same_record(a, b) for a, b in zip(rows, direct))
-    assert rows[1].z is None and rows[4].message == "boom 4"
+    assert rows[1].phi0 is None and rows[4].message == "boom 4"
     assert any(math.isnan(rec.taylor_ratio) for rec in rows
                if not rec.diverged)
 
@@ -199,7 +199,6 @@ def test_record_store_takes_at_most_500_bytes_per_replicate():
     records = [q.harness.ReplicationRecord(
         index=r, converged=True, iterations=4, grad_norm=1e-8,
         final_loss=0.5, distance=0.01, phi0=rng.standard_normal(m),
-        z=rng.standard_normal(m), ci_hits=rng.random(m) < 0.95,
         taylor_lhs=1e-3, taylor_remainder=1e-4, taylor_ratio=1.0)
         for r in range(R)]
     tracemalloc.start()
@@ -217,21 +216,26 @@ def test_drawn_statistics_match_the_design_draws_in_law(monkeypatch,
                                                        fresh_pool):
     # criterion-5 Gaussian replicates from the drawn statistics against
     # replicates from X, on the same truth and disjoint streams; each of
-    # the 11 coordinates of z passes a two-sample KS test at 0.01 / 11
+    # the 11 coordinates of the whitened phi0 passes a two-sample KS test
+    # at 0.01 / 11
     import qsense.harness as h
     import qsense.model as model
     from scipy import stats
 
     cfg = ExperimentConfig(d=6, k=2, loss="gaussian", sigma=0.1, n=8000,
                            replications=300, seed=2024, threads=2)
-    drawn, _ = run_replications(cfg, stream_tag=11)
+    drawn, ctx = run_replications(cfg, stream_tag=11)
     monkeypatch.setattr(h, "simulate",
                         lambda dgp, n, loss: model.simulate(dgp, n))
     fresh_pool()
     from_x, _ = run_replications(cfg, stream_tag=12)
     assert not (drawn.diverged.any() or from_x.diverged.any())
-    m = drawn.z.shape[1]
-    pvalues = [stats.ks_2samp(drawn.z[:, j], from_x.z[:, j]).pvalue
+    phi_star = q.represent(ctx.basis.anchor, ctx.basis)
+    z_drawn, z_x = (q.wald_intervals(records.phi0, ctx.covariance, ctx.n,
+                                     cfg.alpha, phi_star=phi_star).standardized
+                    for records in (drawn, from_x))
+    m = z_drawn.shape[1]
+    pvalues = [stats.ks_2samp(z_drawn[:, j], z_x[:, j]).pvalue
                for j in range(m)]
     assert min(pvalues) >= 0.01 / m
 
@@ -377,7 +381,8 @@ def test_normality_bounded_logistic_runs_on_exact_hstar():
     assert rep.z_matrix.shape[0] == 6
     ctx = build_context(cfg, cfg.n)
     assert rep.hstar_condition_number == ctx.covariance.condition_number
-    lam = np.linalg.eigvalsh(ctx.hstar)
+    lam = np.linalg.eigvalsh(q.restricted_population_hessian(
+        cfg.make_dgp(ctx.basis.anchor), ctx.basis, cfg.make_loss()))
     assert rep.hstar_condition_number == pytest.approx(lam[-1] / lam[0])
 
 
@@ -886,30 +891,31 @@ def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, cfg, output", [
+@pytest.mark.parametrize("command, cfg, output, formula", [
     # mu0**2 underflows to 0 in the rate bound's denominator
     ("certificate", {"constants": {**_ALL_ONES, "mu0": 1e-200}, "n": 100},
-     "certificate.json"),
+     "certificate.json", "rate_bound"),
     # X_max**4 overflows a Python float in K
     ("certificate", {"constants": {**_ALL_ONES, "X_max": 1e200}, "n": 100},
-     "certificate.json"),
+     "certificate.json", "K"),
     # sigma_min**2 underflows to 0 in n_required's denominator
     ("certificate", {"constants": {**_ALL_ONES, "sigma_min": 1e-200},
-                     "n": 100}, "certificate.json"),
+                     "n": 100}, "certificate.json", "n_required"),
     # mu0 = 1 / sigma^2, whose square underflows in the rate bound
     ("rate-sweep", {"d": 3, "k": 2, "n_grid": [50, 100, 200, 800],
                     "replications": 3, "sigma": 1e82, "noise_sigma": 0.1},
-     "report.json"),
+     "report.json", "rate_bound"),
 ], ids=["mu0-underflow", "X_max-overflow", "sigma_min-underflow",
         "rate-sweep-mu0-underflow"])
 def test_cli_reports_certificate_arithmetic_errors_in_one_line(
-        tmp_path, capsys, command, cfg, output):
+        tmp_path, capsys, command, cfg, output, formula):
     path = _write_config(str(tmp_path), cfg)
     rc = cli_main([command, "--config", path, "--threads", "1",
                    "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.count("\n") == 1 and "numerical abort" in err
+    assert err.count("\n") == 1
+    assert err.startswith(f"qsense: numerical abort: {formula}: ")
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(str(tmp_path), output))
 
@@ -1202,38 +1208,46 @@ def test_pooled_process_exits_and_leaves_no_worker():
 
 @pytest.mark.parametrize("loss", ["gaussian", "logistic"])
 def test_cached_whitening_matches_wald_intervals(loss):
-    # each replicate whitens with the context's cached root and half-widths;
-    # both must reproduce the public interval computation bit for bit
+    # the report whitens the run's phi0 block with the context's cached
+    # covariance; each row must reproduce the public interval computation,
+    # from H* rebuilt by the public calls, one estimate at a time, bit for bit
     cfg = ExperimentConfig(d=6, k=2, loss=loss, n=2000, replications=10,
                            seed=2024)
+    report = normality_experiment(cfg)
     records, ctx = run_replications(cfg)
-    for rec in records:
-        assert not rec.diverged
-        ref = q.wald_intervals(rec.phi0, q.asymptotic_covariance(ctx.hstar),
-                               ctx.n, cfg.alpha,
-                               phi_star=q.represent(ctx.basis.anchor,
-                                                    ctx.basis))
-        assert np.array_equal(rec.z, ref.standardized)
-        assert np.array_equal(rec.ci_hits, ref.covers)
+    cov = q.asymptotic_covariance(q.restricted_population_hessian(
+        cfg.make_dgp(ctx.basis.anchor), ctx.basis, cfg.make_loss()))
+    phi_star = q.represent(ctx.basis.anchor, ctx.basis)
+    assert report.excluded == 0
+    hits = []
+    for rec, z in zip(records, report.z_matrix, strict=True):
+        ref = q.wald_intervals(rec.phi0, cov, ctx.n, cfg.alpha,
+                               phi_star=phi_star)
+        assert np.array_equal(z, ref.standardized)
+        hits.append(ref.covers)
+    assert np.array_equal(report.coverage_per_coordinate,
+                          np.mean(hits, axis=0))
 
 
 def test_replicates_beyond_the_injectivity_radius_keep_z_and_coverage():
     # at n = 20 and sigma = 3 most estimates land beyond the radius, where
-    # the aligned chord is no chart: their Taylor fields are NaN, while the
-    # whitened error and coverage are recorded and nothing counts as diverged
-    records, ctx = run_replications(_config(sigma=3.0, n=20, replications=60))
+    # the aligned chord is no chart: their Taylor fields are NaN, while
+    # phi0 is recorded, the report whitens and covers it, and nothing counts
+    # as diverged
+    cfg = _config(sigma=3.0, n=20, replications=60)
+    records, ctx = run_replications(cfg)
+    report = normality_experiment(cfg)
     radius = q.injectivity_radius(ctx.basis.anchor)
-    far = [rec for rec in records if rec.distance >= radius]
-    near = [rec for rec in records if rec.distance < radius]
-    assert len(far) >= 30 and near
-    assert not any(rec.diverged for rec in records)
-    for rec in far:
-        assert np.all(np.isfinite(rec.z))
-        assert rec.ci_hits.dtype == bool and rec.ci_hits.shape == rec.z.shape
-        assert np.isnan([rec.taylor_lhs, rec.taylor_remainder,
-                         rec.taylor_ratio]).all()
-    for rec in near:
-        assert np.isfinite([rec.taylor_lhs, rec.taylor_remainder]).all()
+    far = records.distance >= radius
+    assert far.sum() >= 30 and not far.all()
+    assert not records.diverged.any() and report.excluded == 0
+    assert np.all(np.isfinite(report.z_matrix[far]))
+    assert np.all((report.coverage_per_coordinate >= 0.0)
+                  & (report.coverage_per_coordinate <= 1.0))
+    taylor = np.stack([records.taylor_lhs, records.taylor_remainder,
+                       records.taylor_ratio])
+    assert np.isnan(taylor[:, far]).all()
+    assert np.isfinite(taylor[:2, ~far]).all()
 
 
 def test_serial_run_decomposes_hstar_once_and_aligns_once_per_replicate(

@@ -259,6 +259,23 @@ def test_wald_half_width_shrinks_as_alpha_grows():
         q.wald_intervals(np.zeros(2), cov, 100, 1.5)
 
 
+def test_wald_intervals_on_a_block_match_single_rows_bit_for_bit():
+    rng = np.random.default_rng(23)
+    R, m = 300, 11
+    A = rng.standard_normal((m, m))
+    cov = q.asymptotic_covariance(A @ A.T + np.eye(m))
+    phi_star = rng.standard_normal(m)
+    phi0 = phi_star + 0.05 * rng.standard_normal((R, m))
+    block = q.wald_intervals(phi0, cov, 800, 0.05, phi_star=phi_star)
+    for name in ("standardized", "covers", "lower", "upper"):
+        rows = np.stack([getattr(q.wald_intervals(row, cov, 800, 0.05,
+                                                  phi_star=phi_star), name)
+                         for row in phi0])
+        got = getattr(block, name)
+        assert got.dtype == rows.dtype and got.shape == (R, m)
+        assert got.tobytes() == rows.tobytes(), name
+
+
 def test_wald_coverage_indicator():
     phi0 = np.array([0.0, 1.0])
     phi_star = np.array([0.05, 3.0])

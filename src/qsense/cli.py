@@ -39,14 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p):
-    p.add_argument("--config", required=True,
-                   help="path to a JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--out-dir", default=".",
-                   help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (falls back to QSENSE_THREADS)")
+# the flags beyond --config and --out-dir; each command takes those it reads
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="override the seed"),
+    "--threads": dict(type=int, default=None,
+                      help="worker processes (falls back to QSENSE_THREADS)"),
+    "--dataset": dict(required=True, help="path to a dataset JSON file"),
+}
 
 
 def _load_json(path):
@@ -59,11 +58,12 @@ def _experiment_config(args):
     config = harness.ExperimentConfig.from_dict(obj)
     if args.seed is not None:
         config.seed = args.seed
-    if args.threads is not None:
+    # only the commands that run replicates take --threads; the flag and
+    # QSENSE_THREADS obey the config key's bounds
+    if getattr(args, "threads", None) is not None:
         config.threads = args.threads
-    elif "threads" not in obj:
+    elif "threads" in args and "threads" not in obj:
         config.threads = harness.default_threads()
-    # the flag and QSENSE_THREADS obey the config key's bounds
     return config.validate()
 
 
@@ -186,25 +186,31 @@ def cli_main(argv=None):
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     commands = [
-        ("simulate", _cmd_simulate, "write a simulated dataset as JSON"),
-        ("fit", _cmd_fit, "fit a dataset and write the result as JSON"),
+        ("simulate", _cmd_simulate, "write a simulated dataset as JSON",
+         ["--seed"]),
+        ("fit", _cmd_fit, "fit a dataset and write the result as JSON",
+         ["--seed", "--dataset"]),
         ("verify-normality", _cmd_verify_normality,
-         "replicate, standardize, and test normality of coordinate errors"),
+         "replicate, standardize, and test normality of coordinate errors",
+         ["--seed", "--threads"]),
         ("rate-sweep", _cmd_rate_sweep,
-         "median recovery distance across a sample-size grid"),
+         "median recovery distance across a sample-size grid",
+         ["--seed", "--threads"]),
         ("check-assumptions", _cmd_check_assumptions,
-         "Monte Carlo checks of the standing moment assumptions"),
+         "Monte Carlo checks of the standing moment assumptions", ["--seed"]),
         ("certificate", _cmd_certificate,
-         "evaluate the theory certificate from problem constants"),
+         "evaluate the theory certificate from problem constants", []),
         ("invariance-audit", _cmd_invariance_audit,
-         "check representation invariance under orbit rotations"),
+         "check representation invariance under orbit rotations", ["--seed"]),
     ]
-    for name, func, help_text in commands:
+    for name, func, help_text, flags in commands:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "fit":
-            p.add_argument("--dataset", required=True,
-                           help="path to a dataset JSON file")
+        p.add_argument("--config", required=True,
+                       help="path to a JSON config file")
+        p.add_argument("--out-dir", default=".",
+                       help="output directory (default .)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
 
     try:

@@ -7,9 +7,11 @@ symmetry; their Frobenius-orthogonal complement ("horizontal") is where
 estimation error lives.  One complete QR of the vertical directions at
 theta, the vertical frame, splits R^{d k} into the two; the projections,
 the fit's Newton basis and the reported horizontal basis (a Gram-Schmidt
-in the frame's coordinates) all read it.  The module also provides the skew
-basis, Procrustes alignment and the quotient distance it induces, and the
-injectivity radius (the smallest singular value of the anchor factor).
+in the frame's coordinates) all read it.  A ``HorizontalBasis`` pairs an
+anchor with its elements; ``rotate_basis`` carries it along the orbit.  The
+module also provides the skew basis, Procrustes alignment and the quotient
+distance it induces, and the injectivity radius (the smallest singular
+value of the anchor factor).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFactorError, OutOfInjectivityError
-from .jsonable import JsonFields
 
 # Relative singular-value cutoff below which a factor is treated as rank
 # deficient by the vertical frame.
@@ -31,17 +32,15 @@ GS_DROP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class HorizontalBasis(JsonFields):
+class HorizontalBasis:
     """Orthonormal basis of the horizontal space at ``anchor``.
 
     ``elements`` is (m, d, k) with m = d k - k (k - 1) / 2; each element is
     Frobenius-orthogonal to every vertical direction at the anchor.
-    ``tag`` records the deterministic construction used.
     """
 
     anchor: np.ndarray
     elements: np.ndarray
-    tag: str = "lex"
 
     @property
     def m(self):
@@ -179,14 +178,15 @@ def newton_basis(theta):
 
 
 def rotate_basis(basis, U):
-    """Push a horizontal basis at theta forward to one at theta U."""
+    """Push a horizontal basis at theta forward to one at theta U: each
+    element e becomes e U, so a matrix M at theta and M U at theta U have
+    the same coordinates."""
     U = np.asarray(U, dtype=float)
     k = basis.anchor.shape[1]
     if U.shape != (k, k) or np.linalg.norm(U.T @ U - np.eye(k)) > 1e-10:
         raise ValueError("U must be a k x k orthogonal matrix")
     return HorizontalBasis(anchor=basis.anchor @ U,
-                           elements=basis.elements @ U,
-                           tag=basis.tag + "@rot")
+                           elements=basis.elements @ U)
 
 
 def align(theta_a, theta_b):

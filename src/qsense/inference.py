@@ -11,17 +11,16 @@ truth read the data through ``model.StackRoute``, as the fit does: the
 p + 1 square-root rows of the dataset for the Gaussian loss
 (``Dataset.compressed``), the design U otherwise.  From one derivative
 pass (ell'', Sbar) at the truth the score is Sbar theta* represented in
-the basis, and the curvature matrix is ``StackRoute.curvature``, the
-matrix of ``StackRoute.curvature_apply`` on the basis.  ``per_sample_scores``
-stays on U, since it needs every sample.  H*
-(``restricted_population_hessian``) is exact and reads no data.
+the basis (``restricted_representation``), and the curvature matrix is
+``restricted_hessian``: ``StackRoute.curvature``, the matrix of
+``StackRoute.curvature_apply`` on the basis.  ``per_sample_scores`` stays
+on U, since it needs every sample.  H* (``restricted_population_hessian``)
+is exact and reads no data.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,18 +71,17 @@ def restricted_population_hessian(dgp, basis, loss):
 
 
 @dataclass
-class RestrictedRepresentation(JsonFields):
-    """Everything inference needs, in one basis: coordinates and curvature.
+class RestrictedRepresentation:
+    """An estimate in one basis: coordinates, score and curvature product.
 
     ``phi0`` represents the estimate after aligning it onto the basis anchor
     (equivalently: the anchor's coordinates plus the represented aligned
     chord), so it does not depend on which orbit representative the
     optimizer happened to return.  ``chord`` is that aligned chord and
     ``distance`` its norm, the quotient distance.  ``score`` is the
-    restricted gradient at the truth.  The restricted curvature there is
-    computed on demand: ``curvature_times(v)`` applies it to one vector
-    (two passes over the route's rows), and ``hessian``, the full matrix
-    (``StackRoute.curvature``), is built when first read.
+    restricted gradient at the truth.  ``curvature_times(v)`` applies the
+    restricted curvature there to one vector (two passes over the route's
+    rows); the full matrix is ``restricted_hessian``.
     """
 
     basis: object = field(repr=False)
@@ -103,21 +101,6 @@ class RestrictedRepresentation(JsonFields):
         return represent(self.route.curvature_apply(self.basis.anchor, V,
                                                     self.terms), self.basis)
 
-    @cached_property
-    def hessian(self):
-        return self.route.curvature(self.basis.anchor, self.basis.elements,
-                                    self.terms)
-
-    def to_json_dict(self):
-        # the basis is identified by its tag and a digest of the anchor's
-        # little-endian float64 bytes, stable across processes and machines
-        anchor = np.ascontiguousarray(self.basis.anchor, dtype="<f8")
-        digest = hashlib.sha256(repr(anchor.shape).encode() + anchor.tobytes())
-        return {"basis_tag": self.basis.tag,
-                "basis_anchor_hash": digest.hexdigest()[:16],
-                **super().to_json_dict(),
-                "hessian": self.hessian.tolist()}
-
 
 def restricted_representation(dataset, theta0, basis, loss):
     """Bundle phi*, phi0 and the restricted score at the truth.
@@ -126,8 +109,8 @@ def restricted_representation(dataset, theta0, basis, loss):
     the representation is defined at any distance, but the aligned chord is
     a chart of the quotient only below the injectivity radius, which
     ``diagnostics.taylor_residual_check`` enforces.  One derivative pass at
-    the truth, through ``StackRoute(dataset, loss)``, gives the score and,
-    on demand, the curvature (see ``RestrictedRepresentation``).
+    the truth, through ``StackRoute(dataset, loss)``, gives the score and
+    the curvature product (see ``RestrictedRepresentation``).
     """
     theta_star = basis.anchor
     al = geometry.align(theta0, theta_star)

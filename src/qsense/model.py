@@ -384,8 +384,7 @@ def design_forward(U, M):
     M is one d x d matrix (result (n,)) or an (m, d, d) stack (result
     (n, m)); a non-symmetric M is read as sym M.
     """
-    if M.ndim == 2:
-        return U @ svec(M)
+    # svec(M) of one matrix is 1-D, which .T leaves as it is
     return U @ svec(M).T
 
 

@@ -44,8 +44,7 @@ def test_vertical_direction_kills_population_min_eigenvalue():
     vert /= np.linalg.norm(vert)
     extended = q.HorizontalBasis(anchor=theta,
                                  elements=np.concatenate([basis.elements,
-                                                          vert[None]]),
-                                 tag="debug")
+                                                          vert[None]]))
     H = q.restricted_population_hessian(_dgp(theta), extended,
                                         q.GaussianNLL(1.0))
     assert abs(np.linalg.eigvalsh(H)[0]) <= 1e-10

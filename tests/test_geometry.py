@@ -196,16 +196,6 @@ def test_horizontal_basis_deterministic():
     assert np.array_equal(a.elements, b.elements)
 
 
-def test_horizontal_basis_json_export():
-    rng = np.random.default_rng(100)
-    theta = random_theta(rng, 3, 2)
-    basis = q.horizontal_basis(theta)
-    blob = basis.to_json_dict()
-    assert blob["tag"] == "lex"
-    assert np.array_equal(np.array(blob["anchor"]), theta)
-    assert np.array_equal(np.array(blob["elements"]), basis.elements)
-
-
 def _per_unit_mgs_basis(theta):
     """The horizontal basis built one unit matrix at a time: each projected
     on its own, then orthonormalized by two-pass modified Gram-Schmidt."""

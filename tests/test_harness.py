@@ -910,7 +910,8 @@ def test_cli_certificate_rejects_bad_config_in_one_line(tmp_path, capsys,
 def test_cli_reports_certificate_arithmetic_errors_in_one_line(
         tmp_path, capsys, command, cfg, output, formula):
     path = _write_config(str(tmp_path), cfg)
-    rc = cli_main([command, "--config", path, "--threads", "1",
+    threads = ["--threads", "1"] if command == "rate-sweep" else []
+    rc = cli_main([command, "--config", path, *threads,
                    "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
@@ -918,6 +919,63 @@ def test_cli_reports_certificate_arithmetic_errors_in_one_line(
     assert err.startswith(f"qsense: numerical abort: {formula}: ")
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(str(tmp_path), output))
+
+
+# a small config for each command, and the flags it reads beyond --config
+# and --out-dir (fit also requires --dataset)
+_COMMAND_FLAGS = {
+    "simulate": ({"d": 2, "k": 1, "n": 20}, ["--seed"]),
+    "fit": ({"d": 2, "k": 1, "n": 20}, ["--seed"]),
+    "verify-normality": ({"d": 2, "k": 1, "n": 60, "replications": 3},
+                         ["--seed", "--threads"]),
+    "rate-sweep": ({"d": 2, "k": 1, "n_grid": [64, 128, 256, 1024],
+                    "replications": 3}, ["--seed", "--threads"]),
+    "check-assumptions": ({"d": 2, "k": 1, "n_mc": 200}, ["--seed"]),
+    "certificate": ({"constants": _ALL_ONES, "n": 100}, []),
+    "invariance-audit": ({"d": 2, "k": 1, "replications": 2}, ["--seed"]),
+}
+
+
+def _run_command(tmp_path, command, flags=(), out="out"):
+    """Run ``command`` on its small config, writing to ``out``; return the
+    exit code and the bytes of every file it wrote."""
+    cfg = _write_config(str(tmp_path), _COMMAND_FLAGS[command][0])
+    out = tmp_path / out
+    argv = [command, "--config", cfg, "--out-dir", str(out), *flags]
+    if command == "fit":
+        data = tmp_path / "data"
+        assert cli_main(["simulate", "--config", cfg,
+                         "--out-dir", str(data)]) == 0
+        argv += ["--dataset", str(data / "dataset.json")]
+    rc = cli_main(argv)
+    written = sorted(out.iterdir()) if out.exists() else []
+    return rc, {path.name: path.read_bytes() for path in written}
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--threads", "2")])
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_cli_commands_accept_only_the_flags_they_read(
+        tmp_path, capsys, command, flag, value):
+    rc, written = _run_command(tmp_path, command, [flag, value])
+    err = capsys.readouterr().err
+    if flag in _COMMAND_FLAGS[command][1]:
+        assert rc == 0 and written
+    else:
+        assert rc == 1 and not written
+        assert err.endswith(
+            f"qsense: error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize("env", ["0", "abc"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "check-assumptions",
+                                     "invariance-audit"])
+def test_cli_commands_without_replicates_ignore_qsense_threads(
+        tmp_path, monkeypatch, command, env):
+    monkeypatch.delenv("QSENSE_THREADS", raising=False)
+    rc, plain = _run_command(tmp_path, command)
+    assert rc == 0 and plain
+    monkeypatch.setenv("QSENSE_THREADS", env)
+    assert _run_command(tmp_path, command, out="env") == (0, plain)
 
 
 _BOUNDED_LOGISTIC = {"d": 3, "k": 1, "loss": "logistic", "design": "bounded",
